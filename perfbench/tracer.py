@@ -20,13 +20,16 @@ class StepClock:
 
     A step is the time from the previous step's end (or from ``begin``) to
     the end of its SGD update, so it covers forward, losses, diagnostics,
-    backward and the update of one full-batch epoch.
+    backward and the update of one full-batch epoch.  Each step is paired
+    with a call of ``reference`` (when set) made after the step's end and
+    before the next step's start, so it stays out of both.
     """
 
     def __init__(self, registry_cls):
         self._orig = registry_cls.sgd_step
         self._last = None
-        self.steps_ms: list[float] = []
+        self.reference = None
+        self.steps_ms: list[tuple] = []
         clock = self
 
         @functools.wraps(self._orig)
@@ -34,7 +37,12 @@ class StepClock:
             result = clock._orig(registry, *args, **kwargs)
             now = time.perf_counter()
             if clock._last is not None:
-                clock.steps_ms.append((now - clock._last) * 1e3)
+                ms = (now - clock._last) * 1e3
+                ref_ms = None
+                if clock.reference is not None:
+                    ref_ms = clock.reference()
+                    now = time.perf_counter()
+                clock.steps_ms.append((ms, ref_ms))
             clock._last = now
             return result
 
@@ -44,7 +52,8 @@ class StepClock:
         self._last = time.perf_counter()
         self.steps_ms = []
 
-    def take(self) -> list[float]:
+    def take(self) -> list[tuple]:
+        """(step ms, reference ms) of each step since ``begin``."""
         steps, self.steps_ms, self._last = self.steps_ms, [], None
         return steps
 

@@ -1,4 +1,4 @@
-"""The three benchmark workloads.
+"""The benchmark workloads.
 
 Each workload builds its inputs from the seed and warms up in its
 constructor (the timed set-up), runs one
@@ -15,29 +15,72 @@ the README quickstart (``DatasetSpec()``, ``seed=0``).
 from __future__ import annotations
 
 import hashlib
+import statistics
 import time
 
 import numpy as np
 
 
-class Run:
-    """Samples, values and operation counts of one benchmark run."""
+_REF_COL = np.linspace(0.0, 1.0, 32).reshape(32, 1)
+_REF_ROW = np.linspace(1.0, 2.0, 32).reshape(1, 32)
+_REF_VEC = np.linspace(0.0, 1.0, 50_000)
 
-    def __init__(self):
+
+def reference_ms() -> float:
+    """Milliseconds taken by a fixed mix of the work the workloads do:
+    a pure-Python loop, small-array numpy updates and mid-size array
+    arithmetic.  It uses no mpepsn code, so it measures the machine's
+    speed at the moment it runs, not the program's."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(1500):
+        acc += i * i
+    out = np.zeros((32, 32))
+    for _ in range(150):
+        out += _REF_COL * _REF_ROW
+    for _ in range(10):
+        _ = _REF_VEC * _REF_VEC + _REF_VEC
+    return (time.perf_counter() - start) * 1e3
+
+
+class Run:
+    """Samples, values and operation counts of one benchmark run.
+
+    When ``calibrate`` is set, every timed sample is paired with the
+    reference-kernel time taken next to it: before each ``timed`` call the
+    median of five (after other work the first runs with cold caches), and
+    one after each training step.  Otherwise (traced iterations, workloads
+    that are not calibrated) the reference is ``None``.  ``ref_s`` is the
+    time spent in reference calls.
+    """
+
+    def __init__(self, calibrate: bool = False):
+        self.calibrate = calibrate
+        self.ref_s = 0.0
         self.samples: dict[str, list[float]] = {}
+        self.refs: dict[str, list] = {}
         self.values: dict[str, float] = {}
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
 
-    def sample(self, name: str, ms: float) -> None:
+    def reference(self) -> float:
+        ms = reference_ms()
+        self.ref_s += ms / 1e3
+        return ms
+
+    def sample(self, name: str, ms: float, ref_ms) -> None:
         self.samples.setdefault(name, []).append(ms)
+        self.refs.setdefault(name, []).append(ref_ms)
         self.attempted += 1
 
     def timed(self, name: str, fn, *args, **kwargs):
+        ref_ms = None
+        if self.calibrate:
+            ref_ms = statistics.median(self.reference() for _ in range(5))
         start = time.perf_counter()
         result = fn(*args, **kwargs)
-        self.sample(name, (time.perf_counter() - start) * 1e3)
+        self.sample(name, (time.perf_counter() - start) * 1e3, ref_ms)
         return result
 
     def check(self, name: str, ok) -> None:
@@ -58,14 +101,15 @@ class _Training:
     predict), the hidden widths and the epoch counts.  One iteration fits
     the MPE-PSN model (sampled mode, lambda 0.01), fits the LIF model with
     backprop through time, and predicts ``predict_reps`` times with the
-    MPE-PSN model.
+    MPE-PSN model, half before the LIF fit and half after it.
     """
 
     name = ""
     hidden_sizes: tuple = ()
     mpe_epochs = 0
     lif_epochs = 0
-    predict_reps = 6
+    predict_reps = 10
+    calibrate = True
     gated = {"mpe_psn_ms": "train_step_ms.mpe_psn", "lif_ms": "train_step_ms.lif",
              "infer_ms": "predict_ms"}
 
@@ -95,13 +139,14 @@ class _Training:
         return model
 
     def fit_timed(self, run: Run, kind: str, epochs: int, metric: str):
+        self.clock.reference = run.reference if run.calibrate else None
         try:
             model = self.fit_kind(kind, epochs)
         except self.mp.network.TrainingDivergedError as err:
             run.check(f"{self.name}: {kind} training diverged at epoch {err.epoch}", False)
             model = None
-        for ms in self.clock.take():
-            run.sample(metric, ms)
+        for ms, ref_ms in self.clock.take():
+            run.sample(metric, ms, ref_ms)
         if model is not None:
             run.check(f"{kind} losses finite",
                       all(np.isfinite(d.loss_total) for d in model.history_))
@@ -109,11 +154,11 @@ class _Training:
 
     def iteration(self, run: Run) -> None:
         mpe = self.fit_timed(run, "mpe_psn", self.mpe_epochs, "train_step_ms.mpe_psn")
+        preds = self.predict_block(run, mpe)
         self.fit_timed(run, "lif_sequential", self.lif_epochs, "train_step_ms.lif")
         if mpe is None:
             return
-        preds = [run.timed("predict_ms", mpe.predict, self.heldout.x)
-                 for _ in range(self.predict_reps)]
+        preds += self.predict_block(run, mpe)
         record = (mpe.history_[-1].csv_row(), preds[0].tobytes())
         if self.reference is None:
             self.reference, self.model_ = record, mpe
@@ -122,6 +167,14 @@ class _Training:
                   all(np.array_equal(p, preds[0]) for p in preds[1:]))
         run.check("predicted labels are valid classes",
                   preds[0].shape == self.heldout.y.shape and set(np.unique(preds[0])) <= {0, 1})
+
+    def predict_block(self, run: Run, model) -> list:
+        """Half of the iteration's predicts; the two halves sit on either
+        side of the LIF fit, so predict samples spread over the run."""
+        if model is None:
+            return []
+        return [run.timed("predict_ms", model.predict, self.heldout.x)
+                for _ in range(self.predict_reps // 2)]
 
     def quality(self, run: Run) -> None:
         """Estimator quality of the first MPE-PSN fit (deterministic per seed)."""
@@ -158,7 +211,7 @@ class TrainRef(_Training):
     name = "train_ref"
     hidden_sizes = (32,)
     mpe_epochs = 200
-    lif_epochs = 50
+    lif_epochs = 100
 
     def make_data(self, seed):
         datagen = self.mp.datagen
@@ -203,6 +256,7 @@ class ForwardWide:
 
     name = "forward_wide"
     shape = (32, 1, 1 << 18)
+    calibrate = False
     gated = {"mpe_psn_ms": "forward_ms.mpe_psn", "lif_ms": "forward_ms.lif",
              "infer_ms": "forward_ms.mpe_psn.expectation"}
 
