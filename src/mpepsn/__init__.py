@@ -13,7 +13,6 @@ from .network import EpochDiagnostics, LinearSynapse, SpikingClassifier, train
 from .neuron import (
     NeuronParams,
     ParallelTrace,
-    estimate_u_hat,
     estimation_error,
     heaviside,
     lif_sequential,
@@ -27,7 +26,7 @@ __all__ = [
     "surrogate_grad", "DatasetSpec", "LabeledBatch", "generate",
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "LinearSynapse", "SpikingClassifier", "train",
-    "NeuronParams", "ParallelTrace", "estimate_u_hat", "estimation_error",
+    "NeuronParams", "ParallelTrace", "estimation_error",
     "heaviside", "lif_sequential", "mpe_psn_forward", "teacher_forced_forward",
     "Rng", "WorkerPool", "bernoulli_sample", "matmul", "reduce", "sigmoid",
 ]

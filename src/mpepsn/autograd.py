@@ -3,9 +3,9 @@
 A ``Var`` wraps a float64 array and remembers how it was computed; calling
 :func:`backward` on a scalar ``Var`` walks the tape in reverse topological
 order and accumulates gradients into the leaves.  Spike (Heaviside) nodes
-backpropagate through a triangular surrogate; Bernoulli draws are treated as
-constants (straight-through), so the estimate (1 - b) * I passes gradient
-(1 - b) to I.
+backpropagate through a triangular surrogate.  A node with several outputs
+(such as a whole neuron layer with a closed-form backward) is built with
+:func:`multi_output`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def parameter(value, name="") -> Var:
     return Var(value, requires_grad=True, name=name)
 
 
-def _unbroadcast(grad: Array, shape) -> Array:
+def unbroadcast(grad: Array, shape) -> Array:
     """Sum a gradient down to ``shape`` after numpy broadcasting."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -79,7 +79,7 @@ def add(a, b) -> Var:
     return Var(
         a.value + b.value,
         parents=(a, b),
-        backward=lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        backward=lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)),
     )
 
 
@@ -88,7 +88,7 @@ def sub(a, b) -> Var:
     return Var(
         a.value - b.value,
         parents=(a, b),
-        backward=lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        backward=lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
     )
 
 
@@ -98,8 +98,8 @@ def mul(a, b) -> Var:
         a.value * b.value,
         parents=(a, b),
         backward=lambda g: (
-            _unbroadcast(g * b.value, a.shape),
-            _unbroadcast(g * a.value, b.shape),
+            unbroadcast(g * b.value, a.shape),
+            unbroadcast(g * a.value, b.shape),
         ),
     )
 
@@ -154,6 +154,12 @@ class spike_logging:
         _spike_log = None
 
 
+def log_spikes(*spikes: Array) -> None:
+    """Record spike (or draw) outputs while a :class:`spike_logging` is open."""
+    if _spike_log is not None:
+        _spike_log.extend(spikes)
+
+
 def spike(h: Var, v_th: Var, alpha: float) -> Var:
     """Heaviside(h - v_th) forward; triangular surrogate backward.
 
@@ -162,22 +168,14 @@ def spike(h: Var, v_th: Var, alpha: float) -> Var:
     """
     h, v_th = as_var(h), as_var(v_th)
     o = (h.value >= v_th.value).astype(np.float64)
-    if _spike_log is not None:
-        _spike_log.append(o)
+    log_spikes(o)
 
     def backward(g: Array):
         sg = surrogate_grad(h.value, float(v_th.value), alpha)
         weighted = g * sg
-        return weighted, _unbroadcast(-weighted, v_th.shape)
+        return weighted, unbroadcast(-weighted, v_th.shape)
 
     return Var(o, parents=(h, v_th), backward=backward)
-
-
-def straight_through(I: Var, b: Array) -> Var:
-    """(1 - b) * I with the draw b held constant, so dout/dI = (1 - b)."""
-    I = as_var(I)
-    keep = 1.0 - np.asarray(b, dtype=np.float64)
-    return Var(keep * I.value, parents=(I,), backward=lambda g: (g * keep,))
 
 
 def shift_time(x: Var) -> Var:
@@ -194,21 +192,35 @@ def shift_time(x: Var) -> Var:
     return Var(value, parents=(x,), backward=backward)
 
 
-def slice_time(x: Var, t: int) -> Var:
-    x = as_var(x)
-
-    def backward(g: Array):
-        gx = np.zeros_like(x.value)
-        gx[t] = g
-        return (gx,)
-
-    return Var(x.value[t], parents=(x,), backward=backward)
+def add_grads(a, b):
+    """Sum of two gradient terms, where None stands for no term."""
+    return b if a is None else a if b is None else a + b
 
 
-def stack_time(rows) -> Var:
-    rows = [as_var(r) for r in rows]
-    value = np.stack([r.value for r in rows])
-    return Var(value, parents=tuple(rows), backward=lambda g: tuple(g[t] for t in range(len(rows))))
+class _OutputGrads(tuple):
+    """Gradients of a multi-output node, one slot per output (None if absent)."""
+
+    def __add__(self, other):
+        return _OutputGrads(add_grads(a, b) for a, b in zip(self, other))
+
+
+def multi_output(values, parents, grad_fn) -> tuple[Var, ...]:
+    """One tape node with several outputs, handed out as one Var each.
+
+    ``grad_fn(*grads)`` receives each output's total gradient (None for an
+    output that received none) and returns one gradient per parent, in
+    order, like the backward of a single-output node.
+    """
+    node = Var(np.empty(0), parents, backward=lambda grads: grad_fn(*grads))
+    n = len(values)
+
+    def view(k: int, value) -> Var:
+        def backward_view(g: Array):
+            return (_OutputGrads(g if j == k else None for j in range(n)),)
+
+        return Var(value, parents=(node,), backward=backward_view)
+
+    return tuple(view(k, value) for k, value in enumerate(values))
 
 
 def vsum(x, axis=None) -> Var:
@@ -276,12 +288,8 @@ def backward(loss: Var) -> None:
         if node._backward is None:
             continue
         for p, pg in zip(node.parents, node._backward(g)):
-            if not p.requires_grad:
-                continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
+            if p.requires_grad and pg is not None:
+                grads[id(p)] = add_grads(grads.get(id(p)), pg)
 
 
 class ParamRegistry:

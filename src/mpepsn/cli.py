@@ -216,8 +216,9 @@ def cmd_estimate(args) -> int:
         I = Rng(args.seed, stream=7).uniform_tensor(
             (args.time_steps, args.batch, args.neurons), -2.0, 2.0
         )
-    rng = Rng(args.seed, stream=3)
-    P, b, u_hat = neuron.estimate_u_hat(I, args.mode, rng if args.mode == "sampled" else None)
+    rng = Rng(args.seed, stream=3) if args.mode == "sampled" else None
+    tr = neuron.mpe_psn_forward(I, params, args.mode, rng)
+    P, b, u_hat = tr.P, tr.b, tr.u_hat
     u_seq, _ = neuron.lif_sequential(I, params)
     print(f"input shape: {I.shape}, mode: {args.mode}")
     print(f"P: min={P.min():.6f} mean={P.mean():.6f} max={P.max():.6f}")

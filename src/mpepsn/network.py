@@ -72,65 +72,97 @@ def synapse_forward(o_prev: Var, syn: LinearSynapse, delay: int = 0) -> Var:
 
 @dataclass
 class TapeTrace:
-    """Tape handles plus raw values for one spiking layer's forward pass."""
+    """Tape outputs of one spiking layer plus every value of its forward pass."""
 
     u_hat: Var
-    h: Var
     u: Var
     o: Var
-    P: Array
-    b: Array
+    values: neuron.ParallelTrace
 
-    def values(self, I: Array) -> neuron.ParallelTrace:
-        return neuron.ParallelTrace(
-            I=I,
-            P=self.P,
-            b=self.b,
-            u_hat=self.u_hat.value,
-            h=self.h.value,
-            u=self.u.value,
-            o=self.o.value,
-        )
+
+def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array):
+    """Backward of o = spike(h) and u = h * (1 - o) for given output gradients.
+
+    Returns the gradient of h and the surrogate-weighted spike gradient (the
+    threshold receives its negation); None stands for no gradient.  Terms
+    are summed as the elementwise tape would sum them, so the bits match.
+    """
+    g_h = None
+    if g_u is not None:
+        g_o = autograd.add_grads(g_o, -(g_u * h))
+        g_h = g_u * (1.0 - o)
+    weighted = None if g_o is None else g_o * sg
+    return autograd.add_grads(g_h, weighted), weighted
+
+
+def _threshold_grad(weighted, v_th: Var):
+    return None if weighted is None else autograd.unbroadcast(-weighted, v_th.shape)
 
 
 def mpe_psn_tape_forward(
     I: Var, v_th: Var, tau_m: float, alpha: float, mode: str, rng: Rng | None
 ) -> TapeTrace:
-    """Differentiable parallel forward pass.
+    """Differentiable parallel forward pass: one tape node over
+    :func:`neuron.mpe_psn_forward`, with a closed-form backward.
 
-    Sampled mode treats the Bernoulli draw as a constant (straight-through);
-    expectation mode is fully differentiable through the spike probability.
+    Sampled mode treats the Bernoulli draw as a constant (straight-through:
+    u_hat passes gradient (1 - b) to I); expectation mode is fully
+    differentiable through the spike probability.  Gradient terms are added
+    in the order of the elementwise tape they replace (sigmoid, (1 - b) * I,
+    shift, spike, reset), so the gradients match it bit for bit whenever
+    each output has at most one consumer outside the layer.
     """
+    params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
+    tr = neuron.mpe_psn_forward(I.value, params, mode, rng)
+    autograd.log_spikes(tr.o)
     if mode == "sampled":
-        P = numerics.sigmoid(I.value)
-        b = numerics.bernoulli_sample(P, rng)
-        u_hat = autograd.straight_through(I, b)
-    elif mode == "expectation":
-        P_var = autograd.sigmoid(I)
-        P = P_var.value
-        b = P
-        u_hat = (1.0 - P_var) * I
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    h = tau_m * autograd.shift_time(u_hat) + I
-    o = autograd.spike(h, v_th, alpha)
-    u = h * (1.0 - o)
-    return TapeTrace(u_hat=u_hat, h=h, u=u, o=o, P=P, b=b)
+        autograd.log_spikes(tr.b)  # a flipped draw is a discontinuity as well
+
+    def backward(g_u_hat, g_u, g_o):
+        sg = autograd.surrogate_grad(tr.h, params.v_th, alpha)
+        g_h, weighted = _reset_backward(g_u, g_o, tr.h, tr.o, sg)
+        if g_h is not None:
+            g_hist = np.zeros_like(g_h)
+            g_hist[:-1] = g_h[1:] * tau_m
+            g_u_hat = autograd.add_grads(g_u_hat, g_hist)
+        g_I = g_h
+        if g_u_hat is not None:
+            g_I = autograd.add_grads(g_I, g_u_hat * (1.0 - tr.b))
+            if mode == "expectation":
+                g_I = g_I + -(g_u_hat * tr.I) * tr.P * (1.0 - tr.P)
+        return g_I, _threshold_grad(weighted, v_th)
+
+    u_hat, u, o = autograd.multi_output((tr.u_hat, tr.u, tr.o), (I, v_th), backward)
+    return TapeTrace(u_hat=u_hat, u=u, o=o, values=tr)
 
 
 def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float) -> tuple[Var, Var]:
-    """Differentiable sequential LIF recurrence (backprop through time)."""
-    T = I.shape[0]
-    u_prev = Var(np.zeros(I.shape[1:], dtype=np.float64))
-    us, os_ = [], []
-    for t in range(T):
-        h = tau_m * u_prev + autograd.slice_time(I, t)
-        o = autograd.spike(h, v_th, alpha)
-        u = h * (1.0 - o)
-        us.append(u)
-        os_.append(o)
-        u_prev = u
-    return autograd.stack_time(us), autograd.stack_time(os_)
+    """Differentiable sequential LIF recurrence (backprop through time): one
+    tape node over :func:`neuron.lif_sequential`, with a closed-form backward
+    that walks time in reverse, adding terms in the order of the per-step
+    elementwise tape it replaces (bit for bit, as for the parallel layer)."""
+    params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
+    u, o = neuron.lif_sequential(I.value, params)
+    autograd.log_spikes(o)
+
+    def backward(g_u, g_o):
+        h = tau_m * neuron.shift_time(u) + I.value  # pre-reset membrane, as the loop formed it
+        sg = autograd.surrogate_grad(h, params.v_th, alpha)
+        g_I = np.zeros_like(h)
+        g_h = g_v_th = None
+        for t in reversed(range(h.shape[0])):
+            g_u_t = autograd.add_grads(
+                None if g_u is None else g_u[t], None if g_h is None else g_h * tau_m
+            )
+            g_h, weighted = _reset_backward(
+                g_u_t, None if g_o is None else g_o[t], h[t], o[t], sg[t]
+            )
+            g_v_th = autograd.add_grads(g_v_th, _threshold_grad(weighted, v_th))
+            if g_h is not None:
+                g_I[t] = g_h
+        return g_I, g_v_th
+
+    return autograd.multi_output((u, o), (I, v_th), backward)
 
 
 @dataclass
@@ -169,6 +201,17 @@ def diagnostics(traces, logits: Array, labels) -> tuple[list[float], list[float]
     rates = [100.0 * float(np.mean(tr.o)) for tr in traces]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
+
+
+def _check_input(x, name: str) -> Array:
+    """A [T, B, N] float tensor with only finite entries, or an error naming it."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeMismatchError(f"{name}: expected [T, B, N] input, got shape {x.shape}")
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite entries (NaN or Inf)")
+    return x
 
 
 def accuracy(logits: Array, labels) -> float:
@@ -297,7 +340,9 @@ class SpikingClassifier:
                 o_prev = tr.o
             else:
                 u, o = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha)
-                traces.append(TapeTrace(u_hat=u, h=u, u=u, o=o, P=o.value, b=o.value))
+                values = neuron.ParallelTrace(I=I.value, P=o.value, b=o.value, u_hat=u.value,
+                                              h=u.value, u=u.value, o=o.value)
+                traces.append(TapeTrace(u_hat=u, u=u, o=o, values=values))
                 o_prev = o
         logits = synapse_forward(o_prev, self.readout_, delay=0)
         return logits, traces, currents
@@ -305,9 +350,9 @@ class SpikingClassifier:
     # -- training -----------------------------------------------------------
 
     def fit(self, x, y, x_test=None, y_test=None):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeMismatchError(f"expected [T, B, N] input, got shape {x.shape}")
+        x = _check_input(x, "x")
+        if x_test is not None:
+            _check_input(x_test, "x_test")
         y = np.asarray(y, dtype=np.int64)
         n_classes = int(y.max()) + 1 if y.size else 2
         n_classes = max(n_classes, 2)
@@ -316,7 +361,7 @@ class SpikingClassifier:
         self.history_ = []
         use_mem = self.lam > 0.0 and self.neuron_kind == "mpe_psn"
         for epoch in range(1, self.epochs + 1):
-            logits, traces, currents = self.model_forward(x, self.mode, sample_rng)
+            logits, traces, _ = self.model_forward(x, self.mode, sample_rng)
             l_cls = losses.cls_loss(logits, y)
             l_mem = Var(np.asarray(0.0))
             if self.neuron_kind == "mpe_psn":
@@ -324,7 +369,7 @@ class SpikingClassifier:
                     l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
             l2_norms, rates, train_acc = diagnostics(
-                [tr.values(I.value) for tr, I in zip(traces, currents)], logits.value, y
+                [tr.values for tr in traces], logits.value, y
             )
             test_acc = self.score(x_test, y_test) if x_test is not None else float("nan")
             diag = EpochDiagnostics(
@@ -349,7 +394,7 @@ class SpikingClassifier:
 
     def predict_logits(self, x) -> Array:
         self._check_fitted()
-        logits, _, _ = self.model_forward(x, mode="expectation")
+        logits, _, _ = self.model_forward(_check_input(x, "x"), mode="expectation")
         return logits.value
 
     def predict(self, x) -> Array:
@@ -372,9 +417,3 @@ def train(model: SpikingClassifier, train_batch, test_batch=None):
         model.fit(train_batch.x, train_batch.y)
     return model.history_
 
-
-def write_training_log(history, n_layers: int, path) -> None:
-    lines = [EpochDiagnostics.csv_header(n_layers)]
-    lines += [d.csv_row() for d in history]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

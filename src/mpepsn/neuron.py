@@ -15,7 +15,6 @@ import numpy as np
 
 from scipy.special import expit
 
-from . import numerics
 from .numerics import Array, Rng, ShapeMismatchError, WorkerPool
 
 MODES = ("sampled", "expectation")
@@ -88,32 +87,6 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     return u, o
 
 
-def estimate_u_hat(
-    I,
-    mode: str = "sampled",
-    rng: Rng | None = None,
-    pool: WorkerPool | None = None,
-) -> tuple[Array, Array, Array]:
-    """Estimate the membrane potential from the input current alone.
-
-    Spike probability P = sigmoid(I); the estimate is (1 - b) * I where b is
-    a Bernoulli(P) draw (an estimated spike resets the potential to zero).
-    Expectation mode substitutes b := P for a deterministic, seed-free path.
-    """
-    I = np.asarray(I, dtype=np.float64)
-    P = numerics.sigmoid(I)
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an Rng")
-        b = numerics.bernoulli_sample(P, rng, pool)
-    elif mode == "expectation":
-        b = P
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    u_hat = (1.0 - b) * I
-    return P, b, u_hat
-
-
 def parallel_update(I: Array, u_hist: Array, params: NeuronParams) -> tuple[Array, Array, Array]:
     """One-shot update for all time steps given a (shifted) membrane history.
 
@@ -147,64 +120,53 @@ def mpe_psn_forward(
 ) -> ParallelTrace:
     """Parallel forward pass over all T time steps at once.
 
-    The estimate for step t-1 feeds step t; step 0 consumes no history
-    (zero), so its output coincides with the sequential oracle exactly.
+    Spike probability P = sigmoid(I); the estimate is u_hat = (1 - b) * I,
+    where b is a Bernoulli(P) draw (an estimated spike resets the potential
+    to zero); expectation mode substitutes b := P for a deterministic,
+    seed-free path.  The estimate for step t-1 feeds step t; step 0 consumes
+    no history (zero), so its output coincides with the sequential oracle
+    exactly.  Work is split into flat index ranges over ``pool`` (one range
+    without a pool); every range does the same elementwise arithmetic, so
+    the result is bit-identical for any worker count.
     """
     I = _check_3d(I)
-    if pool is not None and pool.workers > 1:
-        return _mpe_psn_forward_pooled(I, params, mode, rng, pool)
-    P, b, u_hat = estimate_u_hat(I, mode, rng)
-    h, u, o = parallel_update(I, shift_time(u_hat), params)
-    return ParallelTrace(I=I, P=P, b=b, u_hat=u_hat, h=h, u=u, o=o)
-
-
-def _mpe_psn_forward_pooled(
-    I: Array, params: NeuronParams, mode: str, rng: Rng | None, pool: WorkerPool
-) -> ParallelTrace:
-    """Pool-partitioned variant; bit-identical to the single-worker path."""
-    if mode == "sampled" and rng is None:
-        raise ValueError("sampled mode requires an Rng")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "sampled" and rng is None:
+        raise ValueError("sampled mode requires an Rng")
     n = I.size
     flat_I = I.reshape(-1)
-    P = np.empty(n)
-    b = np.empty(n)
-    u_hat = np.empty(n)
+    P, u_hat, h, u, o = (np.empty(n) for _ in range(5))
+    b = np.empty(n) if mode == "sampled" else P
     uniforms = rng.uniforms(n, pool) if mode == "sampled" else None
+    map_ranges = pool.map_ranges if pool is not None else lambda size, fn: fn(0, size)
 
     def estimate_range(lo: int, hi: int) -> None:
         sl = slice(lo, hi)
         expit(flat_I[sl], out=P[sl])
-        if mode == "sampled":
-            b[sl] = (uniforms[sl] < P[sl]).astype(np.float64)
-        else:
-            b[sl] = P[sl]
+        if uniforms is not None:
+            np.less(uniforms[sl], P[sl], out=b[sl])
         np.subtract(1.0, b[sl], out=u_hat[sl])
         np.multiply(u_hat[sl], flat_I[sl], out=u_hat[sl])
 
-    pool.map_ranges(n, estimate_range)
+    map_ranges(n, estimate_range)
 
     stride = I.shape[1] * I.shape[2]
-    h = np.empty(n)
-    u = np.empty(n)
-    o = np.empty(n)
 
     def update_range(lo: int, hi: int) -> None:
+        # h = tau_m * u_hat[t-1] + I[t], with a zero history at t = 0
         sl = slice(lo, hi)
         if lo < stride:
-            head = slice(lo, min(hi, stride))
-            h[head] = flat_I[head]
+            h[lo:min(hi, stride)] = 0.0
         if hi > stride:
-            tail = slice(max(lo, stride), hi)
-            shifted = slice(max(lo, stride) - stride, hi - stride)
-            np.multiply(u_hat[shifted], params.tau_m, out=h[tail])
-            np.add(h[tail], flat_I[tail], out=h[tail])
-        o[sl] = (h[sl] >= params.v_th).astype(np.float64)
+            start = max(lo, stride)
+            np.multiply(u_hat[start - stride:hi - stride], params.tau_m, out=h[start:hi])
+        np.add(h[sl], flat_I[sl], out=h[sl])
+        np.greater_equal(h[sl], params.v_th, out=o[sl])
         np.subtract(1.0, o[sl], out=u[sl])
         np.multiply(u[sl], h[sl], out=u[sl])
 
-    pool.map_ranges(n, update_range)
+    map_ranges(n, update_range)
     shape = I.shape
     return ParallelTrace(
         I=I,

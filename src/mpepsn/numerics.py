@@ -30,11 +30,6 @@ def _as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _require_same_shape(a: Array, b: Array, what: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{what}: shapes {a.shape} and {b.shape} differ")
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count to use, falling back to the MPE_PSN_WORKERS env var."""
     if workers is None:
@@ -155,43 +150,6 @@ class Rng:
         return (low + (high - low) * self.uniforms(n)).reshape(shape)
 
 
-_BINARY_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise(op: str, a, b) -> Array:
-    """Elementwise combine of two equal-shape tensors, or tensor and scalar."""
-    if op == "scale-by-scalar":
-        return scale(a, b)
-    if op not in _BINARY_OPS:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    a = _as_tensor(a)
-    if np.isscalar(b) or np.ndim(b) == 0:
-        return _BINARY_OPS[op](a, float(b))
-    b = _as_tensor(b)
-    _require_same_shape(a, b, f"elementwise {op}")
-    return _BINARY_OPS[op](a, b)
-
-
-def add(a, b) -> Array:
-    return elementwise("add", a, b)
-
-
-def sub(a, b) -> Array:
-    return elementwise("sub", a, b)
-
-
-def mul(a, b) -> Array:
-    return elementwise("mul", a, b)
-
-
-def scale(a, c: float) -> Array:
-    return _as_tensor(a) * float(c)
-
-
 def matmul(a, b) -> Array:
     """Matrix product with a fixed left-to-right summation order over K.
 
@@ -225,8 +183,9 @@ def sigmoid(x) -> Array:
 def bernoulli_sample(p, rng: Rng, pool: WorkerPool | None = None) -> Array:
     """0/1 tensor, each element 1 with its probability in ``p``."""
     p = _as_tensor(p)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("bernoulli_sample: probabilities must lie in [0, 1]")
+    # written so that NaN, which fails every comparison, fails the check
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValueError("bernoulli_sample: probabilities must lie in [0, 1] (no NaN)")
     u = rng.uniforms(p.size, pool).reshape(p.shape)
     return (u < p).astype(np.float64)
 

@@ -64,16 +64,13 @@ def check_t0_exactness(trials: int = 1000, seed: int = 0, inject_fault: str | No
     for trial in range(trials):
         I, params = _random_case(rng, trial)
         u_seq, o_seq = neuron.lif_sequential(I, params)
-        sample_rng = rng.spawn(10_000 + trial)
+        tr = neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(10_000 + trial))
+        u, o = tr.u, tr.o
         if inject_fault == "u0-shift":
             # test hook: mis-set the t=0 history to the estimate instead of 0
-            _, _, u_hat = neuron.estimate_u_hat(I, "sampled", sample_rng)
-            hist = neuron.shift_time(u_hat)
-            hist[0] = u_hat[0]
+            hist = neuron.shift_time(tr.u_hat)
+            hist[0] = tr.u_hat[0]
             _, u, o = neuron.parallel_update(I, hist, params)
-        else:
-            tr = neuron.mpe_psn_forward(I, params, "sampled", sample_rng)
-            u, o = tr.u, tr.o
         if not (np.array_equal(u[0], u_seq[0]) and np.array_equal(o[0], o_seq[0])):
             res.failures += 1
             if len(res.details) < 5:

@@ -8,12 +8,10 @@ from mpepsn.autograd import (
     backward,
     detach,
     finite_diff_check,
+    multi_output,
     parameter,
     shift_time,
-    slice_time,
     spike,
-    stack_time,
-    straight_through,
     surrogate_grad,
     vmean,
     vsum,
@@ -125,16 +123,6 @@ class TestSpike:
         assert w.grad == 0.8
 
 
-class TestStraightThrough:
-    def test_exact_keep_gradient(self):
-        I = parameter(Rng(4).uniform_tensor((2, 3), -2, 2))
-        b = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        out = straight_through(I, b)
-        np.testing.assert_array_equal(out.value, (1.0 - b) * I.value)
-        backward(vsum(out))
-        np.testing.assert_array_equal(I.grad, 1.0 - b)
-
-
 class TestTimeOps:
     def test_shift_forward(self):
         x = leaf([[1.0], [2.0], [3.0]])
@@ -146,12 +134,24 @@ class TestTimeOps:
         backward(vsum(shift_time(x) * c))
         np.testing.assert_array_equal(x.grad, [[20.0], [30.0], [0.0]])
 
-    def test_slice_stack_round_trip(self):
-        x = parameter(Rng(5).uniform_tensor((4, 2, 3), -1, 1))
-        y = stack_time([slice_time(x, t) for t in range(4)])
-        np.testing.assert_array_equal(y.value, x.value)
-        backward(vsum(y))
-        np.testing.assert_array_equal(x.grad, np.ones_like(x.value))
+
+class TestMultiOutput:
+    def test_each_output_gets_its_own_gradient(self):
+        x = leaf([1.0, 2.0])
+        received = []
+
+        def grads(g_a, g_b, g_c):
+            received.append((g_a, g_b, g_c))
+            return (2.0 * g_a + g_b,)
+
+        a, b, c = multi_output((2.0 * x.value, x.value + 1.0, x.value), (x,), grads)
+        np.testing.assert_array_equal(b.value, [2.0, 3.0])
+        backward(vsum(a * 3.0) + vsum(a) + vsum(b * 5.0))  # two consumers of a, none of c
+        (g_a, g_b, g_c), = received
+        np.testing.assert_array_equal(g_a, [4.0, 4.0])
+        np.testing.assert_array_equal(g_b, [5.0, 5.0])
+        assert g_c is None
+        np.testing.assert_array_equal(x.grad, [13.0, 13.0])
 
 
 class TestReductions:

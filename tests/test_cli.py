@@ -100,6 +100,17 @@ class TestTrain:
         assert code == 0
         assert "final epoch=3" in out
 
+    def test_non_finite_dataset_exits_2(self, capsys, tmp_path):
+        from mpepsn import datagen
+
+        train_b, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=8))
+        train_b.x[2, 3, 4] = np.nan
+        path = tmp_path / "data.csv"
+        datagen.save(train_b, path)
+        code, _, err = run(capsys, "train", "--dataset", str(path), "--neurons", "8")
+        assert code == 2
+        assert "x has 1 non-finite" in err
+
     def test_lif_kind(self, capsys):
         code, out, _ = run(capsys, *TRAIN_SMALL, "--neuron-kind", "lif_sequential", "--epochs", "3")
         assert code == 0

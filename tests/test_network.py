@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mpepsn import datagen, network, neuron
-from mpepsn.autograd import Var, backward, parameter, vsum
+from mpepsn import autograd, datagen, network, neuron
+from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
 from mpepsn.network import (
     EpochDiagnostics,
     LinearSynapse,
@@ -13,7 +13,6 @@ from mpepsn.network import (
     mpe_psn_tape_forward,
     synapse_forward,
     train,
-    write_training_log,
 )
 from mpepsn.numerics import Rng, ShapeMismatchError
 
@@ -63,15 +62,14 @@ class TestTapeForward:
         I = Rng(0).uniform_tensor((6, 2, 8), -2, 2)
         tape = mpe_psn_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0, "expectation", None)
         plain = neuron.mpe_psn_forward(I, neuron.NeuronParams(), "expectation")
-        tr = tape.values(I)
-        for a, b in zip(tr, plain):
+        for a, b in zip(tape.values, plain):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_matches_plain_forward_sampled(self):
         I = Rng(1).uniform_tensor((6, 2, 8), -2, 2)
         tape = mpe_psn_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0, "sampled", Rng(5))
         plain = neuron.mpe_psn_forward(I, neuron.NeuronParams(), "sampled", Rng(5))
-        for a, b in zip(tape.values(I), plain):
+        for a, b in zip(tape.values, plain):
             np.testing.assert_array_equal(a, b)
 
     def test_unknown_mode(self):
@@ -90,6 +88,97 @@ class TestTapeForward:
         u, o = lif_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0)
         backward(vsum(u))
         assert I.grad is not None and np.any(I.grad != 0.0)
+
+
+class TestFusedGradients:
+    """Closed-form backward of each fused layer against central differences.
+
+    alpha is so small that no membrane value lies in the surrogate's
+    support, so the tape gradient is the exact derivative of the loss with
+    spikes held fixed.  Planting a membrane value exactly on the threshold
+    makes a perturbation of that input (and of v_th) flip a spike; the
+    check must see the flip in the spike log and skip those coordinates.
+    """
+
+    ALPHA = 1e-6
+
+    def loss_fn(self, kind, I, v_th):
+        r = Rng(11)
+        c_hat, c_u, c_o = (r.spawn(k).uniform_tensor(I.shape, -1, 1) for k in range(3))
+
+        def fn():
+            if kind == "lif":
+                u, o = lif_tape_forward(I, v_th, 0.25, self.ALPHA)
+                u_hat = u
+            else:
+                tr = mpe_psn_tape_forward(I, v_th, 0.25, self.ALPHA, kind, Rng(3))
+                u_hat, u, o = tr.u_hat, tr.u, tr.o
+            return vsum(u_hat * u_hat * c_hat) + vsum(u * u * c_u) + vsum(o * c_o)
+
+        return fn
+
+    @pytest.mark.parametrize("kind", ["sampled", "expectation", "lif"])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_matches_finite_differences(self, kind, planted):
+        I = parameter(Rng(4).uniform_tensor((4, 2, 3), -2, 2), name="I")
+        if planted:
+            I.value[0, 0, 0] = 1.0  # h = v_th exactly at t = 0
+        v_th = parameter(np.asarray(1.0), name="v_th")
+        rel, skipped = finite_diff_check(self.loss_fn(kind, I, v_th), [I, v_th])
+        assert rel < 1e-4
+        assert skipped == ([("I", 0), ("v_th", 0)] if planted else [])
+        assert np.any(I.grad != 0.0)
+
+
+class TestFusedMatchesElementwiseTape:
+    """The fused layers' gradients equal, bit for bit, those of the same
+    forward built from elementwise tape ops, when each output has one
+    consumer outside the layer (as in SpikingClassifier)."""
+
+    def setup_method(self):
+        r = Rng(21)
+        self.I = r.spawn(0).uniform_tensor((5, 2, 4), -2, 2)
+        self.c_hat, self.c_u, self.c_o = (r.spawn(k).uniform_tensor(self.I.shape, -1, 1)
+                                          for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("mode", ["sampled", "expectation"])
+    def test_mpe_psn(self, mode):
+        def grads(fused):
+            I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
+            if fused:
+                tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, mode, Rng(9))
+                u_hat, u, o = tr.u_hat, tr.u, tr.o
+            else:
+                if mode == "sampled":
+                    b = neuron.mpe_psn_forward(self.I, neuron.NeuronParams(), mode, Rng(9)).b
+                    u_hat = Var(1.0 - b) * I
+                else:
+                    u_hat = (1.0 - autograd.sigmoid(I)) * I
+                h = 0.25 * autograd.shift_time(u_hat) + I
+                o = autograd.spike(h, v_th, 1.0)
+                u = h * (1.0 - o)
+            backward(vsum(u_hat * self.c_hat) + vsum(u * self.c_u) + vsum(o * self.c_o))
+            return I.grad, v_th.grad
+
+        for fused, elementwise in zip(grads(True), grads(False)):
+            np.testing.assert_array_equal(fused, elementwise)
+
+    def test_lif(self):
+        I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
+        u, o = lif_tape_forward(I, v_th, 0.25, 1.0)
+        backward(vsum(u * self.c_u) + vsum(o * self.c_o))
+
+        rows = [parameter(row.copy()) for row in self.I]
+        v_ref = parameter(np.asarray(1.0))
+        u_prev, loss = Var(np.zeros(self.I.shape[1:])), Var(np.asarray(0.0))
+        for t, row in enumerate(rows):
+            h = 0.25 * u_prev + row
+            o_t = autograd.spike(h, v_ref, 1.0)
+            u_prev = h * (1.0 - o_t)
+            loss = loss + vsum(u_prev * self.c_u[t]) + vsum(o_t * self.c_o[t])
+        backward(loss)
+        np.testing.assert_array_equal(I.grad, np.stack([row.grad for row in rows]))
+        np.testing.assert_array_equal(v_th.grad, v_ref.grad)
 
 
 class TestDiagnostics:
@@ -112,14 +201,6 @@ class TestDiagnostics:
         assert parts[0] == "3"
         assert [float(p) for p in parts[1:]] == [0.1, 0.2, 0.3, 0.9, 0.8, 1.5, 12.5]
 
-    def test_write_training_log(self, tmp_path):
-        path = tmp_path / "log.csv"
-        history = [EpochDiagnostics(1, 0.1, 0.2, 0.3, 0.5, 0.5, [1.0], [5.0])]
-        write_training_log(history, 1, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == EpochDiagnostics.csv_header(1)
-
 
 class TestSpikingClassifier:
     def test_get_set_params(self):
@@ -138,6 +219,20 @@ class TestSpikingClassifier:
     def test_input_must_be_3d(self):
         with pytest.raises(ShapeMismatchError):
             small_model().fit(np.zeros((4, 5)), np.zeros(4))
+
+    def test_non_finite_input_rejected(self):
+        tr, te = small_task()
+        x = tr.x.copy()
+        x[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="x has 1 non-finite"):
+            small_model(epochs=1).fit(x, tr.y)
+        x_te = te.x.copy()
+        x_te[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="x_test has 1 non-finite"):
+            small_model(epochs=1).fit(tr.x, tr.y, x_te, te.y)
+        m = small_model(epochs=1).fit(tr.x, tr.y)
+        with pytest.raises(ValueError, match="x has 1 non-finite"):
+            m.predict(x_te)
 
     def test_learns_separable_task(self):
         tr, te = small_task()

@@ -6,7 +6,6 @@ import pytest
 from mpepsn import neuron
 from mpepsn.neuron import (
     NeuronParams,
-    estimate_u_hat,
     estimation_error,
     heaviside,
     lif_sequential,
@@ -76,31 +75,32 @@ class TestLifSequential:
 
 class TestEstimator:
     def test_zero_input_expectation(self):
-        P, b, u_hat = estimate_u_hat(np.zeros((2, 1, 3)), "expectation")
-        np.testing.assert_array_equal(P, np.full_like(P, 0.5))
-        np.testing.assert_array_equal(u_hat, np.zeros_like(u_hat))
+        tr = mpe_psn_forward(np.zeros((2, 1, 3)), NeuronParams(), "expectation")
+        np.testing.assert_array_equal(tr.P, np.full_like(tr.P, 0.5))
+        np.testing.assert_array_equal(tr.b, tr.P)
+        np.testing.assert_array_equal(tr.u_hat, np.zeros_like(tr.u_hat))
 
     def test_negative_saturation(self):
         I = np.full((1, 1, 4), -50.0)
-        P, b, u_hat = estimate_u_hat(I, "sampled", Rng(0))
-        assert np.all(P < 1e-15)
-        np.testing.assert_array_equal(b, np.zeros_like(b))
-        np.testing.assert_array_equal(u_hat, I)
+        tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(0))
+        assert np.all(tr.P < 1e-15)
+        np.testing.assert_array_equal(tr.b, np.zeros_like(tr.b))
+        np.testing.assert_array_equal(tr.u_hat, I)
 
     def test_positive_saturation(self):
         I = np.full((1, 1, 4), 50.0)
-        P, b, u_hat = estimate_u_hat(I, "sampled", Rng(0))
-        assert np.all(1.0 - P < 1e-15)
-        np.testing.assert_array_equal(b, np.ones_like(b))
-        np.testing.assert_array_equal(u_hat, np.zeros_like(u_hat))
+        tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(0))
+        assert np.all(1.0 - tr.P < 1e-15)
+        np.testing.assert_array_equal(tr.b, np.ones_like(tr.b))
+        np.testing.assert_array_equal(tr.u_hat, np.zeros_like(tr.u_hat))
 
     def test_sampled_requires_rng(self):
-        with pytest.raises(ValueError):
-            estimate_u_hat(np.zeros((1, 1, 1)), "sampled")
+        with pytest.raises(ValueError, match="requires an Rng"):
+            mpe_psn_forward(np.zeros((1, 1, 1)), NeuronParams(), "sampled")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            estimate_u_hat(np.zeros((1, 1, 1)), "mean-field")
+        with pytest.raises(ValueError, match="unknown mode"):
+            mpe_psn_forward(np.zeros((1, 1, 1)), NeuronParams(), "mean-field")
 
 
 class TestParallelForward:
@@ -143,6 +143,7 @@ class TestParallelForward:
         tr = mpe_psn_forward(random_case(4), NeuronParams(), "sampled", Rng(4))
         assert set(np.unique(tr.o)) <= {0.0, 1.0}
         assert set(np.unique(tr.b)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(tr.u_hat, (1.0 - tr.b) * tr.I)
 
     def test_row_order_independence(self):
         # each row of h/o/u depends only on u_hat[t-1] and I[t]
@@ -166,12 +167,13 @@ class TestParallelForward:
 
     def test_worker_count_invariance(self):
         I = Rng(12).uniform_tensor((16, 2, 5000), -2.0, 2.0)
-        ref = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(7))
-        for workers in (2, 4):
-            with WorkerPool(workers) as pool:
-                tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(7), pool)
-                for x, y in zip(ref, tr):
-                    np.testing.assert_array_equal(x, y)
+        for mode in ("sampled", "expectation"):
+            ref = mpe_psn_forward(I, NeuronParams(), mode, Rng(7))
+            for workers in (2, 4):
+                with WorkerPool(workers) as pool:
+                    tr = mpe_psn_forward(I, NeuronParams(), mode, Rng(7), pool)
+                    for x, y in zip(ref, tr):
+                        np.testing.assert_array_equal(x, y)
 
 
 class TestTeacherForced:

@@ -9,7 +9,6 @@ from mpepsn.numerics import (
     ShapeMismatchError,
     WorkerPool,
     bernoulli_sample,
-    elementwise,
     load_tensor,
     matmul,
     reduce,
@@ -30,28 +29,6 @@ def naive_matmul(a, b):
                 acc += a[i, kk] * b[kk, j]
             out[i, j] = acc
     return out
-
-
-class TestElementwise:
-    def test_mul(self):
-        np.testing.assert_array_equal(
-            elementwise("mul", [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), [4.0, 10.0, 18.0]
-        )
-
-    def test_add_zero_identity(self):
-        x = Rng(0).uniform_tensor((3, 4), -1, 1)
-        np.testing.assert_array_equal(elementwise("add", x, 0.0), x)
-
-    def test_scale(self):
-        np.testing.assert_array_equal(elementwise("scale-by-scalar", [0.5], 2.0), [1.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            elementwise("add", np.zeros(3), np.zeros(4))
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            elementwise("div", [1.0], [2.0])
 
 
 class TestMatmul:
@@ -121,8 +98,9 @@ class TestBernoulli:
         assert abs(b.mean() - 0.3) < 0.002
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            bernoulli_sample(np.array([1.5]), Rng(0))
+        for p in ([1.5], [-0.1, 0.5], [np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                bernoulli_sample(np.array(p), Rng(0))
 
     def test_worker_count_invariance(self):
         p = numerics.sigmoid(Rng(9).uniform_tensor((100_000,), -2, 2))

@@ -1,0 +1,59 @@
+"""The benchmark's per-layer wrappers (perfbench/tracer.py) still fit the package.
+
+perfbench wraps mpepsn functions by module and attribute name from outside
+the package, so a rename in src/ would otherwise only surface when
+``perfbench/run.py --trace 1`` runs.  This test loads tracer.py read-only.
+"""
+
+import importlib.util
+import pathlib
+import types
+
+from mpepsn import autograd, datagen, losses, network, neuron, numerics
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = types.SimpleNamespace(numerics=numerics, neuron=neuron, autograd=autograd,
+                                losses=losses, network=network, datagen=datagen)
+OWNERS = (numerics, neuron, autograd, losses, network, datagen, numerics.Rng,
+          numerics.WorkerPool, autograd.ParamRegistry, network.SpikingClassifier)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def attributes():
+    return {(owner.__name__, name): value
+            for owner in OWNERS for name, value in vars(owner).items()}
+
+
+def test_layer_wrappers_install_trace_and_uninstall():
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.define_layer_wrappers(tracer, MODULES)
+    before = attributes()
+    train, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=4))
+    tracer.install("test")
+    try:
+        assert attributes() != before
+        for kind, phase in (("mpe_psn", "mpe_psn"), ("lif_sequential", "lif")):
+            tracer.phase = phase
+            model = network.SpikingClassifier(hidden_sizes=(4,), neuron_kind=kind, epochs=1)
+            model.fit(train.x, train.y).predict(train.x)
+    finally:
+        tracer.uninstall()
+    assert attributes() == before
+
+    spans = {span[0] for span in tracer.spans}
+    assert {
+        "numerics.matmul", "numerics.rng", "neuron.mpe_psn_forward", "neuron.lif_sequential",
+        "autograd.backward", "losses.cls_loss", "losses.mem_loss", "network.model_forward",
+        "network.tape_forward.mpe_psn", "network.tape_forward.lif", "network.diagnostics",
+        "network.sgd_step", "network.predict",
+    } <= spans
+    # one closed-form node (plus output views) per neuron layer
+    assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [26]
+    assert tracer.samples["autograd.tape_nodes.lif"] == [15]
