@@ -6,7 +6,7 @@ dynamics (:mod:`mpepsn.neuron`), the reverse-mode tape
 synthetic datasets, and the speed benchmark.
 """
 
-from .autograd import ParamRegistry, Var, backward, finite_diff_check, sgd_step, surrogate_grad
+from .autograd import ParamRegistry, Var, backward, finite_diff_check, surrogate_grad
 from .datagen import DatasetSpec, LabeledBatch, generate
 from .losses import MemLossConfig, cls_loss, mem_loss, total_loss
 from .network import EpochDiagnostics, LinearSynapse, SpikingClassifier, train
@@ -19,16 +19,16 @@ from .neuron import (
     mpe_psn_forward,
     teacher_forced_forward,
 )
-from .numerics import Rng, WorkerPool, bernoulli_sample, matmul, reduce, sigmoid
+from .numerics import Rng, WorkerPool, bernoulli_sample, l2_norm, matmul, sigmoid
 
 __all__ = [
-    "ParamRegistry", "Var", "backward", "finite_diff_check", "sgd_step",
-    "surrogate_grad", "DatasetSpec", "LabeledBatch", "generate",
+    "ParamRegistry", "Var", "backward", "finite_diff_check", "surrogate_grad",
+    "DatasetSpec", "LabeledBatch", "generate",
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "LinearSynapse", "SpikingClassifier", "train",
     "NeuronParams", "ParallelTrace", "estimation_error",
     "heaviside", "lif_sequential", "mpe_psn_forward", "teacher_forced_forward",
-    "Rng", "WorkerPool", "bernoulli_sample", "matmul", "reduce", "sigmoid",
+    "Rng", "WorkerPool", "bernoulli_sample", "l2_norm", "matmul", "sigmoid",
 ]
 
 __version__ = "0.1.0"

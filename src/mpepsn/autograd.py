@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .numerics import Array, ShapeMismatchError
+from .numerics import Array
 
 
 class Var:
@@ -343,10 +343,6 @@ class ParamRegistry:
             if name in self._clamp_min:
                 p.value = np.maximum(p.value, self._clamp_min[name])
             p.grad = None
-
-
-def sgd_step(registry: ParamRegistry, lr: float, momentum: float = 0.0) -> None:
-    registry.sgd_step(lr, momentum)
 
 
 def finite_diff_check(fn, params, step: float = 1e-5):

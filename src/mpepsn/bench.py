@@ -47,40 +47,31 @@ def time_forward(
     T: int,
     B: int,
     N: int,
-    workers: int = 1,
     reps: int = 5,
     seed: int = 0,
-    warmup: int = 1,
     pool: WorkerPool | None = None,
-    params: neuron.NeuronParams | None = None,
 ) -> list[int]:
-    """Per-rep wall-clock nanoseconds for one forward kind, warmup excluded."""
+    """Per-rep wall-clock nanoseconds for one forward kind after one
+    discarded warmup pass; the parallel kind runs over ``pool`` (one range
+    without a pool)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if min(T, B, N) < 1:
         raise ValueError("grid values must be >= 1")
     if reps < 5:
         raise ValueError("need at least 5 repetitions")
-    params = params or neuron.NeuronParams()
+    params = neuron.NeuronParams()
     I = Rng(seed, stream=7).uniform_tensor((T, B, N), -2.0, 2.0)
-    own_pool = pool is None and kind == "parallel"
-    if own_pool:
-        pool = WorkerPool(workers)
     sample_rng = Rng(seed, stream=11)
     timings = []
-    try:
-        for rep in range(warmup + reps):
-            start = time.perf_counter_ns()
-            if kind == "sequential":
-                neuron.lif_sequential(I, params)
-            else:
-                neuron.mpe_psn_forward(I, params, "sampled", sample_rng, pool)
-            elapsed = time.perf_counter_ns() - start
-            if rep >= warmup:
-                timings.append(elapsed)
-    finally:
-        if own_pool:
-            pool.close()
+    for rep in range(1 + reps):
+        start = time.perf_counter_ns()
+        if kind == "sequential":
+            neuron.lif_sequential(I, params)
+        else:
+            neuron.mpe_psn_forward(I, params, "sampled", sample_rng, pool)
+        if rep:
+            timings.append(time.perf_counter_ns() - start)
     return timings
 
 
@@ -88,8 +79,8 @@ def measure_point(
     T: int, N: int, B: int, workers: int, reps: int, seed: int
 ) -> BenchRecord:
     with WorkerPool(workers) as pool:
-        seq = time_forward("sequential", T, B, N, workers, reps, seed)
-        par = time_forward("parallel", T, B, N, workers, reps, seed, pool=pool)
+        seq = time_forward("sequential", T, B, N, reps, seed)
+        par = time_forward("parallel", T, B, N, reps, seed, pool)
     return BenchRecord(
         T=T,
         N=N,
@@ -108,11 +99,9 @@ def sweep(
     workers: int = 1,
     reps: int = 5,
     seed: int = 0,
-    out_path=None,
-    matrix_path=None,
     log=print,
 ) -> list[BenchRecord]:
-    """Measure every (T, N) grid point; optionally write CSV and ratio matrix."""
+    """Measure every (T, N) grid point and log the trend summary."""
     T_grid, N_grid = list(T_grid), list(N_grid)
     if not T_grid or not N_grid:
         raise ValueError("grids must be non-empty")
@@ -125,31 +114,25 @@ def sweep(
                 log(f"# skipped T={T} N={N}: allocation failed")
                 continue
             records.append(rec)
-    if out_path is not None:
-        write_csv(records, out_path)
-    if matrix_path is not None:
-        write_ratio_matrix(records, T_grid, N_grid, matrix_path)
     for line in trend_summary(records):
         log(line)
     return records
 
 
-def write_csv(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(BenchRecord.CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+def csv_text(records) -> str:
+    rows = [BenchRecord.CSV_HEADER] + [r.csv_row() for r in records]
+    return "\n".join(rows) + "\n"
 
 
-def write_ratio_matrix(records, T_grid, N_grid, path) -> None:
+def ratio_matrix(records, T_grid, N_grid) -> str:
     """Gnuplot-compatible matrix of ratios: rows follow T, columns follow N."""
     by_point = {(r.T, r.N): r.ratio for r in records}
-    with open(path, "w") as fh:
-        fh.write("# ratio matrix, rows=T " + ",".join(map(str, T_grid)))
-        fh.write(", cols=N " + ",".join(map(str, N_grid)) + "\n")
-        for T in T_grid:
-            row = [by_point.get((T, N)) for N in N_grid]
-            fh.write(" ".join("nan" if v is None else format(v, ".6g") for v in row) + "\n")
+    lines = ["# ratio matrix, rows=T " + ",".join(map(str, T_grid))
+             + ", cols=N " + ",".join(map(str, N_grid))]
+    for T in T_grid:
+        row = [by_point.get((T, N)) for N in N_grid]
+        lines.append(" ".join("nan" if v is None else format(v, ".6g") for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def trend_summary(records) -> list[str]:

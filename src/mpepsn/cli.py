@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 property/training failure, 2 usage error.  All
 file outputs are written atomically (temp file + rename).  Defaults mirror
 the documented configuration (tau_m 0.25, lambda 0.01, alpha 1.0), so
-`verify` and `train` run it with zero flags.
+`verify` and `train` run it with zero flags.  Each subcommand accepts only
+the flags it reads: neuron constants go to `train` and `estimate`, the
+worker count to `bench`, and `verify` checks the default neuron.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import argparse
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import bench, datagen, network, neuron, numerics, verify
 from .losses import KAPPA_AXES
@@ -24,7 +24,7 @@ from .numerics import Rng
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".csv")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -37,13 +37,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None)
+
+
+def _add_neuron(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-m", type=float, default=0.25)
     p.add_argument("--v-th-init", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--workers", type=str, default=None,
-                   help="worker count (falls back to MPE_PSN_WORKERS, then 1)")
     p.add_argument("--mode", choices=MODES, default="sampled")
-    p.add_argument("--out", type=str, default=None)
 
 
 def _int_list(text: str) -> list[int]:
@@ -66,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the reference classifier")
     _add_common(p)
+    _add_neuron(p)
+    p.add_argument("--alpha", type=float, default=1.0, help="surrogate-gradient width")
     p.add_argument("--time-steps", type=int, default=8)
     p.add_argument("--neurons", type=int, default=32, help="hidden layer width")
     p.add_argument("--batch", type=int, default=128, help="samples per class")
@@ -83,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sequential vs parallel speed-ratio sweep")
     _add_common(p)
+    p.add_argument("--workers", type=_int_list, default=None,
+                   help="comma-separated worker counts (falls back to MPE_PSN_WORKERS, then 1)")
     p.add_argument("--time-steps", type=_int_list, default=[1, 8, 32])
     p.add_argument("--neurons", type=_int_list, default=[1 << 10, 1 << 14, 1 << 18])
     p.add_argument("--batch", type=int, default=1)
@@ -93,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="inspect the membrane-potential estimator")
     _add_common(p)
+    _add_neuron(p)
     p.add_argument("--time-steps", type=int, default=8)
     p.add_argument("--neurons", type=int, default=64)
     p.add_argument("--batch", type=int, default=4)
@@ -100,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_estimate)
 
     return ap
-
-
-def _workers_list(args) -> list[int]:
-    if args.workers is None:
-        return [numerics.resolve_workers(None)]
-    return [numerics.resolve_workers(w) for w in _int_list(args.workers)]
 
 
 def cmd_verify(args) -> int:
@@ -178,13 +177,9 @@ def _log_to_file(history, n_layers: int, path: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    worker_counts = _workers_list(args)
+    worker_counts = [numerics.resolve_workers(w) for w in args.workers or [None]]
     for workers in worker_counts:
         suffix = f"_w{workers}" if len(worker_counts) > 1 else ""
-        out = None
-        if args.out:
-            root, ext = os.path.splitext(args.out)
-            out = f"{root}{suffix}{ext}"
         records = bench.sweep(
             args.time_steps,
             args.neurons,
@@ -192,26 +187,24 @@ def cmd_bench(args) -> int:
             workers=workers,
             reps=args.reps,
             seed=args.seed,
-            matrix_path=None,
         )
-        if out:
-            bench.write_csv(records, out + ".part")
-            os.replace(out + ".part", out)
+        if args.out:
+            _atomic_write(_suffixed(args.out, suffix), bench.csv_text(records))
         if args.matrix_out:
-            root, ext = os.path.splitext(args.matrix_out)
-            bench.write_ratio_matrix(
-                records, args.time_steps, args.neurons, f"{root}{suffix}{ext}"
-            )
+            text = bench.ratio_matrix(records, args.time_steps, args.neurons)
+            _atomic_write(_suffixed(args.matrix_out, suffix), text)
     return 0
 
 
+def _suffixed(path: str, suffix: str) -> str:
+    root, ext = os.path.splitext(path)
+    return f"{root}{suffix}{ext}"
+
+
 def cmd_estimate(args) -> int:
-    params = neuron.NeuronParams(tau_m=args.tau_m, v_th=args.v_th_init, alpha=args.alpha)
+    params = neuron.NeuronParams(tau_m=args.tau_m, v_th=args.v_th_init)
     if args.input:
-        I = numerics.load_tensor(args.input)
-        if I.ndim != 3:
-            print(f"error: expected a [T, B, N] tensor, got shape {I.shape}", file=sys.stderr)
-            return 2
+        I = network.check_input(numerics.load_tensor(args.input), args.input)
     else:
         I = Rng(args.seed, stream=7).uniform_tensor(
             (args.time_steps, args.batch, args.neurons), -2.0, 2.0
@@ -229,7 +222,7 @@ def cmd_estimate(args) -> int:
     print("per-time-step l2_norm(u_hat - u_oracle):")
     lines = ["t,l2_norm"]
     for t in range(I.shape[0]):
-        l2 = float(numerics.reduce("l2_norm", u_hat[t] - u_seq[t]))
+        l2 = float(numerics.l2_norm(u_hat[t] - u_seq[t]))
         print(f"  t={t}: {l2:.6f}")
         lines.append(f"{t},{format(l2, '.17g')}")
     if args.out:

@@ -36,10 +36,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class LinearSynapse:
-    """Dense synaptic weights (and optional bias) as tape parameters."""
+    """Dense synaptic weights as a tape parameter."""
 
     W: Var
-    bias: Var | None = None
 
     @property
     def n_in(self) -> int:
@@ -64,10 +63,7 @@ def synapse_forward(o_prev: Var, syn: LinearSynapse, delay: int = 0) -> Var:
         )
     if delay == 1:
         o_prev = autograd.shift_time(o_prev)
-    I = autograd.matmul(o_prev, syn.W)
-    if syn.bias is not None:
-        I = I + syn.bias
-    return I
+    return autograd.matmul(o_prev, syn.W)
 
 
 @dataclass
@@ -197,13 +193,13 @@ def diagnostics(traces, logits: Array, labels) -> tuple[list[float], list[float]
     The L2 norm is over all elements of (u_hat - u); the spike rate is
     100 * mean(o); accuracy comes from the argmax of time-averaged logits.
     """
-    l2_norms = [float(numerics.reduce("l2_norm", tr.u_hat - tr.u)) for tr in traces]
+    l2_norms = [float(numerics.l2_norm(tr.u_hat - tr.u)) for tr in traces]
     rates = [100.0 * float(np.mean(tr.o)) for tr in traces]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
 
 
-def _check_input(x, name: str) -> Array:
+def check_input(x, name: str) -> Array:
     """A [T, B, N] float tensor with only finite entries, or an error naming it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -350,9 +346,9 @@ class SpikingClassifier:
     # -- training -----------------------------------------------------------
 
     def fit(self, x, y, x_test=None, y_test=None):
-        x = _check_input(x, "x")
+        x = check_input(x, "x")
         if x_test is not None:
-            _check_input(x_test, "x_test")
+            check_input(x_test, "x_test")
         y = np.asarray(y, dtype=np.int64)
         n_classes = int(y.max()) + 1 if y.size else 2
         n_classes = max(n_classes, 2)
@@ -394,7 +390,7 @@ class SpikingClassifier:
 
     def predict_logits(self, x) -> Array:
         self._check_fitted()
-        logits, _, _ = self.model_forward(_check_input(x, "x"), mode="expectation")
+        logits, _, _ = self.model_forward(check_input(x, "x"), mode="expectation")
         return logits.value
 
     def predict(self, x) -> Array:

@@ -26,7 +26,6 @@ class NeuronParams:
 
     tau_m: float = 0.25
     v_th: float = 1.0
-    v_r: float = 0.0
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -34,8 +33,6 @@ class NeuronParams:
             raise ValueError(f"tau_m must lie in (0, 1], got {self.tau_m}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.v_r != 0.0:
-            raise ValueError("hard reset to v_r = 0 is the only supported reset")
 
 
 @dataclass

@@ -10,7 +10,6 @@ the operations in this module.  Two contracts matter throughout:
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -52,19 +51,14 @@ class WorkerPool:
         self.workers = resolve_workers(workers)
         self._executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 
-    def map_ranges(self, n: int, fn, align: int = 1) -> None:
-        """Call ``fn(lo, hi)`` over a partition of ``range(n)``.
-
-        Range boundaries are multiples of ``align`` (except the last), so
-        chunk-keyed RNG fills stay aligned to their chunks.
-        """
+    def map_ranges(self, n: int, fn) -> None:
+        """Call ``fn(lo, hi)`` over a partition of ``range(n)``."""
         if n <= 0:
             return
         if self._executor is None or self.workers == 1:
             fn(0, n)
             return
         per = -(-n // self.workers)  # ceil
-        per = -(-per // align) * align
         bounds = list(range(0, n, per)) + [n]
         futures = [
             self._executor.submit(fn, lo, hi)
@@ -118,7 +112,8 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
-    def _fill(self, n: int, draw, pool: WorkerPool | None) -> Array:
+    def uniforms(self, n: int, pool: WorkerPool | None = None) -> Array:
+        """n doubles uniform on [0, 1)."""
         out = np.empty(n, dtype=np.float64)
         call = self._calls
         self._calls += 1
@@ -128,21 +123,13 @@ class Rng:
             for c in range(lo, hi):
                 start = c * self.CHUNK
                 stop = min(start + self.CHUNK, n)
-                draw(self._chunk_generator(call, c), out[start:stop])
+                self._chunk_generator(call, c).random(out=out[start:stop])
 
         if pool is None:
             work(0, nchunks)
         else:
             pool.map_ranges(nchunks, work)
         return out
-
-    def uniforms(self, n: int, pool: WorkerPool | None = None) -> Array:
-        """n doubles uniform on [0, 1)."""
-        return self._fill(n, lambda g, view: g.random(out=view), pool)
-
-    def normals(self, n: int, pool: WorkerPool | None = None) -> Array:
-        """n standard-normal doubles."""
-        return self._fill(n, lambda g, view: g.standard_normal(out=view), pool)
 
     def uniform_tensor(self, shape, low: float, high: float) -> Array:
         """Tensor with entries uniform on [low, high)."""
@@ -190,24 +177,10 @@ def bernoulli_sample(p, rng: Rng, pool: WorkerPool | None = None) -> Array:
     return (u < p).astype(np.float64)
 
 
-def reduce(op: str, x, axes=None):
-    """sum / mean / l2_norm over the given axes (all axes when None)."""
+def l2_norm(x) -> float:
+    """Euclidean norm over all elements."""
     x = _as_tensor(x)
-    if axes is not None:
-        axes = tuple(np.atleast_1d(axes).tolist())
-        for ax in axes:
-            if not -x.ndim <= ax < x.ndim:
-                raise ValueError(f"reduce: axis {ax} invalid for shape {x.shape}")
-    if op == "sum":
-        return np.sum(x, axis=axes)
-    if op == "mean":
-        count = x.size if axes is None else int(np.prod([x.shape[a] for a in axes]))
-        if count == 0:
-            raise ValueError("reduce: mean over an empty axis is undefined")
-        return np.mean(x, axis=axes)
-    if op == "l2_norm":
-        return np.sqrt(np.sum(x * x, axis=axes))
-    raise ValueError(f"unknown reduction {op!r}")
+    return np.sqrt(np.sum(x * x))
 
 
 def save_tensor(x, path) -> None:

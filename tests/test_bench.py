@@ -42,19 +42,14 @@ class TestTimeForward:
 
 
 class TestSweep:
-    def test_single_point_grid(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        matrix_path = tmp_path / "matrix.dat"
+    def test_single_point_grid(self):
         lines = []
-        records = sweep([2], [16], reps=5, out_path=csv_path, matrix_path=matrix_path, log=lines.append)
+        records = sweep([2], [16], reps=5, log=lines.append)
         assert len(records) == 1
         assert records[0].ratio > 0.0
-        content = csv_path.read_text().splitlines()
+        content = bench.csv_text(records).splitlines()
         assert content[0] == BenchRecord.CSV_HEADER
         assert len(content) == 2
-        matrix = matrix_path.read_text().splitlines()
-        assert matrix[0].startswith("# ratio matrix")
-        assert len(matrix) == 2
         assert any("trend" in line for line in lines)
 
     def test_empty_grid_rejected(self):

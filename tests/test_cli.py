@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,61 @@ def run(capsys, *argv):
 TRAIN_SMALL = (
     "train", "--batch", "8", "--neurons", "8", "--epochs", "5",
 )
+
+# every option of every subcommand, with a value that parses
+KEPT = {
+    "verify": {"--seed": "1", "--out": "o.csv", "--trials": "3", "--inject-fault": "u0-shift"},
+    "train": {
+        "--seed": "1", "--out": "o.csv", "--tau-m": "0.5", "--v-th-init": "0.9",
+        "--alpha": "2", "--mode": "expectation", "--time-steps": "4", "--neurons": "8",
+        "--batch": "8", "--lambda": "0.1", "--kappa-axis": "neuron", "--kappa-init": "0.5",
+        "--epochs": "3", "--lr": "0.01", "--momentum": "0", "--synaptic-delay": "1",
+        "--mem-loss": "off", "--neuron-kind": "lif_sequential", "--dataset": "d.csv",
+    },
+    "bench": {
+        "--seed": "1", "--out": "o.csv", "--workers": "1,2", "--time-steps": "2,4",
+        "--neurons": "16", "--batch": "2", "--reps": "5", "--matrix-out": "m.dat",
+    },
+    "estimate": {
+        "--seed": "1", "--out": "o.csv", "--tau-m": "0.5", "--v-th-init": "0.9",
+        "--mode": "expectation", "--time-steps": "4", "--neurons": "8", "--batch": "2",
+        "--input": "i.csv",
+    },
+}
+# neuron and worker flags a subcommand would ignore, so it rejects them
+REMOVED = {
+    "verify": {"--tau-m": "0.5", "--v-th-init": "0.9", "--alpha": "3", "--workers": "7",
+               "--mode": "expectation"},
+    "train": {"--workers": "2"},
+    "bench": {"--tau-m": "0.9", "--v-th-init": "0.9", "--alpha": "3", "--mode": "expectation"},
+    "estimate": {"--alpha": "3", "--workers": "2"},
+}
+FLAG_CASES = [
+    (command, flag, value, accepted)
+    for accepted, table in ((True, KEPT), (False, REMOVED))
+    for command, flags in table.items()
+    for flag, value in flags.items()
+]
+
+
+@pytest.mark.parametrize("command,flag,value,accepted", FLAG_CASES)
+def test_subcommand_accepts_only_flags_it_reads(command, flag, value, accepted):
+    parser = cli.build_parser()
+    if accepted:
+        assert parser.parse_args([command, flag, value]).command == command
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, flag, value])
+        assert exc.value.code == 2
+
+
+def test_flag_table_covers_every_option():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        flags = {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
+        assert flags == set(KEPT[command])
+    assert sum(map(len, KEPT.values())) == 40
 
 
 class TestVerify:
@@ -129,7 +186,9 @@ class TestBench:
         csv = out_path.read_text().splitlines()
         assert csv[0] == "T,N,B,workers,reps,seq_median_ns,par_median_ns,ratio"
         assert len(csv) == 2
-        assert matrix.exists()
+        rows = matrix.read_text().splitlines()
+        assert rows[0].startswith("# ratio matrix")
+        assert len(rows) == 2
         assert "trend" in out
 
     def test_workers_list_suffixes_files(self, capsys, tmp_path):
@@ -172,6 +231,16 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", str(path))
         assert code == 2
         assert "T, B, N" in err
+
+    def test_non_finite_input_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "in.csv"
+        I = np.zeros((3, 1, 4))
+        I[1, 0, 2] = np.nan
+        save_tensor(I, path)
+        code, out, err = run(capsys, "estimate", "--input", str(path))
+        assert code == 2
+        assert f"{path} has 1 non-finite" in err
+        assert "l2_norm" not in out
 
     def test_missing_input_file_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--input", str(tmp_path / "nope.csv"))

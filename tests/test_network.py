@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpepsn import autograd, datagen, network, neuron
+from mpepsn import autograd, datagen, neuron
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
 from mpepsn.network import (
     EpochDiagnostics,
@@ -40,11 +40,6 @@ class TestSynapse:
         out = synapse_forward(o, syn, delay=1)
         np.testing.assert_array_equal(out.value[0], 0.0)
         np.testing.assert_array_equal(out.value[1:], o[:-1])
-
-    def test_bias(self):
-        syn = LinearSynapse(W=Var(np.eye(2)), bias=Var(np.array([10.0, 20.0])))
-        out = synapse_forward(np.zeros((1, 1, 2)), syn)
-        np.testing.assert_array_equal(out.value, [[[10.0, 20.0]]])
 
     def test_invalid_delay(self):
         syn = LinearSynapse(W=Var(np.eye(2)))

@@ -41,15 +41,13 @@ class TestHeaviside:
 class TestNeuronParams:
     def test_defaults(self):
         p = NeuronParams()
-        assert (p.tau_m, p.v_th, p.v_r, p.alpha) == (0.25, 1.0, 0.0, 1.0)
+        assert (p.tau_m, p.v_th, p.alpha) == (0.25, 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             NeuronParams(tau_m=0.0)
         with pytest.raises(ValueError):
             NeuronParams(alpha=-1.0)
-        with pytest.raises(ValueError):
-            NeuronParams(v_r=0.5)
 
 
 class TestLifSequential:

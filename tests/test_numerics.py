@@ -9,9 +9,9 @@ from mpepsn.numerics import (
     ShapeMismatchError,
     WorkerPool,
     bernoulli_sample,
+    l2_norm,
     load_tensor,
     matmul,
-    reduce,
     save_tensor,
     sigmoid,
 )
@@ -130,24 +130,9 @@ class TestRng:
 
 
 class TestReduce:
-    def test_sum(self):
-        assert reduce("sum", [1.0, 2.0, 3.0]) == 6.0
-
     def test_l2_norm(self):
-        assert reduce("l2_norm", [3.0, 4.0]) == 5.0
-
-    def test_mean_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            reduce("mean", np.zeros((0, 3)), axes=0)
-
-    def test_invalid_axis_rejected(self):
-        with pytest.raises(ValueError):
-            reduce("sum", np.zeros((2, 3)), axes=5)
-
-    def test_axis_reduction(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(reduce("sum", x, axes=0), [3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(reduce("mean", x, axes=1), [1.0, 4.0])
+        assert l2_norm([3.0, 4.0]) == 5.0
+        assert l2_norm(np.full((2, 2), 0.5)) == 1.0  # over all axes
 
 
 class TestTensorCsv:
