@@ -105,14 +105,18 @@ def mul(a, b) -> Var:
 
 
 def matmul(a: Var, w: Var) -> Var:
-    """Product of [..., K] with [K, P]; fixed-order accumulation throughout."""
+    """Product of [..., K] with [K, P]; ``numerics.matmul`` forward and backward.
+
+    No input gradient is computed for an ``a`` that needs none (the spike
+    data entering the first layer).
+    """
     a, w = as_var(a), as_var(w)
     value = numerics.matmul(a.value, w.value)
 
     def backward(g: Array):
         g2 = g.reshape(-1, g.shape[-1])
         a2 = a.value.reshape(-1, a.value.shape[-1])
-        ga = numerics.matmul(g2, w.value.T).reshape(a.shape)
+        ga = numerics.matmul(g2, w.value.T).reshape(a.shape) if a.requires_grad else None
         gw = numerics.matmul(a2.T, g2)
         return ga, gw
 

@@ -137,13 +137,50 @@ class Rng:
         return (low + (high - low) * self.uniforms(n)).reshape(shape)
 
 
+# Rows per BLAS call.  One 32768-row product (a 4096-sample predict at T=8)
+# made OpenBLAS's second thread touch about 6 MB more packing buffer than
+# blocks of 4096 rows do, for no gain in speed.
+MATMUL_ROW_BLOCK = 4096
+
+
 def matmul(a, b) -> Array:
-    """Matrix product with a fixed left-to-right summation order over K.
+    """Matrix product through BLAS; the hot path of training and inference.
+
+    The leading operand may carry extra leading axes, which are flattened
+    into rows: the result is ``rows @ b`` (taken in blocks of
+    ``MATMUL_ROW_BLOCK`` rows) reshaped back, so it equals the product of
+    the flattened operand bit for bit.  BLAS picks its own
+    blocking and summation order, which can depend on the operand shapes
+    (a row's bits may change with the number of rows), on the CPU and on
+    the BLAS build.  On one machine with one build the result is repeatable
+    (and was measured identical across BLAS thread counts).  Against
+    :func:`matmul_fixed_order` it agrees elementwise within
+    ``K * eps * (|a| @ |b|)``, checked by ``verify.check_matmul_vs_fixed_order``.
+    """
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    if b.ndim != 2:
+        raise ShapeMismatchError(f"matmul: right operand must be 2-D, got {b.shape}")
+    k = a.shape[-1]
+    if k != b.shape[0]:
+        raise ShapeMismatchError(
+            f"matmul: inner extents {a.shape} x {b.shape} do not agree"
+        )
+    rows = a.reshape(-1, k)
+    out = np.empty((rows.shape[0], b.shape[1]))
+    for lo in range(0, rows.shape[0], MATMUL_ROW_BLOCK):
+        hi = lo + MATMUL_ROW_BLOCK
+        np.matmul(rows[lo:hi], b, out=out[lo:hi])
+    return out.reshape(*a.shape[:-1], b.shape[1])
+
+
+def matmul_fixed_order(a, b) -> Array:
+    """Oracle matrix product with a fixed left-to-right summation order over K.
 
     Accumulating K rank-1 updates in index order keeps the result
-    bit-identical to the naive triple loop and independent of worker count
-    (BLAS would reassociate the sum under threading).  The leading operand
-    may carry extra leading axes, which are flattened into rows.
+    bit-identical to the naive triple loop, whatever the operand shapes or
+    the machine's BLAS.  No runtime path calls it; checks compare
+    :func:`matmul` against it.
     """
     a = _as_tensor(a)
     b = _as_tensor(b)

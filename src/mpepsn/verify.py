@@ -1,8 +1,8 @@
 """Property suites behind the `verify` subcommand (and the test suite).
 
 Each check runs many randomized trials against an independent oracle (the
-sequential recurrence, or central finite differences) and reports failures
-with enough context to reproduce them.
+sequential recurrence, the fixed-order matmul, or central finite
+differences) and reports failures with enough context to reproduce them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd, neuron
+from . import autograd, neuron, numerics
 from .autograd import Var
 from .numerics import Rng
 
@@ -163,6 +163,47 @@ def check_surrogate_chain() -> CheckResult:
     return res
 
 
+# train_ref's products (M, K, N): T*B = 8*205 rows, a 16 -> 32 -> 2 network,
+# the layer forwards, the weight and input gradients, and a 4096-sample predict
+TRAIN_REF_MATMUL_SHAPES = (
+    (1640, 16, 32), (16, 1640, 32), (1640, 32, 2), (32, 1640, 2), (1640, 2, 32),
+    (32768, 16, 32),
+)
+
+
+def check_matmul_vs_fixed_order(trials: int = 1000, seed: int = 0) -> CheckResult:
+    """BLAS ``matmul`` against the fixed-order oracle, within a stated tolerance.
+
+    Contract, elementwise: |matmul(a, b) - matmul_fixed_order(a, b)|
+    <= K * eps * (|a| @ |b|).  Each product lies within about K * eps / 2 *
+    (|a| @ |b|) of the exact one whatever its summation order, so two orders
+    differ by at most twice that.  Shapes: ``trials`` random (M, K, N) with
+    each extent in 1..64, then :data:`TRAIN_REF_MATMUL_SHAPES`.  ``max_err``
+    is the worst ratio of the difference to the bound.
+    """
+    rng = Rng(seed, stream=105)
+    shapes = [
+        tuple(1 + int(d * 64) for d in rng.spawn(trial).uniforms(3))
+        for trial in range(trials)
+    ] + list(TRAIN_REF_MATMUL_SHAPES)
+    res = CheckResult("matmul_vs_fixed_order", len(shapes), 0)
+    eps = np.finfo(np.float64).eps
+    for trial, (m, k, n) in enumerate(shapes):
+        r = rng.spawn(50_000 + trial)
+        a = r.spawn(1).uniform_tensor((m, k), -2.0, 2.0)
+        b = r.spawn(2).uniform_tensor((k, n), -2.0, 2.0)
+        err = np.abs(numerics.matmul(a, b) - numerics.matmul_fixed_order(a, b))
+        bound = k * eps * (np.abs(a) @ np.abs(b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float(np.max(np.where(err == 0.0, 0.0, err / bound)))
+        res.max_err = max(res.max_err, ratio)
+        if not ratio <= 1.0:
+            res.failures += 1
+            if len(res.details) < 5:
+                res.details.append(f"trial {trial}: shape {m}x{k}x{n}, err/bound={ratio:.3g}, seed {seed}")
+    return res
+
+
 def run_all(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) -> list[CheckResult]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -172,4 +213,5 @@ def run_all(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) 
         check_reset_law(min(trials, 200), seed),
         check_gradients(100, seed),
         check_surrogate_chain(),
+        check_matmul_vs_fixed_order(trials, seed),
     ]

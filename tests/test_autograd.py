@@ -75,6 +75,19 @@ class TestMatmul:
         backward(vsum(out))
         assert a.grad.shape == a.shape and w.grad.shape == w.shape
 
+    def test_constant_input_skips_its_gradient(self):
+        x = Rng(4).uniform_tensor((8, 5, 3), -1, 1)
+        w0 = Rng(5).uniform_tensor((3, 4), -1, 1)
+        g = Rng(6).uniform_tensor((8, 5, 4), -1, 1)
+        const_w = parameter(w0)
+        out = autograd.matmul(Var(x), const_w)
+        ga, _ = out._backward(g)
+        assert ga is None
+        backward(vsum(out * g))
+        learned_w = parameter(w0)
+        backward(vsum(autograd.matmul(parameter(x), learned_w) * g))
+        np.testing.assert_array_equal(const_w.grad, learned_w.grad)
+
 
 class TestSigmoid:
     def test_value_and_grad_at_zero(self):

@@ -1,4 +1,9 @@
 import argparse
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,11 +84,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "25", "--out", str(out_path))
         assert code == 0
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
         csv = out_path.read_text().splitlines()
         assert csv[0] == "check,trials,failures,max_err,status"
-        assert len(csv) == 6
+        assert len(csv) == 7
 
     def test_injected_fault_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "25", "--inject-fault", "u0-shift")
@@ -124,6 +129,24 @@ class TestTrain:
         monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "4")
         assert run(capsys, *TRAIN_SMALL, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_blas_thread_count_invariance(self, tmp_path):
+        # numpy reads the BLAS thread cap at import, so each run needs its own
+        # process.  The default widths (rows T*B = 1640, 16 -> 32 -> 2) give
+        # products large enough for OpenBLAS to split over threads; those of
+        # TRAIN_SMALL stay on one thread whatever the cap.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        logs = []
+        for threads in ("1", "2"):
+            log = tmp_path / f"blas{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "mpepsn.cli", "train", "--epochs", "20", "--out", str(log)],
+                env=env, check=True, capture_output=True,
+            )
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
 
     def test_mem_loss_off_zeroes_blend(self, capsys, tmp_path):
         log = tmp_path / "off.csv"
@@ -201,6 +224,22 @@ class TestBench:
         assert (tmp_path / "bench_w1.csv").exists()
         assert (tmp_path / "bench_w2.csv").exists()
         assert not out_path.exists()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_outputs_follow_umask(capsys, tmp_path, umask_022):
+    log, bench_csv = tmp_path / "log.csv", tmp_path / "bench.csv"
+    assert run(capsys, *TRAIN_SMALL, "--out", str(log))[0] == 0
+    assert run(capsys, "bench", "--time-steps", "2", "--neurons", "16",
+               "--out", str(bench_csv))[0] == 0
+    for path in (log, bench_csv):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 class TestEstimate:

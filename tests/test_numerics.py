@@ -12,6 +12,7 @@ from mpepsn.numerics import (
     l2_norm,
     load_tensor,
     matmul,
+    matmul_fixed_order,
     save_tensor,
     sigmoid,
 )
@@ -32,6 +33,10 @@ def naive_matmul(a, b):
 
 
 class TestMatmul:
+    """``matmul`` (BLAS): exact where nothing rounds, else within tolerance of
+    the oracle; ``matmul_fixed_order`` (the oracle): bit-identical to the
+    naive triple loop."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(matmul(np.eye(2), a), a)
@@ -40,11 +45,34 @@ class TestMatmul:
         out = matmul([[1.0, 0.0], [0.0, 0.0]], [[5.0], [7.0]])
         np.testing.assert_array_equal(out, [[5.0], [0.0]])
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(1, 64), k=st.integers(1, 64), p=st.integers(1, 64),
+        seed=st.integers(0, 2**32),
+    )
+    def test_within_tolerance_of_oracle(self, m, k, p, seed):
+        r = Rng(seed)
+        a = r.spawn(0).uniform_tensor((m, k), -2, 2)
+        b = r.spawn(1).uniform_tensor((k, p), -2, 2)
+        bound = k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(matmul(a, b) - matmul_fixed_order(a, b)) <= bound)
+
+    def test_inner_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+
+    def test_leading_axes_are_rows(self):
+        a = Rng(4).uniform_tensor((8, 205, 16), -1, 1)
+        w = Rng(5).uniform_tensor((16, 32), -1, 1)
+        out = matmul(a, w)
+        assert out.shape == (8, 205, 32)
+        np.testing.assert_array_equal(out, matmul(a.reshape(-1, 16), w).reshape(8, 205, 32))
+
     def test_random_8x8_vs_oracle_exact(self):
         r = Rng(3)
         a = r.spawn(0).uniform_tensor((8, 8), -2, 2)
         b = r.spawn(1).uniform_tensor((8, 8), -2, 2)
-        np.testing.assert_array_equal(matmul(a, b), naive_matmul(a, b))
+        np.testing.assert_array_equal(matmul_fixed_order(a, b), naive_matmul(a, b))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -55,18 +83,14 @@ class TestMatmul:
         r = Rng(seed)
         a = r.spawn(0).uniform_tensor((m, k), -2, 2)
         b = r.spawn(1).uniform_tensor((k, p), -2, 2)
-        np.testing.assert_array_equal(matmul(a, b), naive_matmul(a, b))
-
-    def test_inner_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+        np.testing.assert_array_equal(matmul_fixed_order(a, b), naive_matmul(a, b))
 
     def test_leading_axes_flattened(self):
         a = Rng(4).uniform_tensor((5, 2, 3), -1, 1)
         w = Rng(5).uniform_tensor((3, 4), -1, 1)
-        out = matmul(a, w)
+        out = matmul_fixed_order(a, w)
         assert out.shape == (5, 2, 4)
-        np.testing.assert_array_equal(out[2], matmul(a[2], w))
+        np.testing.assert_array_equal(out[2], matmul_fixed_order(a[2], w))
 
 
 class TestSigmoid:

@@ -1,6 +1,6 @@
 import pytest
 
-from mpepsn import verify
+from mpepsn import numerics, verify
 from mpepsn.verify import CheckResult
 
 
@@ -51,11 +51,25 @@ class TestChecks:
         assert res.passed
         assert res.max_err == 0.0
 
+    def test_matmul_vs_fixed_order(self):
+        res = verify.check_matmul_vs_fixed_order(trials=50)
+        assert res.passed
+        assert res.trials == 50 + len(verify.TRAIN_REF_MATMUL_SHAPES)
+        assert 0.0 < res.max_err <= 1.0
+
+    def test_matmul_check_detects_drift(self, monkeypatch):
+        blas = numerics.matmul
+        # a relative error of 1e-9 is far above K * eps for every K checked (<= 1640)
+        monkeypatch.setattr(numerics, "matmul", lambda a, b: blas(a, b) * (1.0 + 1e-9))
+        res = verify.check_matmul_vs_fixed_order(trials=10)
+        assert res.failures == res.trials
+        assert res.details
+
 
 class TestRunAll:
     def test_all_pass(self):
         results = verify.run_all(trials=25)
-        assert len(results) == 5
+        assert len(results) == 6
         assert all(r.passed for r in results)
 
     def test_trials_validated(self):
