@@ -17,6 +17,7 @@ from .neuron import (
     heaviside,
     lif_sequential,
     mpe_psn_forward,
+    mpe_psn_spikes,
     teacher_forced_forward,
 )
 from .numerics import Rng, WorkerPool, bernoulli_sample, l2_norm, matmul, sigmoid
@@ -27,7 +28,8 @@ __all__ = [
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "LinearSynapse", "SpikingClassifier", "train",
     "NeuronParams", "ParallelTrace", "estimation_error",
-    "heaviside", "lif_sequential", "mpe_psn_forward", "teacher_forced_forward",
+    "heaviside", "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes",
+    "teacher_forced_forward",
     "Rng", "WorkerPool", "bernoulli_sample", "l2_norm", "matmul", "sigmoid",
 ]
 

@@ -26,12 +26,21 @@ NEURON_KINDS = ("mpe_psn", "lif_sequential")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the diagnostics gathered so far."""
+    """Loss became non-finite; names where it first did and carries the
+    diagnostics gathered so far.
 
-    def __init__(self, epoch: int, history):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    ``layer`` is the index of the spiking layer holding the first non-finite
+    quantity (None when every layer is finite and the loss itself is not),
+    and ``quantity`` names that quantity.
+    """
+
+    def __init__(self, epoch: int, history, layer: int | None, quantity: str):
+        where = quantity if layer is None else f"layer {layer} {quantity}"
+        super().__init__(f"non-finite loss at epoch {epoch}: first non-finite value in {where}")
         self.epoch = epoch
         self.history = list(history)
+        self.layer = layer
+        self.quantity = quantity
 
 
 @dataclass
@@ -54,16 +63,20 @@ def synapse_forward(o_prev: Var, syn: LinearSynapse, delay: int = 0) -> Var:
 
     delay=1 uses the previous step's spikes with an empty history at t = 0.
     """
+    o_prev = _presynaptic(autograd.as_var(o_prev), syn, delay, autograd.shift_time)
+    return autograd.matmul(o_prev, syn.W)
+
+
+def _presynaptic(o_prev, syn: LinearSynapse, delay: int, shift_time):
+    """``o_prev`` checked against the synapse's width, delayed by ``shift_time``
+    when ``delay`` is 1; shared by the tape forward and inference."""
     if delay not in (0, 1):
         raise ValueError(f"synaptic delay must be 0 or 1, got {delay}")
-    o_prev = autograd.as_var(o_prev)
     if o_prev.shape[-1] != syn.n_in:
         raise ShapeMismatchError(
             f"synapse expects {syn.n_in} inputs, got {o_prev.shape[-1]}"
         )
-    if delay == 1:
-        o_prev = autograd.shift_time(o_prev)
-    return autograd.matmul(o_prev, syn.W)
+    return shift_time(o_prev) if delay == 1 else o_prev
 
 
 @dataclass
@@ -197,6 +210,25 @@ def diagnostics(traces, logits: Array, labels) -> tuple[list[float], list[float]
     rates = [100.0 * float(np.mean(tr.o)) for tr in traces]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
+
+
+def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, str]:
+    """(layer, quantity) of the first non-finite value in forward order.
+
+    Within a layer: its current I, then u_hat, then its membrane loss term
+    (MPE-PSN only).  With every layer finite, the classification loss or,
+    failing that, the blended total.
+    """
+    for i, (I, tr) in enumerate(zip(currents, traces)):
+        quantities = [("current I", I.value), ("u_hat", tr.u_hat.value)]
+        if i < len(mem_terms):
+            quantities.append(("membrane loss term", mem_terms[i].value))
+        for name, value in quantities:
+            if not np.all(np.isfinite(value)):
+                return i, name
+    if not np.isfinite(l_cls.value):
+        return None, "classification loss"
+    return None, "total loss"
 
 
 def check_input(x, name: str) -> Array:
@@ -357,12 +389,15 @@ class SpikingClassifier:
         self.history_ = []
         use_mem = self.lam > 0.0 and self.neuron_kind == "mpe_psn"
         for epoch in range(1, self.epochs + 1):
-            logits, traces, _ = self.model_forward(x, self.mode, sample_rng)
+            logits, traces, currents = self.model_forward(x, self.mode, sample_rng)
             l_cls = losses.cls_loss(logits, y)
-            l_mem = Var(np.asarray(0.0))
+            mem_terms = []
             if self.neuron_kind == "mpe_psn":
-                for tr, kappa in zip(traces, self.kappas_):
-                    l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
+                mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
+                             for tr, kappa in zip(traces, self.kappas_)]
+            l_mem = Var(np.asarray(0.0))
+            for term in mem_terms:
+                l_mem = l_mem + term
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
             l2_norms, rates, train_acc = diagnostics(
                 [tr.values for tr in traces], logits.value, y
@@ -379,7 +414,8 @@ class SpikingClassifier:
                 spike_rates=rates,
             )
             if not np.isfinite(diag.loss_total):
-                raise TrainingDivergedError(epoch, self.history_)
+                layer, quantity = _first_non_finite(currents, traces, mem_terms, l_cls)
+                raise TrainingDivergedError(epoch, self.history_, layer, quantity)
             self.history_.append(diag)
             self.registry_.zero_grad()
             autograd.backward(loss)
@@ -389,9 +425,26 @@ class SpikingClassifier:
     # -- inference ----------------------------------------------------------
 
     def predict_logits(self, x) -> Array:
+        """Logits [T, B, K] of the expectation-mode forward, built without a tape.
+
+        Each spiking layer keeps only its spikes (:func:`neuron.mpe_psn_spikes`
+        or :func:`neuron.lif_sequential`), so the logits are bit-identical to
+        ``model_forward(x, "expectation")[0].value`` at a fraction of its
+        memory traffic.
+        """
         self._check_fitted()
-        logits, _, _ = self.model_forward(check_input(x, "x"), mode="expectation")
-        return logits.value
+        o = check_input(x, "x")
+        for syn, v_th in zip(self.synapses_, self.v_ths_):
+            I = numerics.matmul(
+                _presynaptic(o, syn, self.synaptic_delay, neuron.shift_time), syn.W.value
+            )
+            params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
+                                         alpha=self.alpha)
+            if self.neuron_kind == "mpe_psn":
+                o = neuron.mpe_psn_spikes(I, params)
+            else:
+                o = neuron.lif_sequential(I, params)[1]
+        return numerics.matmul(o, self.readout_.W.value)
 
     def predict(self, x) -> Array:
         logits = self.predict_logits(x)

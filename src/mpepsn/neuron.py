@@ -65,6 +65,40 @@ def _check_3d(I: Array) -> Array:
     return I
 
 
+def _estimate(I: Array, P: Array, b: Array, u_hat: Array, uniforms: Array | None) -> None:
+    """Write P = sigmoid(I) and u_hat = (1 - b) * I, in this op order.
+
+    ``b`` is drawn as ``uniforms < P``; with ``uniforms`` None it must be P
+    itself (expectation mode).  The buffers may alias one another, since
+    each op reads only what the previous one wrote.
+    """
+    expit(I, out=P)
+    if uniforms is not None:
+        np.less(uniforms, P, out=b)
+    np.subtract(1.0, b, out=u_hat)
+    np.multiply(u_hat, I, out=u_hat)
+
+
+def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: Array,
+            u: Array | None = None) -> None:
+    """Write h = u_hist * tau_m + I, o = (h >= v_th) and u = (1 - o) * h, in
+    this op order.
+
+    ``u_hist`` None is the zero history of step 0; ``u`` None skips the
+    reset, for a pass that keeps only spikes.  Every forward calls this one
+    function, so all of them fire on the same bits of h.
+    """
+    if u_hist is None:
+        h[...] = 0.0
+    else:
+        np.multiply(u_hist, params.tau_m, out=h)
+    np.add(h, I, out=h)
+    np.greater_equal(h, params.v_th, out=o)
+    if u is not None:
+        np.subtract(1.0, o, out=u)
+        np.multiply(u, h, out=u)
+
+
 def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     """Ground-truth hard-reset LIF recurrence, O(T) along time.
 
@@ -72,15 +106,11 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     spike_t = heaviside(tau_m * u_{t-1} + I_t, v_th).
     """
     I = _check_3d(I)
-    T = I.shape[0]
     u = np.empty_like(I)
     o = np.empty_like(I)
-    u_prev = np.zeros(I.shape[1:], dtype=np.float64)
-    for t in range(T):
-        h = params.tau_m * u_prev + I[t]
-        o[t] = heaviside(h, params.v_th)
-        u[t] = h * (1.0 - o[t])
-        u_prev = u[t]
+    h = np.empty(I.shape[1:])
+    for t in range(I.shape[0]):
+        _update(u[t - 1] if t else None, I[t], params, h, o[t], u[t])
     return u, o
 
 
@@ -95,9 +125,8 @@ def parallel_update(I: Array, u_hist: Array, params: NeuronParams) -> tuple[Arra
         raise ShapeMismatchError(
             f"history shape {u_hist.shape} does not match input {I.shape}"
         )
-    h = params.tau_m * u_hist + I
-    o = heaviside(h, params.v_th)
-    u = h * (1.0 - o)
+    h, u, o = np.empty_like(I), np.empty_like(I), np.empty_like(I)
+    _update(u_hist, I, params, h, o, u)
     return h, u, o
 
 
@@ -140,28 +169,21 @@ def mpe_psn_forward(
 
     def estimate_range(lo: int, hi: int) -> None:
         sl = slice(lo, hi)
-        expit(flat_I[sl], out=P[sl])
-        if uniforms is not None:
-            np.less(uniforms[sl], P[sl], out=b[sl])
-        np.subtract(1.0, b[sl], out=u_hat[sl])
-        np.multiply(u_hat[sl], flat_I[sl], out=u_hat[sl])
+        _estimate(flat_I[sl], P[sl], b[sl], u_hat[sl],
+                  None if uniforms is None else uniforms[sl])
 
     map_ranges(n, estimate_range)
 
     stride = I.shape[1] * I.shape[2]
 
     def update_range(lo: int, hi: int) -> None:
-        # h = tau_m * u_hat[t-1] + I[t], with a zero history at t = 0
-        sl = slice(lo, hi)
-        if lo < stride:
-            h[lo:min(hi, stride)] = 0.0
-        if hi > stride:
-            start = max(lo, stride)
-            np.multiply(u_hat[start - stride:hi - stride], params.tau_m, out=h[start:hi])
-        np.add(h[sl], flat_I[sl], out=h[sl])
-        np.greater_equal(h[sl], params.v_th, out=o[sl])
-        np.subtract(1.0, o[sl], out=u[sl])
-        np.multiply(u[sl], h[sl], out=u[sl])
+        # row t >= 1 reads u_hat[t-1], one stride back; row 0 has a zero history
+        mid = min(max(lo, stride), hi)
+        if lo < mid:
+            _update(None, flat_I[lo:mid], params, h[lo:mid], o[lo:mid], u[lo:mid])
+        if mid < hi:
+            _update(u_hat[mid - stride:hi - stride], flat_I[mid:hi], params,
+                    h[mid:hi], o[mid:hi], u[mid:hi])
 
     map_ranges(n, update_range)
     shape = I.shape
@@ -174,6 +196,26 @@ def mpe_psn_forward(
         u=u.reshape(shape),
         o=o.reshape(shape),
     )
+
+
+def mpe_psn_spikes(I, params: NeuronParams) -> Array:
+    """The spikes o of ``mpe_psn_forward(I, params, "expectation")``, and nothing else.
+
+    The inference pass: it walks time one row at a time and keeps one row
+    of estimate history, so it writes o and two row buffers instead of six
+    [T, B, N] arrays, and it never forms the estimate of the last row,
+    which nothing reads.  It runs the same estimate and update helpers as
+    :func:`mpe_psn_forward`, so o is bit-identical to that pass's.
+    """
+    I = _check_3d(I)
+    T = I.shape[0]
+    o = np.empty_like(I)
+    u_hat, h = np.empty(I.shape[1:]), np.empty(I.shape[1:])
+    for t in range(T):
+        _update(u_hat if t else None, I[t], params, h, o[t])
+        if t + 1 < T:
+            _estimate(I[t], u_hat, u_hat, u_hat, None)
+    return o
 
 
 def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Array]:

@@ -1,8 +1,9 @@
 """Property suites behind the `verify` subcommand (and the test suite).
 
 Each check runs many randomized trials against an independent oracle (the
-sequential recurrence, the fixed-order matmul, or central finite
-differences) and reports failures with enough context to reproduce them.
+sequential recurrence, the fixed-order matmul, the training forward, or
+central finite differences) and reports failures with enough context to
+reproduce them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd, neuron, numerics
+from . import autograd, datagen, network, neuron, numerics
 from .autograd import Var
 from .numerics import Rng
 
@@ -204,6 +205,46 @@ def check_matmul_vs_fixed_order(trials: int = 1000, seed: int = 0) -> CheckResul
     return res
 
 
+def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> CheckResult:
+    """The no-tape inference forward against the training forward, bit for bit.
+
+    Contract: exact equality (``np.array_equal``), since both run the same
+    arithmetic helpers in the same op order.  Over ``trials`` inputs of the
+    :func:`_random_case` family, and over the first time step alone of each
+    (T = 1, where the spikes-only pass forms no estimate),
+    ``neuron.mpe_psn_spikes(I, p)`` equals
+    ``neuron.mpe_psn_forward(I, p, "expectation").o``.  Then on a small
+    fitted model of each neuron kind with synaptic delay 0 and 1,
+    ``predict_logits(x)`` equals ``model_forward(x, "expectation")[0].value``.
+    """
+    rng = Rng(seed, stream=106)
+    res = CheckResult("inference_vs_training_forward", trials + 4, 0)
+
+    def fail(detail: str) -> None:
+        res.failures += 1
+        if len(res.details) < 5:
+            res.details.append(f"{detail}, seed {seed}")
+
+    for trial in range(trials):
+        I, params = _random_case(rng, trial)
+        for case in (I, I[:1]):
+            o = neuron.mpe_psn_forward(case, params, "expectation").o
+            if not np.array_equal(neuron.mpe_psn_spikes(case, params), o):
+                fail(f"trial {trial}: shape {case.shape}")
+                break
+    train, test = datagen.generate(datagen.DatasetSpec(time_steps=6, samples_per_class=8,
+                                                       seed=seed))
+    for kind in network.NEURON_KINDS:
+        for delay in (0, 1):
+            model = network.SpikingClassifier(hidden_sizes=(8, 8), neuron_kind=kind,
+                                              synaptic_delay=delay, epochs=3, seed=seed)
+            model.fit(train.x, train.y)
+            logits, _, _ = model.model_forward(test.x, "expectation")
+            if not np.array_equal(model.predict_logits(test.x), logits.value):
+                fail(f"{kind} model, synaptic delay {delay}")
+    return res
+
+
 def run_all(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) -> list[CheckResult]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,4 +255,5 @@ def run_all(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) 
         check_gradients(100, seed),
         check_surrogate_chain(),
         check_matmul_vs_fixed_order(trials, seed),
+        check_inference_vs_training_forward(trials, seed),
     ]

@@ -274,6 +274,22 @@ class TestSpikingClassifier:
         assert exc.value.epoch >= 1
         assert len(exc.value.history) == exc.value.epoch - 1
 
+    def test_divergence_names_layer_and_quantity(self):
+        tr, _ = small_task()
+        m = small_model(lr=1e160, epochs=50)
+        with pytest.raises(TrainingDivergedError) as exc, np.errstate(all="ignore"):
+            m.fit(tr.x, tr.y)
+        # huge weights give finite currents and estimates but an overflowing square
+        assert (exc.value.layer, exc.value.quantity) == (0, "membrane loss term")
+        assert str(exc.value).startswith("non-finite loss at epoch")
+        assert "layer 0 membrane loss term" in str(exc.value)
+
+        x = np.sign(tr.x) * 1.5e308  # finite input whose first-layer currents overflow
+        with pytest.raises(TrainingDivergedError, match="layer 0 current I") as exc, \
+                np.errstate(all="ignore"):
+            small_model(epochs=5).fit(x, tr.y)
+        assert exc.value.epoch == 1 and exc.value.history == []
+
     def test_invalid_neuron_kind(self):
         tr, _ = small_task()
         with pytest.raises(ValueError):
@@ -291,3 +307,48 @@ class TestSpikingClassifier:
         d = m.history_[0]
         assert d.loss_total == d.loss_cls
         assert d.loss_mem > 0.0  # still reported for diagnostics
+
+
+class TestNoTapeInference:
+    """``predict_logits`` runs the spikes-only forward, with no tape, and
+    matches the training forward in expectation mode bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["mpe_psn", "lif_sequential"])
+    @pytest.mark.parametrize("delay", [0, 1])
+    @pytest.mark.parametrize("hidden", [(8,), (8, 8)])
+    def test_logits_match_training_forward(self, kind, delay, hidden):
+        tr, te = small_task()
+        m = small_model(hidden_sizes=hidden, neuron_kind=kind, synaptic_delay=delay,
+                        epochs=5).fit(tr.x, tr.y)
+        logits, _, _ = m.model_forward(te.x, "expectation")
+        np.testing.assert_array_equal(m.predict_logits(te.x), logits.value)
+
+    def test_single_step_forms_no_estimate(self, monkeypatch):
+        tr, te = small_task()
+        m = small_model(hidden_sizes=(8, 8), epochs=5).fit(tr.x, tr.y)
+        x = te.x[:1]
+        logits, _, _ = m.model_forward(x, "expectation")
+
+        def no_estimate(*args):
+            raise AssertionError("estimate formed for a step nothing reads")
+
+        monkeypatch.setattr(neuron, "_estimate", no_estimate)
+        np.testing.assert_array_equal(m.predict_logits(x), logits.value)
+
+    def test_predict_builds_no_tape(self, monkeypatch):
+        tr, te = small_task()
+        m = small_model(epochs=5).fit(tr.x, tr.y)
+        expected = m.predict(te.x)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("predict built a tape node")
+
+        monkeypatch.setattr(autograd, "multi_output", no_tape)
+        monkeypatch.setattr(autograd, "matmul", no_tape)
+        np.testing.assert_array_equal(m.predict(te.x), expected)
+
+    def test_wrong_width_names_expected(self):
+        tr, _ = small_task()
+        m = small_model(epochs=1).fit(tr.x, tr.y)
+        with pytest.raises(ShapeMismatchError, match="expects 16 inputs, got 3"):
+            m.predict(np.zeros((8, 2, 3)))

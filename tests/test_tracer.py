@@ -30,10 +30,15 @@ def attributes():
             for owner in OWNERS for name, value in vars(owner).items()}
 
 
-def test_layer_wrappers_install_trace_and_uninstall():
+def layer_tracer():
     tracing = load_tracer()
     tracer = tracing.Tracer()
     tracing.define_layer_wrappers(tracer, MODULES)
+    return tracer
+
+
+def test_layer_wrappers_install_trace_and_uninstall():
+    tracer = layer_tracer()
     before = attributes()
     train, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=4))
     tracer.install("test")
@@ -57,3 +62,21 @@ def test_layer_wrappers_install_trace_and_uninstall():
     # one closed-form node (plus output views) per neuron layer
     assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [26]
     assert tracer.samples["autograd.tape_nodes.lif"] == [15]
+
+
+def test_predict_runs_no_training_forward():
+    """A predict reaches the dense products but neither the training kernel
+    nor the tape, so it adds nothing to ``neuron.mpe_psn_forward.bytes_out``."""
+    train, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=4))
+    model = network.SpikingClassifier(hidden_sizes=(4,), epochs=1).fit(train.x, train.y)
+    tracer = layer_tracer()
+    tracer.install("test")
+    try:
+        model.predict(train.x)
+    finally:
+        tracer.uninstall()
+    spans = {span[0] for span in tracer.spans}
+    assert {"network.predict", "numerics.matmul"} <= spans
+    assert not spans & {"neuron.mpe_psn_forward", "network.model_forward",
+                        "network.tape_forward.mpe_psn"}
+    assert ("test", "neuron.mpe_psn_forward.bytes_out") not in tracer.counts

@@ -1,6 +1,6 @@
 import pytest
 
-from mpepsn import numerics, verify
+from mpepsn import neuron, numerics, verify
 from mpepsn.verify import CheckResult
 
 
@@ -65,11 +65,24 @@ class TestChecks:
         assert res.failures == res.trials
         assert res.details
 
+    def test_inference_vs_training_forward(self):
+        res = verify.check_inference_vs_training_forward(trials=50)
+        assert res.passed
+        assert res.trials == 50 + 4
+        assert res.max_err == 0.0
+
+    def test_inference_check_detects_a_dropped_history(self, monkeypatch):
+        # spikes of the input current alone: right at t = 0, wrong after it
+        monkeypatch.setattr(neuron, "mpe_psn_spikes", lambda I, p: neuron.heaviside(I, p.v_th))
+        res = verify.check_inference_vs_training_forward(trials=50)
+        assert 0 < res.failures < res.trials
+        assert res.details
+
 
 class TestRunAll:
     def test_all_pass(self):
         results = verify.run_all(trials=25)
-        assert len(results) == 6
+        assert len(results) == 7
         assert all(r.passed for r in results)
 
     def test_trials_validated(self):
