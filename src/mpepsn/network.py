@@ -212,20 +212,23 @@ def diagnostics(traces, logits: Array, labels) -> tuple[list[float], list[float]
     return l2_norms, rates, acc
 
 
-def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, str]:
+def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | None, str]:
     """(layer, quantity) of the first non-finite value in forward order.
 
-    Within a layer: its current I, then u_hat, then its membrane loss term
-    (MPE-PSN only).  With every layer finite, the classification loss or,
-    failing that, the blended total.
+    Within a layer: its current I, then u_hat, then its membrane loss term,
+    recomputed here from the layer's trace and ``kappas`` (empty for LIF,
+    which has no such term).  With every layer finite, the classification
+    loss or, failing that, the blended total.  Called only once the loss is
+    non-finite, so training never pays for the search.
     """
     for i, (I, tr) in enumerate(zip(currents, traces)):
-        quantities = [("current I", I.value), ("u_hat", tr.u_hat.value)]
-        if i < len(mem_terms):
-            quantities.append(("membrane loss term", mem_terms[i].value))
-        for name, value in quantities:
+        for name, value in (("current I", I.value), ("u_hat", tr.u_hat.value)):
             if not np.all(np.isfinite(value)):
                 return i, name
+        if i < len(kappas):
+            term = losses.mem_loss(tr.u_hat, tr.u, kappas[i], mem_cfg)
+            if not np.isfinite(term.value):
+                return i, "membrane loss term"
     if not np.isfinite(l_cls.value):
         return None, "classification loss"
     return None, "total loss"
@@ -391,13 +394,10 @@ class SpikingClassifier:
         for epoch in range(1, self.epochs + 1):
             logits, traces, currents = self.model_forward(x, self.mode, sample_rng)
             l_cls = losses.cls_loss(logits, y)
-            mem_terms = []
-            if self.neuron_kind == "mpe_psn":
-                mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
-                             for tr, kappa in zip(traces, self.kappas_)]
             l_mem = Var(np.asarray(0.0))
-            for term in mem_terms:
-                l_mem = l_mem + term
+            if self.neuron_kind == "mpe_psn":
+                for tr, kappa in zip(traces, self.kappas_):
+                    l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
             l2_norms, rates, train_acc = diagnostics(
                 [tr.values for tr in traces], logits.value, y
@@ -414,7 +414,9 @@ class SpikingClassifier:
                 spike_rates=rates,
             )
             if not np.isfinite(diag.loss_total):
-                layer, quantity = _first_non_finite(currents, traces, mem_terms, l_cls)
+                kappas = self.kappas_ if self.neuron_kind == "mpe_psn" else ()
+                layer, quantity = _first_non_finite(currents, traces, kappas,
+                                                    self.mem_cfg_, l_cls)
                 raise TrainingDivergedError(epoch, self.history_, layer, quantity)
             self.history_.append(diag)
             self.registry_.zero_grad()

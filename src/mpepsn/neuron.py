@@ -85,8 +85,10 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     this op order.
 
     ``u_hist`` None is the zero history of step 0; ``u`` None skips the
-    reset, for a pass that keeps only spikes.  Every forward calls this one
-    function, so all of them fire on the same bits of h.
+    reset, for a pass that keeps only spikes.  The MPE-PSN passes and
+    :func:`parallel_update` call this one function, so they fire on the same
+    bits of h; :func:`lif_sequential` keeps its own arithmetic, as the
+    independent oracle they are checked against.
     """
     if u_hist is None:
         h[...] = 0.0
@@ -106,11 +108,15 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     spike_t = heaviside(tau_m * u_{t-1} + I_t, v_th).
     """
     I = _check_3d(I)
+    T = I.shape[0]
     u = np.empty_like(I)
     o = np.empty_like(I)
-    h = np.empty(I.shape[1:])
-    for t in range(I.shape[0]):
-        _update(u[t - 1] if t else None, I[t], params, h, o[t], u[t])
+    u_prev = np.zeros(I.shape[1:], dtype=np.float64)
+    for t in range(T):
+        h = params.tau_m * u_prev + I[t]
+        o[t] = heaviside(h, params.v_th)
+        u[t] = h * (1.0 - o[t])
+        u_prev = u[t]
     return u, o
 
 

@@ -214,11 +214,14 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
     (T = 1, where the spikes-only pass forms no estimate),
     ``neuron.mpe_psn_spikes(I, p)`` equals
     ``neuron.mpe_psn_forward(I, p, "expectation").o``.  Then on a small
-    fitted model of each neuron kind with synaptic delay 0 and 1,
-    ``predict_logits(x)`` equals ``model_forward(x, "expectation")[0].value``.
+    fitted model of each neuron kind, with synaptic delay 0 and 1 and one or
+    two hidden layers, ``predict_logits(x)`` equals
+    ``model_forward(x, "expectation")[0].value``.
     """
     rng = Rng(seed, stream=106)
-    res = CheckResult("inference_vs_training_forward", trials + 4, 0)
+    models = [(kind, delay, hidden) for kind in network.NEURON_KINDS
+              for delay in (0, 1) for hidden in ((8,), (8, 8))]
+    res = CheckResult("inference_vs_training_forward", trials + len(models), 0)
 
     def fail(detail: str) -> None:
         res.failures += 1
@@ -234,14 +237,13 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
                 break
     train, test = datagen.generate(datagen.DatasetSpec(time_steps=6, samples_per_class=8,
                                                        seed=seed))
-    for kind in network.NEURON_KINDS:
-        for delay in (0, 1):
-            model = network.SpikingClassifier(hidden_sizes=(8, 8), neuron_kind=kind,
-                                              synaptic_delay=delay, epochs=3, seed=seed)
-            model.fit(train.x, train.y)
-            logits, _, _ = model.model_forward(test.x, "expectation")
-            if not np.array_equal(model.predict_logits(test.x), logits.value):
-                fail(f"{kind} model, synaptic delay {delay}")
+    for kind, delay, hidden in models:
+        model = network.SpikingClassifier(hidden_sizes=hidden, neuron_kind=kind,
+                                          synaptic_delay=delay, epochs=3, seed=seed)
+        model.fit(train.x, train.y)
+        logits, _, _ = model.model_forward(test.x, "expectation")
+        if not np.array_equal(model.predict_logits(test.x), logits.value):
+            fail(f"{kind} model, synaptic delay {delay}, hidden sizes {hidden}")
     return res
 
 

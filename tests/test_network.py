@@ -310,18 +310,10 @@ class TestSpikingClassifier:
 
 
 class TestNoTapeInference:
-    """``predict_logits`` runs the spikes-only forward, with no tape, and
-    matches the training forward in expectation mode bit for bit."""
-
-    @pytest.mark.parametrize("kind", ["mpe_psn", "lif_sequential"])
-    @pytest.mark.parametrize("delay", [0, 1])
-    @pytest.mark.parametrize("hidden", [(8,), (8, 8)])
-    def test_logits_match_training_forward(self, kind, delay, hidden):
-        tr, te = small_task()
-        m = small_model(hidden_sizes=hidden, neuron_kind=kind, synaptic_delay=delay,
-                        epochs=5).fit(tr.x, tr.y)
-        logits, _, _ = m.model_forward(te.x, "expectation")
-        np.testing.assert_array_equal(m.predict_logits(te.x), logits.value)
+    """``predict_logits`` runs the spikes-only forward, with no tape.  Its
+    bit-identity with the training forward, for both kinds, both delays and
+    one or two hidden layers, is the verify check
+    ``inference_vs_training_forward`` (tests/test_verify.py)."""
 
     def test_single_step_forms_no_estimate(self, monkeypatch):
         tr, te = small_task()

@@ -130,6 +130,19 @@ class TestParallelForward:
             np.testing.assert_array_equal(tr.u, u_seq)
             np.testing.assert_array_equal(tr.o, o_seq)
 
+    def test_threshold_tie_fires_in_every_forward(self):
+        # h == v_th exactly fires and resets, as in the oracle: at t = 0 from
+        # the current alone, and in parallel_update from 0.25 * 2.0 + 0.5
+        I, p = as3d([1.0, 0.5]), NeuronParams()
+        u_seq, o_seq = lif_sequential(I, p)
+        assert (o_seq[0].item(), u_seq[0].item()) == (1.0, 0.0)
+        for mode in ("sampled", "expectation"):
+            tr = mpe_psn_forward(I, p, mode, Rng(0))
+            assert (tr.o[0].item(), tr.u[0].item()) == (1.0, 0.0)
+        assert neuron.mpe_psn_spikes(I, p)[0].item() == 1.0
+        h, u, o = parallel_update(as3d([0.5]), as3d([2.0]), p)
+        assert (h.item(), o.item(), u.item()) == (1.0, 1.0, 0.0)
+
     def test_reset_law(self):
         I = random_case(3)
         tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(3))

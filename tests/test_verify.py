@@ -68,7 +68,7 @@ class TestChecks:
     def test_inference_vs_training_forward(self):
         res = verify.check_inference_vs_training_forward(trials=50)
         assert res.passed
-        assert res.trials == 50 + 4
+        assert res.trials == 50 + 8  # 2 kinds x 2 delays x 2 hidden shapes
         assert res.max_err == 0.0
 
     def test_inference_check_detects_a_dropped_history(self, monkeypatch):
