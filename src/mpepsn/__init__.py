@@ -13,7 +13,6 @@ from .network import EpochDiagnostics, LinearSynapse, SpikingClassifier, train
 from .neuron import (
     NeuronParams,
     ParallelTrace,
-    estimation_error,
     heaviside,
     lif_sequential,
     mpe_psn_forward,
@@ -27,7 +26,7 @@ __all__ = [
     "DatasetSpec", "LabeledBatch", "generate",
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "LinearSynapse", "SpikingClassifier", "train",
-    "NeuronParams", "ParallelTrace", "estimation_error",
+    "NeuronParams", "ParallelTrace",
     "heaviside", "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes",
     "teacher_forced_forward",
     "Rng", "WorkerPool", "bernoulli_sample", "l2_norm", "matmul", "sigmoid",

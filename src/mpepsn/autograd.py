@@ -129,17 +129,25 @@ def sigmoid(x) -> Var:
     return Var(y, parents=(x,), backward=lambda g: (g * y * (1.0 - y),))
 
 
-def surrogate_grad(h, v_th: float, alpha: float) -> Array:
+def surrogate_grad(h, v_th: float, alpha: float, out: Array | None = None) -> Array:
     """Triangular surrogate for the spike derivative.
 
     (1/alpha^2) * max(0, alpha - |h - v_th|): peak 1/alpha at threshold,
     support (v_th - alpha, v_th + alpha), evaluated at the pre-spike
-    membrane h (post-reset u would zero out every fired position).
+    membrane h (post-reset u would zero out every fired position).  Written
+    into ``out`` when given, else into a fresh array.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     h = np.asarray(h, dtype=np.float64)
-    return np.maximum(0.0, alpha - np.abs(h - v_th)) / (alpha * alpha)
+    out = np.empty_like(h) if out is None else out
+    np.subtract(h, v_th, out=out)
+    np.abs(out, out=out)
+    np.subtract(alpha, out, out=out)
+    np.maximum(0.0, out, out=out)
+    if alpha * alpha != 1.0:  # x / 1.0 is x
+        np.divide(out, alpha * alpha, out=out)
+    return out
 
 
 _spike_log: list[Array] | None = None

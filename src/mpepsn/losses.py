@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd
 from .autograd import Var, as_var
-from .numerics import Array, ShapeMismatchError
+from .numerics import Array, Scratch, ShapeMismatchError
 
 KAPPA_AXES = ("time", "neuron")
 
@@ -41,7 +40,8 @@ class MemLossConfig:
         return np.full(self.kappa_length(T, N), float(self.kappa_init))
 
 
-def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig) -> Var:
+def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
+             scratch: Scratch | None = None) -> Var:
     """Kappa-weighted MSE between estimated and corrected membrane potential.
 
     The MSE is a mean over every axis not indexed by kappa, so the magnitude
@@ -50,6 +50,16 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig) -> Var:
     through the corrected potential via the reset product's surrogate (a
     detached target chases its own tail, since moving the estimate moves the
     corrected value with it; pass an explicitly detached Var to freeze it).
+
+    One tape node with parents (u_hat, u_target, kappa).  Its value and
+    gradients are bit-identical to the elementwise tape it replaces,
+    ``vsum(kappa * vmean((u_hat - u_target) * (u_hat - u_target), axes))``:
+    the same ops in the same order, the square's gradient d*G formed once
+    and added to itself as the tape's two factors were.  With ``scratch``,
+    the difference d, its square (``network.diagnostics`` takes the L2 norm
+    from it) and the two [T, B, N] gradients live in its arrays
+    ``mem_loss.d``, ``mem_loss.d2``, ``mem_loss.g_u_hat`` and
+    ``mem_loss.g_u_target``; without, they are fresh.
     """
     u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
     if u_hat.shape != u_target.shape:
@@ -63,10 +73,23 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig) -> Var:
             f"mem_loss: kappa length {kappa.shape} does not match "
             f"{cfg.kappa_axis} extent {expected}"
         )
-    d = u_hat - u_target
+    scratch = Scratch() if scratch is None else scratch
+    shape = u_hat.shape
     mse_axes = (1, 2) if cfg.kappa_axis == "time" else (0, 1)
-    per_index = autograd.vmean(d * d, axis=mse_axes)
-    return autograd.vsum(kappa * per_index)
+    scale = 1.0 / (shape[mse_axes[0]] * shape[mse_axes[1]])
+    d = np.subtract(u_hat.value, u_target.value, out=scratch("mem_loss.d", shape))
+    d2 = np.multiply(d, d, out=scratch("mem_loss.d2", shape))
+    per_index = np.sum(d2, axis=mse_axes) * scale
+    value = np.sum(kappa.value * per_index)
+
+    def backward(g):
+        weight = np.expand_dims(g * kappa.value * scale, mse_axes)
+        g_u_hat = np.multiply(weight, d, out=scratch("mem_loss.g_u_hat", shape))
+        np.add(g_u_hat, g_u_hat, out=g_u_hat)
+        g_u_target = np.negative(g_u_hat, out=scratch("mem_loss.g_u_target", shape))
+        return g_u_hat, g_u_target, g * per_index
+
+    return Var(value, parents=(u_hat, u_target, kappa), backward=backward)
 
 
 def cls_loss(logits, labels) -> Var:

@@ -14,29 +14,33 @@ except that inputs are [T, B, N] temporal tensors rather than 2-D matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autograd, losses, neuron, numerics
 from .autograd import ParamRegistry, Var
 from .losses import MemLossConfig
-from .numerics import Array, Rng, ShapeMismatchError
+from .numerics import Array, Rng, Scratch, ShapeMismatchError
 
 NEURON_KINDS = ("mpe_psn", "lif_sequential")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; names where it first did and carries the
-    diagnostics gathered so far.
+    """Loss or a layer's current became non-finite; names where it first did
+    and carries the diagnostics gathered so far.
 
     ``layer`` is the index of the spiking layer holding the first non-finite
     quantity (None when every layer is finite and the loss itself is not),
-    and ``quantity`` names that quantity.
+    and ``quantity`` names that quantity.  ``loss_finite`` marks a run whose
+    loss stayed finite although a current did not (no term read it).
     """
 
-    def __init__(self, epoch: int, history, layer: int | None, quantity: str):
+    def __init__(self, epoch: int, history, layer: int | None, quantity: str,
+                 loss_finite: bool = False):
         where = quantity if layer is None else f"layer {layer} {quantity}"
-        super().__init__(f"non-finite loss at epoch {epoch}: first non-finite value in {where}")
+        what = "current" if loss_finite else "loss"
+        super().__init__(f"non-finite {what} at epoch {epoch}: first non-finite value in {where}")
         self.epoch = epoch
         self.history = list(history)
         self.layer = layer
@@ -81,35 +85,51 @@ def _presynaptic(o_prev, syn: LinearSynapse, delay: int, shift_time):
 
 @dataclass
 class TapeTrace:
-    """Tape outputs of one spiking layer plus every value of its forward pass."""
+    """Tape outputs of one spiking layer; ``values`` holds every value of a
+    parallel layer's forward pass (None for LIF, whose u_hat is its u)."""
 
     u_hat: Var
     u: Var
     o: Var
-    values: neuron.ParallelTrace
+    values: neuron.ParallelTrace | None = None
 
 
-def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array):
+def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Array):
     """Backward of o = spike(h) and u = h * (1 - o) for given output gradients.
 
     Returns the gradient of h and the surrogate-weighted spike gradient (the
-    threshold receives its negation); None stands for no gradient.  Terms
-    are summed as the elementwise tape would sum them, so the bits match.
+    threshold receives its negated sum); None stands for no gradient.  Works
+    in place: ``sg`` holds the surrogate at h on entry and the weighted
+    gradient on return, the gradient of h is written into ``g_h`` (it is
+    ``sg`` itself when u has no gradient) and ``tmp`` is clobbered.  Terms
+    are formed as the elementwise tape formed them, g_o + -(g_u * h) as the
+    equal g_o - g_u * h, so the bits match.
     """
-    g_h = None
     if g_u is not None:
-        g_o = autograd.add_grads(g_o, -(g_u * h))
-        g_h = g_u * (1.0 - o)
-    weighted = None if g_o is None else g_o * sg
-    return autograd.add_grads(g_h, weighted), weighted
+        g_o_total = np.multiply(g_u, h, out=tmp)
+        if g_o is None:
+            np.negative(g_o_total, out=g_o_total)
+        else:
+            np.subtract(g_o, g_o_total, out=g_o_total)
+        g_o = g_o_total
+        np.subtract(1.0, o, out=g_h)
+        np.multiply(g_u, g_h, out=g_h)
+    if g_o is None:  # then g_u is None as well
+        return None, None
+    weighted = np.multiply(g_o, sg, out=sg)
+    if g_u is None:
+        return weighted, weighted
+    return np.add(g_h, weighted, out=g_h), weighted
 
 
 def _threshold_grad(weighted, v_th: Var):
-    return None if weighted is None else autograd.unbroadcast(-weighted, v_th.shape)
+    # the sum of -weighted is the negated sum of weighted
+    return None if weighted is None else -autograd.unbroadcast(weighted, v_th.shape)
 
 
 def mpe_psn_tape_forward(
-    I: Var, v_th: Var, tau_m: float, alpha: float, mode: str, rng: Rng | None
+    I: Var, v_th: Var, tau_m: float, alpha: float, mode: str, rng: Rng | None,
+    *, scratch: Scratch | None = None,
 ) -> TapeTrace:
     """Differentiable parallel forward pass: one tape node over
     :func:`neuron.mpe_psn_forward`, with a closed-form backward.
@@ -119,27 +139,41 @@ def mpe_psn_tape_forward(
     differentiable through the spike probability.  Gradient terms are added
     in the order of the elementwise tape they replace (sigmoid, (1 - b) * I,
     shift, spike, reset), so the gradients match it bit for bit whenever
-    each output has at most one consumer outside the layer.
+    each output has at most one consumer outside the layer.  The forward's
+    arrays and the backward's work arrays (which it returns as gradients)
+    come from ``scratch`` when given, else they are fresh.
     """
+    scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
-    tr = neuron.mpe_psn_forward(I.value, params, mode, rng)
+    tr = neuron.mpe_psn_forward(I.value, params, mode, rng, scratch=scratch)
     autograd.log_spikes(tr.o)
     if mode == "sampled":
         autograd.log_spikes(tr.b)  # a flipped draw is a discontinuity as well
 
     def backward(g_u_hat, g_u, g_o):
-        sg = autograd.surrogate_grad(tr.h, params.v_th, alpha)
-        g_h, weighted = _reset_backward(g_u, g_o, tr.h, tr.o, sg)
+        shape = tr.h.shape
+        sg = autograd.surrogate_grad(tr.h, params.v_th, alpha, out=scratch("grad.sg", shape))
+        g_h, weighted = _reset_backward(g_u, g_o, tr.h, tr.o, sg, scratch("grad.h", shape),
+                                        scratch("grad.tmp", shape))
+        g_v_th = _threshold_grad(weighted, v_th)
         if g_h is not None:
-            g_hist = np.zeros_like(g_h)
-            g_hist[:-1] = g_h[1:] * tau_m
-            g_u_hat = autograd.add_grads(g_u_hat, g_hist)
+            g_hist = scratch("grad.hist", shape)
+            np.multiply(g_h[1:], tau_m, out=g_hist[:-1])
+            g_hist[-1] = 0.0
+            g_u_hat = g_hist if g_u_hat is None else np.add(g_u_hat, g_hist, out=g_hist)
         g_I = g_h
         if g_u_hat is not None:
-            g_I = autograd.add_grads(g_I, g_u_hat * (1.0 - tr.b))
+            through_b = np.subtract(1.0, tr.b, out=scratch("grad.tmp", shape))
+            np.multiply(g_u_hat, through_b, out=through_b)
+            g_I = through_b if g_I is None else np.add(g_I, through_b, out=g_I)
             if mode == "expectation":
-                g_I = g_I + -(g_u_hat * tr.I) * tr.P * (1.0 - tr.P)
-        return g_I, _threshold_grad(weighted, v_th)
+                # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...)
+                through_P = np.multiply(g_u_hat, tr.I, out=scratch("grad.P", shape))
+                np.multiply(through_P, tr.P, out=through_P)
+                np.multiply(through_P, np.subtract(1.0, tr.P, out=scratch("grad.P2", shape)),
+                            out=through_P)
+                np.subtract(g_I, through_P, out=g_I)
+        return g_I, g_v_th
 
     u_hat, u, o = autograd.multi_output((tr.u_hat, tr.u, tr.o), (I, v_th), backward)
     return TapeTrace(u_hat=u_hat, u=u, o=o, values=tr)
@@ -158,13 +192,14 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float) -> tuple[Var
         h = tau_m * neuron.shift_time(u) + I.value  # pre-reset membrane, as the loop formed it
         sg = autograd.surrogate_grad(h, params.v_th, alpha)
         g_I = np.zeros_like(h)
+        g_h_row, tmp_row = np.empty(h.shape[1:]), np.empty(h.shape[1:])
         g_h = g_v_th = None
         for t in reversed(range(h.shape[0])):
             g_u_t = autograd.add_grads(
                 None if g_u is None else g_u[t], None if g_h is None else g_h * tau_m
             )
             g_h, weighted = _reset_backward(
-                g_u_t, None if g_o is None else g_o[t], h[t], o[t], sg[t]
+                g_u_t, None if g_o is None else g_o[t], h[t], o[t], sg[t], g_h_row, tmp_row
             )
             g_v_th = autograd.add_grads(g_v_th, _threshold_grad(weighted, v_th))
             if g_h is not None:
@@ -200,16 +235,44 @@ class EpochDiagnostics:
         return ",".join([str(self.epoch)] + [format(v, ".17g") for v in vals])
 
 
-def diagnostics(traces, logits: Array, labels) -> tuple[list[float], list[float], float]:
+class LayerValues(NamedTuple):
+    """The arrays of one spiking layer that :func:`diagnostics` reads (a
+    ``neuron.ParallelTrace`` carries the same names)."""
+
+    u_hat: Array
+    u: Array
+    o: Array
+
+
+def diagnostics(layers, logits: Array, labels,
+                sq_errors=None) -> tuple[list[float], list[float], float]:
     """Per-layer estimation L2 norm, per-layer spike rate (%), and accuracy.
 
-    The L2 norm is over all elements of (u_hat - u); the spike rate is
-    100 * mean(o); accuracy comes from the argmax of time-averaged logits.
+    ``layers`` holds each spiking layer's u_hat, u and o as attributes.  The
+    L2 norm is over all elements of (u_hat - u), summed from
+    ``sq_errors[i]`` when given: (u_hat - u) squared, as the membrane loss
+    forms it, which gives the bits of ``l2_norm(u_hat - u)``.  The spike
+    rate is 100 * mean(o); accuracy comes from the argmax of time-averaged
+    logits.
     """
-    l2_norms = [float(numerics.l2_norm(tr.u_hat - tr.u)) for tr in traces]
-    rates = [100.0 * float(np.mean(tr.o)) for tr in traces]
+    if sq_errors is None:
+        l2_norms = [float(numerics.l2_norm(layer.u_hat - layer.u)) for layer in layers]
+    else:
+        l2_norms = [float(np.sqrt(np.sum(sq))) for sq in sq_errors]
+    rates = [100.0 * float(np.mean(layer.o)) for layer in layers]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
+
+
+def _all_finite(x: Array) -> bool:
+    """True when every entry of ``x`` is finite, at the cost of one BLAS dot
+    product unless it overflows: a NaN or an infinity makes the sum of
+    squares non-finite, and only finite squares that overflow (entries
+    beyond about 1e154) need the elementwise test."""
+    flat = x.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.dot(flat, flat)
+    return bool(np.isfinite(squares)) or bool(np.all(np.isfinite(x)))
 
 
 def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | None, str]:
@@ -218,8 +281,8 @@ def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | N
     Within a layer: its current I, then u_hat, then its membrane loss term,
     recomputed here from the layer's trace and ``kappas`` (empty for LIF,
     which has no such term).  With every layer finite, the classification
-    loss or, failing that, the blended total.  Called only once the loss is
-    non-finite, so training never pays for the search.
+    loss or, failing that, the blended total.  Called only once the loss or
+    a current is non-finite, so training never pays for the search.
     """
     for i, (I, tr) in enumerate(zip(currents, traces)):
         for name, value in (("current I", I.value), ("u_hat", tr.u_hat.value)):
@@ -352,8 +415,15 @@ class SpikingClassifier:
 
     # -- forward ------------------------------------------------------------
 
-    def model_forward(self, x, mode: str | None = None, rng: Rng | None = None):
-        """Logits Var [T, B, K] and the tape trace of every spiking layer."""
+    def model_forward(self, x, mode: str | None = None, rng: Rng | None = None,
+                      *, scratch: list[Scratch] | None = None):
+        """Logits Var [T, B, K], the tape trace of every spiking layer and
+        every layer's input current.
+
+        ``scratch`` holds one :class:`numerics.Scratch` per spiking layer for
+        the parallel layers' arrays; ``fit`` passes its own, so the arrays of
+        a trace returned to any other caller are fresh and stay as they are.
+        """
         x = autograd.as_var(np.asarray(x, dtype=np.float64))
         mode = self.mode if mode is None else mode
         traces: list[TapeTrace] = []
@@ -365,15 +435,14 @@ class SpikingClassifier:
             if self.neuron_kind == "mpe_psn":
                 layer_rng = rng.spawn(i) if rng is not None else None
                 tr = mpe_psn_tape_forward(
-                    I, self.v_ths_[i], self.tau_m, self.alpha, mode, layer_rng
+                    I, self.v_ths_[i], self.tau_m, self.alpha, mode, layer_rng,
+                    scratch=None if scratch is None else scratch[i],
                 )
                 traces.append(tr)
                 o_prev = tr.o
             else:
                 u, o = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha)
-                values = neuron.ParallelTrace(I=I.value, P=o.value, b=o.value, u_hat=u.value,
-                                              h=u.value, u=u.value, o=o.value)
-                traces.append(TapeTrace(u_hat=u, u=u, o=o, values=values))
+                traces.append(TapeTrace(u_hat=u, u=u, o=o))
                 o_prev = o
         logits = synapse_forward(o_prev, self.readout_, delay=0)
         return logits, traces, currents
@@ -391,16 +460,24 @@ class SpikingClassifier:
         sample_rng = Rng(self.seed).spawn(1)
         self.history_ = []
         use_mem = self.lam > 0.0 and self.neuron_kind == "mpe_psn"
+        # Each epoch's tape is dead before the next forward, so one set of
+        # work arrays per layer serves every epoch; it dies with this call.
+        scratch = [Scratch() for _ in self.synapses_]
         for epoch in range(1, self.epochs + 1):
-            logits, traces, currents = self.model_forward(x, self.mode, sample_rng)
+            logits, traces, currents = self.model_forward(x, self.mode, sample_rng,
+                                                          scratch=scratch)
             l_cls = losses.cls_loss(logits, y)
             l_mem = Var(np.asarray(0.0))
+            sq_errors = None
             if self.neuron_kind == "mpe_psn":
-                for tr, kappa in zip(traces, self.kappas_):
-                    l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_)
+                for tr, kappa, sc in zip(traces, self.kappas_, scratch):
+                    l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_,
+                                                    scratch=sc)
+                sq_errors = [sc("mem_loss.d2", tr.u.shape) for tr, sc in zip(traces, scratch)]
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
             l2_norms, rates, train_acc = diagnostics(
-                [tr.values for tr in traces], logits.value, y
+                [LayerValues(tr.u_hat.value, tr.u.value, tr.o.value) for tr in traces],
+                logits.value, y, sq_errors,
             )
             test_acc = self.score(x_test, y_test) if x_test is not None else float("nan")
             diag = EpochDiagnostics(
@@ -413,11 +490,12 @@ class SpikingClassifier:
                 l2_norms=l2_norms,
                 spike_rates=rates,
             )
-            if not np.isfinite(diag.loss_total):
+            loss_finite = bool(np.isfinite(diag.loss_total))
+            if not (loss_finite and all(_all_finite(I.value) for I in currents)):
                 kappas = self.kappas_ if self.neuron_kind == "mpe_psn" else ()
                 layer, quantity = _first_non_finite(currents, traces, kappas,
                                                     self.mem_cfg_, l_cls)
-                raise TrainingDivergedError(epoch, self.history_, layer, quantity)
+                raise TrainingDivergedError(epoch, self.history_, layer, quantity, loss_finite)
             self.history_.append(diag)
             self.registry_.zero_grad()
             autograd.backward(loss)
@@ -432,14 +510,17 @@ class SpikingClassifier:
         Each spiking layer keeps only its spikes (:func:`neuron.mpe_psn_spikes`
         or :func:`neuron.lif_sequential`), so the logits are bit-identical to
         ``model_forward(x, "expectation")[0].value`` at a fraction of its
-        memory traffic.
+        memory traffic.  A layer whose current is not finite (finite input
+        can overflow) raises ValueError naming the layer.
         """
         self._check_fitted()
         o = check_input(x, "x")
-        for syn, v_th in zip(self.synapses_, self.v_ths_):
+        for i, (syn, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
             I = numerics.matmul(
                 _presynaptic(o, syn, self.synaptic_delay, neuron.shift_time), syn.W.value
             )
+            if not _all_finite(I):
+                raise ValueError(f"layer {i} current I has non-finite entries (NaN or Inf)")
             params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
                                          alpha=self.alpha)
             if self.neuron_kind == "mpe_psn":

@@ -15,7 +15,7 @@ import numpy as np
 
 from scipy.special import expit
 
-from .numerics import Array, Rng, ShapeMismatchError, WorkerPool
+from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool
 
 MODES = ("sampled", "expectation")
 
@@ -149,6 +149,8 @@ def mpe_psn_forward(
     mode: str = "sampled",
     rng: Rng | None = None,
     pool: WorkerPool | None = None,
+    *,
+    scratch: Scratch | None = None,
 ) -> ParallelTrace:
     """Parallel forward pass over all T time steps at once.
 
@@ -159,7 +161,9 @@ def mpe_psn_forward(
     no history (zero), so its output coincides with the sequential oracle
     exactly.  Work is split into flat index ranges over ``pool`` (one range
     without a pool); every range does the same elementwise arithmetic, so
-    the result is bit-identical for any worker count.
+    the result is bit-identical for any worker count.  The six arrays it
+    writes come from ``scratch`` when given (training reuses them from one
+    epoch to the next), else they are fresh.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -168,8 +172,9 @@ def mpe_psn_forward(
         raise ValueError("sampled mode requires an Rng")
     n = I.size
     flat_I = I.reshape(-1)
-    P, u_hat, h, u, o = (np.empty(n) for _ in range(5))
-    b = np.empty(n) if mode == "sampled" else P
+    scratch = Scratch() if scratch is None else scratch
+    P, u_hat, h, u, o = (scratch(name, (n,)) for name in ("P", "u_hat", "h", "u", "o"))
+    b = scratch("b", (n,)) if mode == "sampled" else P
     uniforms = rng.uniforms(n, pool) if mode == "sampled" else None
     map_ranges = pool.map_ranges if pool is not None else lambda size, fn: fn(0, size)
 
@@ -239,13 +244,3 @@ def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Arra
         )
     _, u, o = parallel_update(I, shift_time(u_true), params)
     return u, o
-
-
-def estimation_error(u_hat, u) -> Array:
-    """Per-element squared difference between estimate and corrected value."""
-    u_hat = np.asarray(u_hat, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if u_hat.shape != u.shape:
-        raise ShapeMismatchError(f"shapes {u_hat.shape} and {u.shape} differ")
-    d = u_hat - u
-    return d * d

@@ -78,6 +78,27 @@ class WorkerPool:
         self.close()
 
 
+class Scratch:
+    """Named float64 work arrays: the first request for a name allocates it,
+    later requests with the same shape return the same array.
+
+    What a caller reads from a scratch array is overwritten by the next call
+    that writes it, so one scratch serves a loop whose every pass is done
+    with the previous pass's arrays before it writes them again: the epochs
+    of one ``fit``, each of which discards its tape before the next
+    forward.  A fresh ``Scratch()`` per call allocates like ``np.empty``.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, Array] = {}
+
+    def __call__(self, name: str, shape: tuple) -> Array:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape)
+        return a
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mpepsn.autograd import Var, backward, parameter
+from mpepsn import autograd
+from mpepsn.autograd import Var, backward, finite_diff_check, parameter
 from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, total_loss
 from mpepsn.numerics import Rng, ShapeMismatchError
 
@@ -72,6 +73,41 @@ class TestMemLoss:
         u_hat = Var(np.array([[[1.0]], [[3.0]]]))
         backward(mem_loss(u_hat, np.zeros((2, 1, 1)), kappa, cfg))
         np.testing.assert_array_equal(kappa.grad, [1.0, 9.0])
+
+    @staticmethod
+    def elementwise_mem_loss(u_hat, u, kappa, cfg):
+        """The elementwise tape that the fused node replaces."""
+        d = u_hat - u
+        axes = (1, 2) if cfg.kappa_axis == "time" else (0, 1)
+        return autograd.vsum(kappa * autograd.vmean(d * d, axis=axes))
+
+    @pytest.mark.parametrize("axis", ["time", "neuron"])
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_fused_node_matches_elementwise_tape(self, axis, lam):
+        """Value and every gradient bit for bit, behind the blend that training uses."""
+        cfg = MemLossConfig(lam=lam, kappa_axis=axis)
+        r = Rng(31)
+        start = [r.spawn(k).uniform_tensor((5, 3, 4), -2, 2) for k in range(2)]
+        start.append(r.spawn(2).uniform_tensor((cfg.kappa_length(5, 4),), 0, 2))
+
+        def run(loss_fn):
+            u_hat, u, kappa = (parameter(value.copy()) for value in start)
+            loss = loss_fn(u_hat, u, kappa, cfg)
+            backward(total_loss(Var(np.asarray(0.5)), loss, lam))
+            return [loss.value, u_hat.grad, u.grad, kappa.grad]
+
+        for fused, tape in zip(run(mem_loss), run(self.elementwise_mem_loss)):
+            assert np.asarray(fused).tobytes() == np.asarray(tape).tobytes()
+
+    @pytest.mark.parametrize("axis", ["time", "neuron"])
+    def test_fused_node_matches_finite_differences(self, axis):
+        cfg = MemLossConfig(kappa_axis=axis)
+        r = Rng(32)
+        u_hat = parameter(r.spawn(0).uniform_tensor((3, 2, 4), -1, 1), name="u_hat")
+        u = parameter(r.spawn(1).uniform_tensor((3, 2, 4), -1, 1), name="u")
+        kappa = parameter(r.spawn(2).uniform_tensor((cfg.kappa_length(3, 4),), 0, 2), name="kappa")
+        rel, skipped = finite_diff_check(lambda: mem_loss(u_hat, u, kappa, cfg), [u_hat, u, kappa])
+        assert rel < 1e-6 and skipped == []
 
     def test_shape_mismatch_rejected(self):
         cfg = MemLossConfig()

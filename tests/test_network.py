@@ -14,7 +14,7 @@ from mpepsn.network import (
     synapse_forward,
     train,
 )
-from mpepsn.numerics import Rng, ShapeMismatchError
+from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
 
 def small_task(seed=42):
@@ -128,7 +128,9 @@ class TestFusedGradients:
 class TestFusedMatchesElementwiseTape:
     """The fused layers' gradients equal, bit for bit, those of the same
     forward built from elementwise tape ops, when each output has one
-    consumer outside the layer (as in SpikingClassifier)."""
+    consumer outside the layer (as in SpikingClassifier), whichever of the
+    outputs the loss reads (the in-place backward has a branch for each
+    gradient that is absent)."""
 
     def setup_method(self):
         r = Rng(21)
@@ -136,26 +138,41 @@ class TestFusedMatchesElementwiseTape:
         self.c_hat, self.c_u, self.c_o = (r.spawn(k).uniform_tensor(self.I.shape, -1, 1)
                                           for k in (1, 2, 3))
 
+    def mpe_psn_grads(self, fused, mode, read):
+        """Gradients of I and v_th for a loss over the outputs named in ``read``."""
+        I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
+        if fused:
+            tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, mode, Rng(9))
+            u_hat, u, o = tr.u_hat, tr.u, tr.o
+        else:
+            if mode == "sampled":
+                b = neuron.mpe_psn_forward(self.I, neuron.NeuronParams(), mode, Rng(9)).b
+                u_hat = Var(1.0 - b) * I
+            else:
+                u_hat = (1.0 - autograd.sigmoid(I)) * I
+            h = 0.25 * autograd.shift_time(u_hat) + I
+            o = autograd.spike(h, v_th, 1.0)
+            u = h * (1.0 - o)
+        terms = {"u_hat": vsum(u_hat * self.c_hat), "u": vsum(u * self.c_u),
+                 "o": vsum(o * self.c_o)}
+        first, *rest = read.split()
+        loss = terms[first]
+        for name in rest:
+            loss = loss + terms[name]
+        backward(loss)
+        return I.grad, v_th.grad
+
     @pytest.mark.parametrize("mode", ["sampled", "expectation"])
     def test_mpe_psn(self, mode):
-        def grads(fused):
-            I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
-            if fused:
-                tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, mode, Rng(9))
-                u_hat, u, o = tr.u_hat, tr.u, tr.o
-            else:
-                if mode == "sampled":
-                    b = neuron.mpe_psn_forward(self.I, neuron.NeuronParams(), mode, Rng(9)).b
-                    u_hat = Var(1.0 - b) * I
-                else:
-                    u_hat = (1.0 - autograd.sigmoid(I)) * I
-                h = 0.25 * autograd.shift_time(u_hat) + I
-                o = autograd.spike(h, v_th, 1.0)
-                u = h * (1.0 - o)
-            backward(vsum(u_hat * self.c_hat) + vsum(u * self.c_u) + vsum(o * self.c_o))
-            return I.grad, v_th.grad
+        for fused, elementwise in zip(self.mpe_psn_grads(True, mode, "u_hat u o"),
+                                      self.mpe_psn_grads(False, mode, "u_hat u o")):
+            np.testing.assert_array_equal(fused, elementwise)
 
-        for fused, elementwise in zip(grads(True), grads(False)):
+    @pytest.mark.parametrize("mode", ["sampled", "expectation"])
+    @pytest.mark.parametrize("read", ["u_hat", "u", "o", "u_hat o"])
+    def test_mpe_psn_reading_some_outputs(self, mode, read):
+        for fused, elementwise in zip(self.mpe_psn_grads(True, mode, read),
+                                      self.mpe_psn_grads(False, mode, read)):
             np.testing.assert_array_equal(fused, elementwise)
 
     def test_lif(self):
@@ -290,6 +307,31 @@ class TestSpikingClassifier:
             small_model(epochs=5).fit(x, tr.y)
         assert exc.value.epoch == 1 and exc.value.history == []
 
+    @pytest.mark.parametrize("overrides", [dict(neuron_kind="lif_sequential"), dict(lam=0.0)])
+    def test_non_finite_current_stops_training(self, overrides):
+        """No loss term reads a non-finite current here: the layer fires no
+        spike on NaN and the loss stays finite, so the current is checked."""
+        tr, _ = small_task()
+        x = np.sign(tr.x) * 1.5e308  # finite input whose first-layer currents overflow
+        with pytest.raises(TrainingDivergedError) as exc, np.errstate(all="ignore"):
+            small_model(epochs=5, **overrides).fit(x, tr.y)
+        assert (exc.value.layer, exc.value.quantity, exc.value.epoch) == (0, "current I", 1)
+        assert str(exc.value).startswith("non-finite current at epoch 1")
+
+        m = small_model(epochs=1, **overrides).fit(tr.x, tr.y)
+        with pytest.raises(ValueError, match="layer 0 current I has non-finite entries"), \
+                np.errstate(all="ignore"):
+            m.predict_logits(x)
+
+    def test_huge_finite_current_trains(self):
+        """Currents near 1e200 are finite although their squares overflow."""
+        tr, _ = small_task()
+        x = tr.x * 1e200
+        m = small_model(neuron_kind="lif_sequential", epochs=1).fit(x, tr.y)
+        assert np.isfinite(m.history_[0].loss_total)
+        m = small_model(neuron_kind="lif_sequential", epochs=1).fit(tr.x, tr.y)
+        assert np.all(np.isfinite(m.predict_logits(x)))
+
     def test_invalid_neuron_kind(self):
         tr, _ = small_task()
         with pytest.raises(ValueError):
@@ -307,6 +349,48 @@ class TestSpikingClassifier:
         d = m.history_[0]
         assert d.loss_total == d.loss_cls
         assert d.loss_mem > 0.0  # still reported for diagnostics
+
+
+class TestScratchScope:
+    """``fit`` reuses one set of work arrays per layer from epoch to epoch;
+    the arrays die with the call."""
+
+    def test_trace_outside_fit_is_never_overwritten(self):
+        tr, te = small_task()
+        m = small_model(epochs=2).fit(tr.x, tr.y)
+        logits, traces, _ = m.model_forward(te.x, "sampled", Rng(7))
+        held = [a.copy() for a in traces[0].values] + [logits.value.copy()]
+        m.model_forward(te.x, "sampled", Rng(8))
+        m.fit(te.x, te.y)
+        for before, after in zip(held, list(traces[0].values) + [logits.value]):
+            np.testing.assert_array_equal(before, after)
+
+    def test_back_to_back_fits_repeat(self):
+        tr, _ = small_task()
+        m = small_model(epochs=4)
+        first = [d.csv_row() for d in m.fit(tr.x, tr.y).history_]
+        assert [d.csv_row() for d in m.fit(tr.x, tr.y).history_] == first
+
+    def test_same_shaped_layers_match_fresh_arrays(self, monkeypatch):
+        """Two layers of one shape would clobber each other's arrays if they
+        shared a scratch; the reference fit hands each layer new arrays at
+        every epoch, as allocating each array afresh does."""
+        tr, _ = small_task()
+
+        def fit(model):
+            model.fit(tr.x, tr.y)
+            return ([d.csv_row() for d in model.history_],
+                    [model.registry_[name].value.tobytes() for name in model.registry_.names()])
+
+        reused = fit(small_model(hidden_sizes=(16, 16), epochs=4))
+        model_forward = SpikingClassifier.model_forward
+
+        def fresh_each_epoch(self, x, mode=None, rng=None, *, scratch=None):
+            scratch[:] = [Scratch() for _ in scratch]
+            return model_forward(self, x, mode, rng, scratch=scratch)
+
+        monkeypatch.setattr(SpikingClassifier, "model_forward", fresh_each_epoch)
+        assert fit(small_model(hidden_sizes=(16, 16), epochs=4)) == reused
 
 
 class TestNoTapeInference:

@@ -6,7 +6,6 @@ import pytest
 from mpepsn import neuron
 from mpepsn.neuron import (
     NeuronParams,
-    estimation_error,
     heaviside,
     lif_sequential,
     mpe_psn_forward,
@@ -211,24 +210,6 @@ class TestTeacherForced:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             teacher_forced_forward(np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), NeuronParams())
-
-
-class TestEstimationError:
-    def test_identity(self):
-        x = random_case(9)
-        np.testing.assert_array_equal(estimation_error(x, x), np.zeros_like(x))
-
-    def test_direct(self):
-        err = estimation_error(np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1)))
-        assert err.item() == 0.25
-
-    def test_symmetric(self):
-        a, b = random_case(10), random_case(10) * 0.5
-        np.testing.assert_array_equal(estimation_error(a, b), estimation_error(b, a))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            estimation_error(np.zeros((1, 1, 2)), np.zeros((1, 1, 3)))
 
 
 def test_parallel_update_history_mismatch():

@@ -59,8 +59,9 @@ def test_layer_wrappers_install_trace_and_uninstall():
         "network.tape_forward.mpe_psn", "network.tape_forward.lif", "network.diagnostics",
         "network.sgd_step", "network.predict",
     } <= spans
-    # one closed-form node (plus output views) per neuron layer
-    assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [26]
+    # one closed-form node (plus output views) per neuron layer, and one
+    # closed-form membrane-loss node per parallel layer
+    assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [20]
     assert tracer.samples["autograd.tape_nodes.lif"] == [15]
 
 
