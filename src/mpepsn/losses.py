@@ -40,6 +40,15 @@ class MemLossConfig:
         return np.full(self.kappa_length(T, N), float(self.kappa_init))
 
 
+_SQ_ERROR = "mem_loss.d2"
+
+
+def mem_loss_sq_error(scratch: Scratch, shape: tuple) -> Array:
+    """(u_hat - u_target) squared, as the last :func:`mem_loss` given
+    ``scratch`` formed it for inputs of ``shape``; KeyError if none did."""
+    return scratch.written(_SQ_ERROR, shape)
+
+
 def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
              scratch: Scratch | None = None) -> Var:
     """Kappa-weighted MSE between estimated and corrected membrane potential.
@@ -56,10 +65,9 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     ``vsum(kappa * vmean((u_hat - u_target) * (u_hat - u_target), axes))``:
     the same ops in the same order, the square's gradient d*G formed once
     and added to itself as the tape's two factors were.  With ``scratch``,
-    the difference d, its square (``network.diagnostics`` takes the L2 norm
-    from it) and the two [T, B, N] gradients live in its arrays
-    ``mem_loss.d``, ``mem_loss.d2``, ``mem_loss.g_u_hat`` and
-    ``mem_loss.g_u_target``; without, they are fresh.
+    the difference d, its square (read back by :func:`mem_loss_sq_error`)
+    and the two [T, B, N] gradients live in its arrays; without, they are
+    fresh.
     """
     u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
     if u_hat.shape != u_target.shape:
@@ -78,7 +86,7 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     mse_axes = (1, 2) if cfg.kappa_axis == "time" else (0, 1)
     scale = 1.0 / (shape[mse_axes[0]] * shape[mse_axes[1]])
     d = np.subtract(u_hat.value, u_target.value, out=scratch("mem_loss.d", shape))
-    d2 = np.multiply(d, d, out=scratch("mem_loss.d2", shape))
+    d2 = np.multiply(d, d, out=scratch(_SQ_ERROR, shape))
     per_index = np.sum(d2, axis=mse_axes) * scale
     value = np.sum(kappa.value * per_index)
 

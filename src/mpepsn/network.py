@@ -473,8 +473,17 @@ class SpikingClassifier:
                 for tr, kappa, sc in zip(traces, self.kappas_, scratch):
                     l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_,
                                                     scratch=sc)
-                sq_errors = [sc("mem_loss.d2", tr.u.shape) for tr, sc in zip(traces, scratch)]
+                sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
+                             for tr, sc in zip(traces, scratch)]
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
+            # Checked before scoring: predict_logits would raise ValueError on
+            # the same non-finite currents.
+            loss_finite = bool(np.isfinite(loss.value))
+            if not (loss_finite and all(_all_finite(I.value) for I in currents)):
+                kappas = self.kappas_ if self.neuron_kind == "mpe_psn" else ()
+                layer, quantity = _first_non_finite(currents, traces, kappas,
+                                                    self.mem_cfg_, l_cls)
+                raise TrainingDivergedError(epoch, self.history_, layer, quantity, loss_finite)
             l2_norms, rates, train_acc = diagnostics(
                 [LayerValues(tr.u_hat.value, tr.u.value, tr.o.value) for tr in traces],
                 logits.value, y, sq_errors,
@@ -490,12 +499,6 @@ class SpikingClassifier:
                 l2_norms=l2_norms,
                 spike_rates=rates,
             )
-            loss_finite = bool(np.isfinite(diag.loss_total))
-            if not (loss_finite and all(_all_finite(I.value) for I in currents)):
-                kappas = self.kappas_ if self.neuron_kind == "mpe_psn" else ()
-                layer, quantity = _first_non_finite(currents, traces, kappas,
-                                                    self.mem_cfg_, l_cls)
-                raise TrainingDivergedError(epoch, self.history_, layer, quantity, loss_finite)
             self.history_.append(diag)
             self.registry_.zero_grad()
             autograd.backward(loss)

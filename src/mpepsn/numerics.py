@@ -98,6 +98,14 @@ class Scratch:
             a = self._arrays[name] = np.empty(shape)
         return a
 
+    def written(self, name: str, shape: tuple) -> Array:
+        """The array an earlier call requested as ``name`` with ``shape``;
+        KeyError when there is none, so a reader never gets a fresh one."""
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            raise KeyError(f"no scratch array {name!r} of shape {shape}")
+        return a
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF

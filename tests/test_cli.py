@@ -168,6 +168,25 @@ class TestTrain:
         assert log.exists()
         assert len(log.read_text().splitlines()) >= 2
 
+    @pytest.mark.parametrize("flags", [(), ("--neuron-kind", "lif_sequential"),
+                                       ("--mem-loss", "off")])
+    def test_overflowing_currents_exit_1(self, capsys, tmp_path, flags):
+        """Finite input whose currents overflow is divergence, not a usage
+        error, although the held-out split overflows as well."""
+        from mpepsn import datagen
+
+        train_b, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=8))
+        train_b.x[:] = np.sign(train_b.x) * 1.5e308
+        path = tmp_path / "data.csv"
+        datagen.save(train_b, path)
+        log = tmp_path / "diverged.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "train", "--dataset", str(path), "--neurons", "8",
+                               "--out", str(log), *flags)
+        assert code == 1
+        assert "at epoch 1: first non-finite value in layer 0 current I" in err
+        assert not log.exists()  # no epoch finished
+
     def test_dataset_round_trip(self, capsys, tmp_path):
         from mpepsn import datagen
 

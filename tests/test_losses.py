@@ -5,8 +5,8 @@ import pytest
 
 from mpepsn import autograd
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter
-from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, total_loss
-from mpepsn.numerics import Rng, ShapeMismatchError
+from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, mem_loss_sq_error, total_loss
+from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
 
 class TestConfig:
@@ -98,6 +98,19 @@ class TestMemLoss:
 
         for fused, tape in zip(run(mem_loss), run(self.elementwise_mem_loss)):
             assert np.asarray(fused).tobytes() == np.asarray(tape).tobytes()
+
+    def test_sq_error_reads_back_the_loss_square(self):
+        cfg = MemLossConfig()
+        r = Rng(33)
+        u_hat, u = (r.spawn(k).uniform_tensor((3, 2, 4), -1, 1) for k in range(2))
+        scratch = Scratch()
+        with pytest.raises(KeyError):
+            mem_loss_sq_error(scratch, u.shape)
+        mem_loss(u_hat, u, cfg.init_kappa(3, 4), cfg, scratch=scratch)
+        sq = mem_loss_sq_error(scratch, u.shape)
+        assert sq.tobytes() == ((u_hat - u) * (u_hat - u)).tobytes()
+        with pytest.raises(KeyError):
+            mem_loss_sq_error(scratch, (3, 2, 5))
 
     @pytest.mark.parametrize("axis", ["time", "neuron"])
     def test_fused_node_matches_finite_differences(self, axis):

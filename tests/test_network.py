@@ -311,17 +311,23 @@ class TestSpikingClassifier:
     def test_non_finite_current_stops_training(self, overrides):
         """No loss term reads a non-finite current here: the layer fires no
         spike on NaN and the loss stays finite, so the current is checked."""
-        tr, _ = small_task()
+        tr, te = small_task()
         x = np.sign(tr.x) * 1.5e308  # finite input whose first-layer currents overflow
-        with pytest.raises(TrainingDivergedError) as exc, np.errstate(all="ignore"):
-            small_model(epochs=5, **overrides).fit(x, tr.y)
-        assert (exc.value.layer, exc.value.quantity, exc.value.epoch) == (0, "current I", 1)
-        assert str(exc.value).startswith("non-finite current at epoch 1")
+        # with held-out data too: its scoring comes after the check
+        for held_out in ((), (np.sign(te.x) * 1.5e308, te.y)):
+            with pytest.raises(TrainingDivergedError) as exc, np.errstate(all="ignore"):
+                small_model(epochs=5, **overrides).fit(x, tr.y, *held_out)
+            assert (exc.value.layer, exc.value.quantity, exc.value.epoch) == (0, "current I", 1)
+            assert str(exc.value).startswith("non-finite current at epoch 1")
 
         m = small_model(epochs=1, **overrides).fit(tr.x, tr.y)
         with pytest.raises(ValueError, match="layer 0 current I has non-finite entries"), \
                 np.errstate(all="ignore"):
             m.predict_logits(x)
+        # held-out data alone overflowing is bad input, not divergence
+        with pytest.raises(ValueError, match="layer 0 current I has non-finite entries"), \
+                np.errstate(all="ignore"):
+            small_model(epochs=1, **overrides).fit(tr.x, tr.y, np.sign(te.x) * 1.5e308, te.y)
 
     def test_huge_finite_current_trains(self):
         """Currents near 1e200 are finite although their squares overflow."""
