@@ -5,7 +5,10 @@ file outputs are written atomically (temp file + rename).  Defaults mirror
 the documented configuration (tau_m 0.25, lambda 0.01, alpha 1.0), so
 `verify` and `train` run it with zero flags.  Each subcommand accepts only
 the flags it reads: neuron constants go to `train` and `estimate`, the
-worker count to `bench`, and `verify` checks the default neuron.
+worker count to `bench`, and `verify` checks the default neuron.  The
+MPE_PSN_WORKERS environment variable (default: the usable cores) sizes the
+pool of `bench` without `--workers` and of every predict, which includes
+`train`'s held-out scoring; outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sequential vs parallel speed-ratio sweep")
     _add_common(p)
     p.add_argument("--workers", type=_int_list, default=None,
-                   help="comma-separated worker counts (falls back to MPE_PSN_WORKERS, then 1)")
+                   help="comma-separated worker counts (falls back to MPE_PSN_WORKERS, "
+                        "then the usable cores)")
     p.add_argument("--time-steps", type=_int_list, default=[1, 8, 32])
     p.add_argument("--neurons", type=_int_list, default=[1 << 10, 1 << 14, 1 << 18])
     p.add_argument("--batch", type=int, default=1)

@@ -116,17 +116,24 @@ def cls_loss(logits, labels) -> Var:
     labels = labels.astype(np.int64)
 
     z = logits.value
-    zmax = z.max(axis=2, keepdims=True)
-    ez = np.exp(z - zmax)
-    softmax = ez / ez.sum(axis=2, keepdims=True)
-    log_probs = (z - zmax) - np.log(ez.sum(axis=2, keepdims=True))
-    picked = log_probs[:, np.arange(B), labels]
+    rows = np.arange(B)
+    shifted = z - z.max(axis=2, keepdims=True)
+    ez = np.exp(shifted)
+    ez_sum = ez.sum(axis=2, keepdims=True)
+    softmax = ez / ez_sum
+    # the log-probability of the labelled class only, each entry formed by
+    # the same ops as the full log-softmax's; in place, so picked keeps the
+    # layout the fancy index gives it, which sets the summation order of
+    # the mean
+    picked = shifted[:, rows, labels]
+    picked -= np.log(ez_sum[:, :, 0])
     value = -picked.mean()
 
     def backward(g):
-        onehot = np.zeros_like(z)
-        onehot[:, np.arange(B), labels] = 1.0
-        return (g * (softmax - onehot) / (T * B),)
+        # softmax - onehot: subtracting 0.0 leaves the other entries as they are
+        d = softmax.copy()
+        d[:, rows, labels] -= 1.0
+        return (g * d / (T * B),)
 
     return Var(value, parents=(logits,), backward=backward)
 

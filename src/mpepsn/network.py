@@ -13,6 +13,7 @@ except that inputs are [T, B, N] temporal tensors rather than 2-D matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,6 +25,13 @@ from .losses import MemLossConfig
 from .numerics import Array, Rng, Scratch, ShapeMismatchError
 
 NEURON_KINDS = ("mpe_psn", "lif_sequential")
+
+# Columns (B * N) from which predict splits a layer's spikes-only pass over
+# the worker pool.  At T=8 on a 2-core VM, two workers (pool opened per
+# call) broke even with one at 2^14 columns, where starting the thread
+# costs about what the second core saves, and took 2.4-2.9 ms against
+# 3.1-3.5 at 2^15 and 8.1-8.7 against 15.0-15.2 at 2^17.
+POOL_MIN_COLUMNS = 1 << 15
 
 
 class TrainingDivergedError(RuntimeError):
@@ -264,15 +272,25 @@ def diagnostics(layers, logits: Array, labels,
     return l2_norms, rates, acc
 
 
+# Elements per dot product in _all_finite.  OpenBLAS spreads a dot product
+# of more than about 10 000 elements over its threads, and its helper thread
+# then busy-waits on another core for about 0.1 s (see numerics.matmul).
+FINITE_CHECK_SLICE = 8192
+
+
 def _all_finite(x: Array) -> bool:
     """True when every entry of ``x`` is finite, at the cost of one BLAS dot
-    product unless it overflows: a NaN or an infinity makes the sum of
-    squares non-finite, and only finite squares that overflow (entries
-    beyond about 1e154) need the elementwise test."""
+    product per slice of ``FINITE_CHECK_SLICE`` entries unless one
+    overflows: a NaN or an infinity makes the sum of squares non-finite,
+    and only finite squares that overflow (entries beyond about 1e154) need
+    the elementwise test."""
     flat = x.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.dot(flat, flat)
-    return bool(np.isfinite(squares)) or bool(np.all(np.isfinite(x)))
+        for lo in range(0, flat.size, FINITE_CHECK_SLICE):
+            part = flat[lo:lo + FINITE_CHECK_SLICE]
+            if not (math.isfinite(np.dot(part, part)) or np.all(np.isfinite(part))):
+                return False
+    return True
 
 
 def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | None, str]:
@@ -302,8 +320,8 @@ def check_input(x, name: str) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeMismatchError(f"{name}: expected [T, B, N] input, got shape {x.shape}")
-    bad = np.count_nonzero(~np.isfinite(x))
-    if bad:
+    if not _all_finite(x):
+        bad = np.count_nonzero(~np.isfinite(x))
         raise ValueError(f"{name} has {bad} non-finite entries (NaN or Inf)")
     return x
 
@@ -513,23 +531,28 @@ class SpikingClassifier:
         Each spiking layer keeps only its spikes (:func:`neuron.mpe_psn_spikes`
         or :func:`neuron.lif_sequential`), so the logits are bit-identical to
         ``model_forward(x, "expectation")[0].value`` at a fraction of its
-        memory traffic.  A layer whose current is not finite (finite input
-        can overflow) raises ValueError naming the layer.
+        memory traffic.  An MPE-PSN layer of at least ``POOL_MIN_COLUMNS``
+        columns (B * N) splits them over a :class:`numerics.WorkerPool` of
+        the default size, opened for this call; the logits are the same
+        for any worker count.  A layer whose current is not finite (finite
+        input can overflow) raises ValueError naming the layer.
         """
         self._check_fitted()
         o = check_input(x, "x")
-        for i, (syn, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
-            I = numerics.matmul(
-                _presynaptic(o, syn, self.synaptic_delay, neuron.shift_time), syn.W.value
-            )
-            if not _all_finite(I):
-                raise ValueError(f"layer {i} current I has non-finite entries (NaN or Inf)")
-            params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
-                                         alpha=self.alpha)
-            if self.neuron_kind == "mpe_psn":
-                o = neuron.mpe_psn_spikes(I, params)
-            else:
-                o = neuron.lif_sequential(I, params)[1]
+        with numerics.WorkerPool() as pool:
+            for i, (syn, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
+                I = numerics.matmul(
+                    _presynaptic(o, syn, self.synaptic_delay, neuron.shift_time), syn.W.value
+                )
+                if not _all_finite(I):
+                    raise ValueError(f"layer {i} current I has non-finite entries (NaN or Inf)")
+                params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
+                                             alpha=self.alpha)
+                if self.neuron_kind == "mpe_psn":
+                    big = I.shape[1] * I.shape[2] >= POOL_MIN_COLUMNS
+                    o = neuron.mpe_psn_spikes(I, params, pool if big else None)
+                else:
+                    o = neuron.lif_sequential(I, params)[1]
         return numerics.matmul(o, self.readout_.W.value)
 
     def predict(self, x) -> Array:

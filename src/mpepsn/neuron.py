@@ -209,24 +209,36 @@ def mpe_psn_forward(
     )
 
 
-def mpe_psn_spikes(I, params: NeuronParams) -> Array:
+def mpe_psn_spikes(I, params: NeuronParams, pool: WorkerPool | None = None) -> Array:
     """The spikes o of ``mpe_psn_forward(I, params, "expectation")``, and nothing else.
 
     The inference pass: it walks time one row at a time and keeps one row
     of estimate history, so it writes o and two row buffers instead of six
     [T, B, N] arrays, and it never forms the estimate of the last row,
     which nothing reads.  It runs the same estimate and update helpers as
-    :func:`mpe_psn_forward`, so o is bit-identical to that pass's.
+    :func:`mpe_psn_forward`, so o is bit-identical to that pass's.  Each of
+    the B * N columns depends only on its own earlier rows, so ``pool``
+    splits the columns into ranges (one range without a pool), each walking
+    all T rows with row buffers of its own; o is bit-identical for any
+    worker count.
     """
     I = _check_3d(I)
-    T = I.shape[0]
+    shape, T = I.shape, I.shape[0]
+    I = I.reshape(T, -1)
     o = np.empty_like(I)
-    u_hat, h = np.empty(I.shape[1:]), np.empty(I.shape[1:])
-    for t in range(T):
-        _update(u_hat if t else None, I[t], params, h, o[t])
-        if t + 1 < T:
-            _estimate(I[t], u_hat, u_hat, u_hat, None)
-    return o
+
+    def column_range(lo: int, hi: int) -> None:
+        u_hat, h = np.empty(hi - lo), np.empty(hi - lo)
+        for t in range(T):
+            _update(u_hat if t else None, I[t, lo:hi], params, h, o[t, lo:hi])
+            if t + 1 < T:
+                _estimate(I[t, lo:hi], u_hat, u_hat, u_hat, None)
+
+    if pool is None:
+        column_range(0, I.shape[1])
+    else:
+        pool.map_ranges(I.shape[1], column_range)
+    return o.reshape(shape)
 
 
 def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Array]:

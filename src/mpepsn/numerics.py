@@ -11,7 +11,7 @@ the operations in this module.  Two contracts matter throughout:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.special import expit
@@ -29,10 +29,19 @@ def _as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count to use, falling back to the MPE_PSN_WORKERS env var."""
+    """Worker count to use, falling back to the MPE_PSN_WORKERS env var, then
+    to the usable core count."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        env = os.environ.get(WORKERS_ENV_VAR)
+        workers = _usable_cores() if env is None else int(env)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -44,26 +53,32 @@ class WorkerPool:
     Partitioning is purely a performance measure: every operation routed
     through the pool is elementwise (or chunk-keyed for RNG), so results are
     bit-identical for any worker count.  numpy ufuncs release the GIL on
-    large blocks, which is where the concurrency comes from.
+    large blocks, which is where the concurrency comes from.  The calling
+    thread runs the first range itself, so a pool of ``workers`` starts at
+    most ``workers - 1`` threads.
     """
 
     def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
-        self._executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
+        self._executor = ThreadPoolExecutor(self.workers - 1) if self.workers > 1 else None
 
     def map_ranges(self, n: int, fn) -> None:
         """Call ``fn(lo, hi)`` over a partition of ``range(n)``."""
         if n <= 0:
             return
-        if self._executor is None or self.workers == 1:
+        if self._executor is None:
             fn(0, n)
             return
         per = -(-n // self.workers)  # ceil
         bounds = list(range(0, n, per)) + [n]
         futures = [
             self._executor.submit(fn, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
         ]
+        try:
+            fn(bounds[0], bounds[1])
+        finally:
+            wait(futures)  # no range may still be writing when this returns
         for f in futures:
             f.result()
 
@@ -136,6 +151,12 @@ class Rng:
         """Independent child stream keyed by (this stream, child_id)."""
         return Rng(self.seed, _splitmix64(self.stream ^ _splitmix64(child_id + 1)))
 
+    # Drawing a full chunk advances Philox's low counter word by CHUNK // 4
+    # (one step per four doubles); advancing by this wraps it back to 0 and
+    # carries one into the chunk index, where the next chunk's generator
+    # starts.
+    _NEXT_CHUNK = 2**64 - CHUNK // 4
+
     def _chunk_generator(self, call: int, chunk: int) -> np.random.Generator:
         counter = np.array([0, chunk, call, 0], dtype=np.uint64)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -149,10 +170,14 @@ class Rng:
         nchunks = -(-n // self.CHUNK)
 
         def work(lo: int, hi: int) -> None:
+            # one generator per range, advanced to each next chunk's counter:
+            # the same draws as a generator built per chunk, built once
+            gen = self._chunk_generator(call, lo)
             for c in range(lo, hi):
+                if c > lo:
+                    gen.bit_generator.advance(self._NEXT_CHUNK)
                 start = c * self.CHUNK
-                stop = min(start + self.CHUNK, n)
-                self._chunk_generator(call, c).random(out=out[start:stop])
+                gen.random(out=out[start:min(start + self.CHUNK, n)])
 
         if pool is None:
             work(0, nchunks)
@@ -166,18 +191,25 @@ class Rng:
         return (low + (high - low) * self.uniforms(n)).reshape(shape)
 
 
-# Rows per BLAS call.  One 32768-row product (a 4096-sample predict at T=8)
-# made OpenBLAS's second thread touch about 6 MB more packing buffer than
-# blocks of 4096 rows do, for no gain in speed.
-MATMUL_ROW_BLOCK = 4096
+# Row blocks of a BLAS product.  OpenBLAS spreads one call over its threads
+# once rows * K * N reaches 2^20 (it stays on one thread at 2^19), and its
+# helper thread then busy-waits on another core for about 0.1 s after the
+# call, which is a core the worker pool no longer has.  So a product is taken
+# in blocks of at most MATMUL_BLOCK_WORK multiply-adds, but never of fewer
+# than MATMUL_MIN_BLOCK_ROWS rows: a product with fewer rows (a weight
+# gradient, whose rows are a layer's width) stays one call, because splitting
+# those changed the last bits of some on this build, where blocks of 256 rows
+# and more left every training and predict product bit for bit as it was.
+MATMUL_BLOCK_WORK = 1 << 19
+MATMUL_MIN_BLOCK_ROWS = 256
 
 
 def matmul(a, b) -> Array:
     """Matrix product through BLAS; the hot path of training and inference.
 
     The leading operand may carry extra leading axes, which are flattened
-    into rows: the result is ``rows @ b`` (taken in blocks of
-    ``MATMUL_ROW_BLOCK`` rows) reshaped back, so it equals the product of
+    into rows: the result is ``rows @ b`` (taken in row blocks sized by
+    ``MATMUL_BLOCK_WORK``) reshaped back, so it equals the product of
     the flattened operand bit for bit.  BLAS picks its own
     blocking and summation order, which can depend on the operand shapes
     (a row's bits may change with the number of rows), on the CPU and on
@@ -197,8 +229,9 @@ def matmul(a, b) -> Array:
         )
     rows = a.reshape(-1, k)
     out = np.empty((rows.shape[0], b.shape[1]))
-    for lo in range(0, rows.shape[0], MATMUL_ROW_BLOCK):
-        hi = lo + MATMUL_ROW_BLOCK
+    block = max(MATMUL_BLOCK_WORK // max(k * b.shape[1], 1), MATMUL_MIN_BLOCK_ROWS)
+    for lo in range(0, rows.shape[0], block):
+        hi = lo + block
         np.matmul(rows[lo:hi], b, out=out[lo:hi])
     return out.reshape(*a.shape[:-1], b.shape[1])
 

@@ -213,7 +213,8 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
     :func:`_random_case` family, and over the first time step alone of each
     (T = 1, where the spikes-only pass forms no estimate),
     ``neuron.mpe_psn_spikes(I, p)`` equals
-    ``neuron.mpe_psn_forward(I, p, "expectation").o``.  Then on a small
+    ``neuron.mpe_psn_forward(I, p, "expectation").o``, run inline and with
+    its columns split over a pool of 3 workers (uneven ranges).  Then on a small
     fitted model of each neuron kind, with synaptic delay 0 and 1 and one or
     two hidden layers, ``predict_logits(x)`` equals
     ``model_forward(x, "expectation")[0].value``.
@@ -228,13 +229,15 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
         if len(res.details) < 5:
             res.details.append(f"{detail}, seed {seed}")
 
-    for trial in range(trials):
-        I, params = _random_case(rng, trial)
-        for case in (I, I[:1]):
-            o = neuron.mpe_psn_forward(case, params, "expectation").o
-            if not np.array_equal(neuron.mpe_psn_spikes(case, params), o):
-                fail(f"trial {trial}: shape {case.shape}")
-                break
+    with numerics.WorkerPool(3) as pool:
+        for trial in range(trials):
+            I, params = _random_case(rng, trial)
+            for case in (I, I[:1]):
+                o = neuron.mpe_psn_forward(case, params, "expectation").o
+                if not (np.array_equal(neuron.mpe_psn_spikes(case, params), o)
+                        and np.array_equal(neuron.mpe_psn_spikes(case, params, pool), o)):
+                    fail(f"trial {trial}: shape {case.shape}")
+                    break
     train, test = datagen.generate(datagen.DatasetSpec(time_steps=6, samples_per_class=8,
                                                        seed=seed))
     for kind, delay, hidden in models:

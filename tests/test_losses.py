@@ -155,6 +155,28 @@ class TestClsLoss:
         onehot[:, np.arange(2), labels] = 1.0
         np.testing.assert_allclose(logits.grad, (softmax - onehot) / 6.0, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_full_log_softmax_bit_for_bit(self, scale, seed, K):
+        # the formulation that forms every class's log-probability and
+        # subtracts a one-hot array, kept here as the reference
+        z = Rng(seed).uniform_tensor((8, 205, K), -3.0, 3.0) * scale
+        labels = (Rng(seed, stream=1).uniforms(205) * K).astype(np.int64)
+        T, B, _ = z.shape
+        zmax = z.max(axis=2, keepdims=True)
+        ez = np.exp(z - zmax)
+        softmax = ez / ez.sum(axis=2, keepdims=True)
+        log_probs = (z - zmax) - np.log(ez.sum(axis=2, keepdims=True))
+        onehot = np.zeros_like(z)
+        onehot[:, np.arange(B), labels] = 1.0
+        for g in (1.0, 0.99):
+            logits = parameter(z.copy())
+            loss = cls_loss(logits, labels)
+            backward(loss * g)
+            assert loss.value == -log_probs[:, np.arange(B), labels].mean()
+            assert np.array_equal(logits.grad, g * (softmax - onehot) / (T * B))
+
     def test_extreme_logits_finite(self):
         logits = np.full((2, 1, 3), 1e4)
         logits[:, 0, 0] = -1e4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpepsn import autograd, datagen, neuron
+from mpepsn import autograd, datagen, network, neuron, numerics
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
 from mpepsn.network import (
     EpochDiagnostics,
@@ -434,3 +434,91 @@ class TestNoTapeInference:
         m = small_model(epochs=1).fit(tr.x, tr.y)
         with pytest.raises(ShapeMismatchError, match="expects 16 inputs, got 3"):
             m.predict(np.zeros((8, 2, 3)))
+
+
+class TestPooledPredict:
+    """An MPE-PSN layer of at least ``POOL_MIN_COLUMNS`` columns splits its
+    spikes-only pass over a pool of ``MPE_PSN_WORKERS`` (default: the usable
+    cores); the logits must not depend on the worker count."""
+
+    @staticmethod
+    def count_pool_calls(monkeypatch):
+        calls = []
+        map_ranges = numerics.WorkerPool.map_ranges
+
+        def counted(pool, n, fn):
+            calls.append(pool.workers)
+            return map_ranges(pool, n, fn)
+
+        monkeypatch.setattr(numerics.WorkerPool, "map_ranges", counted)
+        return calls
+
+    @staticmethod
+    def logits_per_worker_count(monkeypatch, model, x):
+        out = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv(numerics.WORKERS_ENV_VAR, workers)
+            out.append(model.predict_logits(x))
+        return out
+
+    @pytest.mark.parametrize("kind", ["mpe_psn", "lif_sequential"])
+    @pytest.mark.parametrize("delay", [0, 1])
+    @pytest.mark.parametrize("hidden", [(8,), (8, 8)])
+    def test_logits_identical_across_worker_counts(self, monkeypatch, kind, delay, hidden):
+        tr, te = small_task()
+        m = small_model(hidden_sizes=hidden, neuron_kind=kind, synaptic_delay=delay,
+                        epochs=5).fit(tr.x, tr.y)
+        monkeypatch.setattr(network, "POOL_MIN_COLUMNS", 1)  # pool even these few columns
+        calls = self.count_pool_calls(monkeypatch)
+        one, *more = self.logits_per_worker_count(monkeypatch, m, te.x)
+        for logits in more:
+            assert logits.tobytes() == one.tobytes()
+        logits, _, _ = m.model_forward(te.x, "expectation")
+        assert one.tobytes() == logits.value.tobytes()
+        expected = [1, 2, 3] * len(hidden) if kind == "mpe_psn" else []
+        assert sorted(calls) == sorted(expected)
+
+    def test_large_predict_uses_the_pool(self, monkeypatch):
+        tr, _ = small_task()
+        m = small_model(hidden_sizes=(32,), epochs=5).fit(tr.x, tr.y)
+        B = network.POOL_MIN_COLUMNS // 32 + 5
+        x = (Rng(8).uniform_tensor((8, B, tr.x.shape[2]), 0, 1) < 0.3).astype(float)
+        calls = self.count_pool_calls(monkeypatch)
+        one, *more = self.logits_per_worker_count(monkeypatch, m, x)
+        assert calls == [1, 2, 3]
+        for logits in more:
+            assert logits.tobytes() == one.tobytes()
+
+    def test_small_predict_makes_no_pool_call(self, monkeypatch):
+        tr, te = small_task()
+        m = small_model(epochs=5).fit(tr.x, tr.y)
+        assert te.x.shape[1] * 16 < network.POOL_MIN_COLUMNS
+        calls = self.count_pool_calls(monkeypatch)
+        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "2")
+        m.predict(te.x)
+        assert calls == []
+
+
+class TestAllFinite:
+    def test_finds_a_bad_entry_in_any_slice(self):
+        n = 3 * network.FINITE_CHECK_SLICE + 5
+        x = Rng(2).uniform_tensor((n,), -1, 1)
+        assert network._all_finite(x)
+        for pos in (0, network.FINITE_CHECK_SLICE - 1, network.FINITE_CHECK_SLICE, n - 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                y = x.copy()
+                y[pos] = bad
+                assert not network._all_finite(y), (pos, bad)
+
+    def test_overflowing_squares_of_finite_entries_pass(self):
+        x = np.full((2, 3, network.FINITE_CHECK_SLICE), 1e200)
+        assert network._all_finite(x)
+        x[1, 2, 7] = np.nan
+        assert not network._all_finite(x)
+
+    def test_check_input_counts_every_bad_entry(self):
+        x = np.zeros((2, 3, network.FINITE_CHECK_SLICE))
+        x[0, 0, 0] = np.nan
+        x[1, 2, -1] = np.inf
+        with pytest.raises(ValueError, match="x has 2 non-finite entries"):
+            network.check_input(x, "x")

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +156,96 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(-1)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_advanced_generator_matches_one_per_chunk(self, workers):
+        # the reference builds a fresh generator for every chunk
+        C = Rng.CHUNK
+        r = Rng(7, stream=3)
+        with WorkerPool(workers) as pool:
+            for call, n in enumerate((1, C - 1, C, C + 1, 2 * C, 5 * C + 17)):
+                got = r.uniforms(n, pool)
+                ref = np.empty(n)
+                for c in range(-(-n // C)):
+                    r._chunk_generator(call, c).random(out=ref[c * C:(c + 1) * C])
+                assert np.array_equal(got, ref), (workers, n)
+
+
+class TestWorkerPool:
+    def test_every_index_once_before_return(self):
+        # more workers than cores and a short switch interval, so ranges
+        # interleave; each index must be written exactly once by return
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 5, 7, 1000):
+                hits = np.zeros(n, dtype=np.int64)
+                with WorkerPool(8) as pool:
+                    pool.map_ranges(n, lambda lo, hi: np.add.at(hits, np.arange(lo, hi), 1))
+                assert (hits == 1).all()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_caller_runs_the_first_range(self):
+        threads = {}
+
+        def record(lo, hi):
+            threads[lo] = threading.get_ident()
+
+        with WorkerPool(3) as pool:
+            pool.map_ranges(9, record)
+        assert sorted(threads) == [0, 3, 6]
+        assert threads[0] == threading.get_ident()
+
+    def test_range_error_raised_after_all_ranges_finish(self):
+        done = []
+
+        def work(lo, hi):
+            if lo == 0:
+                raise RuntimeError("range 0 failed")
+            threading.Event().wait(0.05)
+            done.append(lo)
+
+        with WorkerPool(3) as pool:
+            with pytest.raises(RuntimeError, match="range 0 failed"):
+                pool.map_ranges(3, work)
+            assert sorted(done) == [1, 2]
+
+
+class TestMatmulBlocks:
+    def rows_per_call(self, monkeypatch, a, b):
+        rows = []
+
+        class Numpy:
+            """numpy, with its matmul recording each call's row count."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(x, y, out=None):
+                rows.append(x.shape[0])
+                return np.matmul(x, y, out=out)
+
+        monkeypatch.setattr(numerics, "np", Numpy())
+        out = matmul(a, b)
+        monkeypatch.undo()
+        return rows, out
+
+    def test_blocks_stay_within_the_work_budget(self, monkeypatch):
+        a = (Rng(1).uniform_tensor((8, 4096, 16), 0, 1) < 0.3).astype(float)
+        b = Rng(2).uniform_tensor((16, 32), -1, 1)
+        rows, out = self.rows_per_call(monkeypatch, a, b)
+        assert sum(rows) == 8 * 4096 and len(rows) > 1
+        assert all(r * 16 * 32 <= numerics.MATMUL_BLOCK_WORK for r in rows)
+        np.testing.assert_array_equal(out, matmul(a, b))
+
+    def test_few_rows_stay_one_call(self, monkeypatch):
+        # a weight gradient's shape: rows are a layer's width
+        a = Rng(3).uniform_tensor((1640, 16), -1, 1).T
+        b = Rng(4).uniform_tensor((1640, 32), -1, 1)
+        rows, _ = self.rows_per_call(monkeypatch, a, b)
+        assert rows == [16]
+
 
 class TestReduce:
     def test_l2_norm(self):
@@ -182,6 +276,13 @@ class TestTensorCsv:
         path.write_text("# shape: 1,1,2\n1.0,oops\n")
         with pytest.raises(ValueError, match=":2"):
             load_tensor(path)
+
+
+def test_resolve_workers_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv(numerics.WORKERS_ENV_VAR, raising=False)
+    assert numerics.resolve_workers() == len(os.sched_getaffinity(0))
+    with WorkerPool() as pool:
+        assert pool.workers == len(os.sched_getaffinity(0))
 
 
 def test_resolve_workers_env(monkeypatch):
