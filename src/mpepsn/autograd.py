@@ -325,14 +325,8 @@ class ParamRegistry:
     def __getitem__(self, name: str) -> Var:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self):
         return list(self._params)
-
-    def variables(self):
-        return list(self._params.values())
 
     def zero_grad(self) -> None:
         for p in self._params.values():

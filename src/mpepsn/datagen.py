@@ -75,17 +75,12 @@ def generate(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     """Build the train/test batches (80/20 split, shuffled per seed)."""
     K, T, N = spec.n_classes, spec.time_steps, spec.n_features
     gen = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64)))
-    templates = _clean_signal(spec)
     B = K * spec.samples_per_class
-    x = np.empty((T, B, N))
-    y = np.empty(B, dtype=np.int64)
-    for idx in range(B):
-        k = idx % K
-        sample = templates[k].copy()
-        if spec.noise_std > 0:
-            sample += spec.noise_std * gen.standard_normal((T, N))
-        x[:, idx, :] = sample
-        y[idx] = k
+    y = np.arange(B, dtype=np.int64) % K
+    x = _clean_signal(spec)[y]  # [B, T, N]: sample i is of class i % K
+    if spec.noise_std > 0:
+        x += spec.noise_std * gen.standard_normal((B, T, N))
+    x = x.transpose(1, 0, 2)
     order = gen.permutation(B)
     x, y = x[:, order, :], y[order]
     n_train = int(round(0.8 * B))

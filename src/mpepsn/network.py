@@ -13,7 +13,6 @@ except that inputs are [T, B, N] temporal tensors rather than 2-D matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,10 +63,6 @@ class LinearSynapse:
     @property
     def n_in(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.W.shape[1]
 
 
 def synapse_forward(o_prev: Var, syn: LinearSynapse, delay: int = 0) -> Var:
@@ -272,25 +267,9 @@ def diagnostics(layers, logits: Array, labels,
     return l2_norms, rates, acc
 
 
-# Elements per dot product in _all_finite.  OpenBLAS spreads a dot product
-# of more than about 10 000 elements over its threads, and its helper thread
-# then busy-waits on another core for about 0.1 s (see numerics.matmul).
-FINITE_CHECK_SLICE = 8192
-
-
 def _all_finite(x: Array) -> bool:
-    """True when every entry of ``x`` is finite, at the cost of one BLAS dot
-    product per slice of ``FINITE_CHECK_SLICE`` entries unless one
-    overflows: a NaN or an infinity makes the sum of squares non-finite,
-    and only finite squares that overflow (entries beyond about 1e154) need
-    the elementwise test."""
-    flat = x.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, FINITE_CHECK_SLICE):
-            part = flat[lo:lo + FINITE_CHECK_SLICE]
-            if not (math.isfinite(np.dot(part, part)) or np.all(np.isfinite(part))):
-                return False
-    return True
+    """True when every entry of ``x`` is finite."""
+    return bool(np.isfinite(x).all())
 
 
 def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | None, str]:
@@ -304,7 +283,7 @@ def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | N
     """
     for i, (I, tr) in enumerate(zip(currents, traces)):
         for name, value in (("current I", I.value), ("u_hat", tr.u_hat.value)):
-            if not np.all(np.isfinite(value)):
+            if not _all_finite(value):
                 return i, name
         if i < len(kappas):
             term = losses.mem_loss(tr.u_hat, tr.u, kappas[i], mem_cfg)

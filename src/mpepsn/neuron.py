@@ -15,7 +15,7 @@ import numpy as np
 
 from scipy.special import expit
 
-from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool
+from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges
 
 MODES = ("sampled", "expectation")
 
@@ -176,14 +176,13 @@ def mpe_psn_forward(
     P, u_hat, h, u, o = (scratch(name, (n,)) for name in ("P", "u_hat", "h", "u", "o"))
     b = scratch("b", (n,)) if mode == "sampled" else P
     uniforms = rng.uniforms(n, pool) if mode == "sampled" else None
-    map_ranges = pool.map_ranges if pool is not None else lambda size, fn: fn(0, size)
 
     def estimate_range(lo: int, hi: int) -> None:
         sl = slice(lo, hi)
         _estimate(flat_I[sl], P[sl], b[sl], u_hat[sl],
                   None if uniforms is None else uniforms[sl])
 
-    map_ranges(n, estimate_range)
+    map_ranges(pool, n, estimate_range)
 
     stride = I.shape[1] * I.shape[2]
 
@@ -196,7 +195,7 @@ def mpe_psn_forward(
             _update(u_hat[mid - stride:hi - stride], flat_I[mid:hi], params,
                     h[mid:hi], o[mid:hi], u[mid:hi])
 
-    map_ranges(n, update_range)
+    map_ranges(pool, n, update_range)
     shape = I.shape
     return ParallelTrace(
         I=I,
@@ -234,10 +233,7 @@ def mpe_psn_spikes(I, params: NeuronParams, pool: WorkerPool | None = None) -> A
             if t + 1 < T:
                 _estimate(I[t, lo:hi], u_hat, u_hat, u_hat, None)
 
-    if pool is None:
-        column_range(0, I.shape[1])
-    else:
-        pool.map_ranges(I.shape[1], column_range)
+    map_ranges(pool, I.shape[1], column_range)
     return o.reshape(shape)
 
 

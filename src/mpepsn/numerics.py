@@ -41,42 +41,52 @@ def resolve_workers(workers: int | None = None) -> int:
     to the usable core count."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = _usable_cores() if env is None else int(env)
-    if workers < 1:
+        if env is None:
+            return _usable_cores()
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+    elif workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
 
 
 class WorkerPool:
-    """Thread pool that partitions flat index ranges across workers.
+    """Thread pool that splits ``range(n)`` into ``workers`` ranges: of
+    elements, of columns or of RNG chunks, as the caller's ``fn`` reads them.
 
-    Partitioning is purely a performance measure: every operation routed
-    through the pool is elementwise (or chunk-keyed for RNG), so results are
-    bit-identical for any worker count.  numpy ufuncs release the GIL on
-    large blocks, which is where the concurrency comes from.  The calling
-    thread runs the first range itself, so a pool of ``workers`` starts at
-    most ``workers - 1`` threads.
+    Splitting is purely a performance measure: every operation routed
+    through the pool gives each range's elements the same arithmetic (RNG
+    draws are chunk-keyed), so results are bit-identical for any worker
+    count.  numpy ufuncs release the GIL on large blocks, which is where the
+    concurrency comes from.  The calling thread runs the first range itself
+    and the pool's threads take the rest in turn.  The pool starts at most
+    ``min(workers, usable cores) - 1`` threads, since more would only take
+    turns on the same cores; ``workers`` still sets the number of ranges.
     """
 
     def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
-        self._executor = ThreadPoolExecutor(self.workers - 1) if self.workers > 1 else None
+        threads = min(self.workers, _usable_cores()) - 1
+        self._executor = ThreadPoolExecutor(threads) if threads > 0 else None
 
     def map_ranges(self, n: int, fn) -> None:
         """Call ``fn(lo, hi)`` over a partition of ``range(n)``."""
         if n <= 0:
             return
-        if self._executor is None:
-            fn(0, n)
-            return
         per = -(-n // self.workers)  # ceil
         bounds = list(range(0, n, per)) + [n]
-        futures = [
-            self._executor.submit(fn, lo, hi)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
+        ranges = list(zip(bounds[:-1], bounds[1:]))
+        if self._executor is None:
+            for lo, hi in ranges:
+                fn(lo, hi)
+            return
+        futures = [self._executor.submit(fn, lo, hi) for lo, hi in ranges[1:]]
         try:
-            fn(bounds[0], bounds[1])
+            fn(*ranges[0])
         finally:
             wait(futures)  # no range may still be writing when this returns
         for f in futures:
@@ -91,6 +101,15 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def map_ranges(pool: WorkerPool | None, n: int, fn) -> None:
+    """Call ``fn(lo, hi)`` over a partition of ``range(n)``: the pool's
+    ranges when there is a pool, else the one inline range ``fn(0, n)``."""
+    if pool is None:
+        fn(0, n)
+    else:
+        pool.map_ranges(n, fn)
 
 
 class Scratch:
@@ -179,10 +198,7 @@ class Rng:
                 start = c * self.CHUNK
                 gen.random(out=out[start:min(start + self.CHUNK, n)])
 
-        if pool is None:
-            work(0, nchunks)
-        else:
-            pool.map_ranges(nchunks, work)
+        map_ranges(pool, nchunks, work)
         return out
 
     def uniform_tensor(self, shape, low: float, high: float) -> Array:

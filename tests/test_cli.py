@@ -130,6 +130,12 @@ class TestTrain:
         assert run(capsys, *TRAIN_SMALL, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_integer_worker_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "abc")
+        code, _, err = run(capsys, *TRAIN_SMALL)
+        assert code == 2
+        assert f"{numerics.WORKERS_ENV_VAR} must be an integer >= 1, got 'abc'" in err
+
     def test_blas_thread_count_invariance(self, tmp_path):
         # numpy reads the BLAS thread cap at import, so each run needs its own
         # process.  The default widths (rows T*B = 1640, 16 -> 32 -> 2) give

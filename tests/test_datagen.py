@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,20 @@ class TestGenerate:
         train, test = generate(DatasetSpec())
         counts = np.bincount(np.concatenate([train.y, test.y]))
         np.testing.assert_array_equal(counts, [128, 128])
+
+
+    @pytest.mark.parametrize("spec, digest", [
+        (DatasetSpec(), "bcba9b814d1eca7b6fb75fa5399643b53f21ced300698dadb919b91cbd8655f9"),
+        (DatasetSpec(n_classes=3, pattern="phase-coded", seed=5),
+         "3be59d7d35a2f106c109996ff9adcd8103889bcacc635c419c3d0be25a742148"),
+    ])
+    def test_pinned_bytes(self, spec, digest):
+        # sha256 over x then y of the train batch, then of the test batch
+        h = hashlib.sha256()
+        for batch in generate(spec):
+            h.update(batch.x.tobytes())
+            h.update(batch.y.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestCentroidOracle:

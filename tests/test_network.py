@@ -500,25 +500,55 @@ class TestPooledPredict:
 
 
 class TestAllFinite:
+    N = 3 * 8192 + 5
+
     def test_finds_a_bad_entry_in_any_slice(self):
-        n = 3 * network.FINITE_CHECK_SLICE + 5
+        n = self.N
         x = Rng(2).uniform_tensor((n,), -1, 1)
         assert network._all_finite(x)
-        for pos in (0, network.FINITE_CHECK_SLICE - 1, network.FINITE_CHECK_SLICE, n - 1):
+        for pos in (0, n // 2, n - 1):
             for bad in (np.nan, np.inf, -np.inf):
                 y = x.copy()
                 y[pos] = bad
                 assert not network._all_finite(y), (pos, bad)
 
     def test_overflowing_squares_of_finite_entries_pass(self):
-        x = np.full((2, 3, network.FINITE_CHECK_SLICE), 1e200)
+        x = np.full((2, 3, self.N), 1e200)
         assert network._all_finite(x)
         x[1, 2, 7] = np.nan
         assert not network._all_finite(x)
 
     def test_check_input_counts_every_bad_entry(self):
-        x = np.zeros((2, 3, network.FINITE_CHECK_SLICE))
+        x = np.zeros((2, 3, self.N))
         x[0, 0, 0] = np.nan
         x[1, 2, -1] = np.inf
         with pytest.raises(ValueError, match="x has 2 non-finite entries"):
             network.check_input(x, "x")
+
+    def test_no_check_calls_numpy_dot(self, monkeypatch):
+        """The finiteness checks of inputs and currents run without BLAS."""
+        tr, te = small_task()
+        bad = np.zeros((2, 3, self.N))
+        bad[1, 1, 5] = -np.inf
+        overflowing = np.sign(tr.x) * 1.5e308
+
+        def results():
+            out = [network.check_input(tr.x, "x").tobytes()]
+            with pytest.raises(ValueError, match="x has 1 non-finite entries"):
+                network.check_input(bad, "x")
+            m = small_model(epochs=3).fit(tr.x, tr.y, te.x, te.y)
+            out += [d.csv_row() for d in m.history_]
+            out.append(m.predict_logits(te.x).tobytes())
+            with np.errstate(all="ignore"):
+                with pytest.raises(TrainingDivergedError) as err:
+                    small_model(epochs=3).fit(overflowing, tr.y)
+            out.append((err.value.layer, err.value.quantity))
+            return out
+
+        expected = results()
+
+        def no_dot(*args, **kwargs):
+            raise AssertionError("numpy.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        assert results() == expected

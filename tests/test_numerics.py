@@ -211,6 +211,34 @@ class TestWorkerPool:
             assert sorted(done) == [1, 2]
 
 
+    def test_threads_bounded_by_usable_cores(self):
+        # 16 ranges, each kept busy long enough for a thread per range to
+        # start if the pool allowed one; every index is still covered once
+        hits = np.zeros(16 * 5, dtype=np.int64)
+        extra = []
+        before = threading.active_count()
+
+        def work(lo, hi):
+            extra.append(threading.active_count() - before)
+            threading.Event().wait(0.02)
+            np.add.at(hits, np.arange(lo, hi), 1)
+
+        with WorkerPool(16) as pool:
+            pool.map_ranges(hits.size, work)
+        assert (hits == 1).all()
+        assert len(extra) == 16
+        assert max(extra) <= min(16, len(os.sched_getaffinity(0))) - 1
+
+
+    def test_one_core_runs_every_range_inline(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 1)
+        calls = []
+        with WorkerPool(3) as pool:
+            pool.map_ranges(9, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+        me = threading.get_ident()
+        assert calls == [(0, 3, me), (3, 6, me), (6, 9, me)]
+
+
 class TestMatmulBlocks:
     def rows_per_call(self, monkeypatch, a, b):
         rows = []
@@ -291,3 +319,10 @@ def test_resolve_workers_env(monkeypatch):
     assert numerics.resolve_workers(2) == 2
     with pytest.raises(ValueError):
         numerics.resolve_workers(0)
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "", "0"])
+def test_resolve_workers_env_error_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv(numerics.WORKERS_ENV_VAR, value)
+    with pytest.raises(ValueError, match=f"{numerics.WORKERS_ENV_VAR} must be .*{value!r}"):
+        numerics.resolve_workers()
