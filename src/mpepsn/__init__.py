@@ -9,7 +9,7 @@ synthetic datasets, and the speed benchmark.
 from .autograd import ParamRegistry, Var, backward, finite_diff_check, surrogate_grad
 from .datagen import DatasetSpec, LabeledBatch, generate
 from .losses import MemLossConfig, cls_loss, mem_loss, total_loss
-from .network import EpochDiagnostics, LinearSynapse, SpikingClassifier, train
+from .network import EpochDiagnostics, SpikingClassifier
 from .neuron import (
     NeuronParams,
     ParallelTrace,
@@ -25,7 +25,7 @@ __all__ = [
     "ParamRegistry", "Var", "backward", "finite_diff_check", "surrogate_grad",
     "DatasetSpec", "LabeledBatch", "generate",
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
-    "EpochDiagnostics", "LinearSynapse", "SpikingClassifier", "train",
+    "EpochDiagnostics", "SpikingClassifier",
     "NeuronParams", "ParallelTrace",
     "heaviside", "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes",
     "teacher_forced_forward",

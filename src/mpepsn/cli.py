@@ -8,7 +8,8 @@ the flags it reads: neuron constants go to `train` and `estimate`, the
 worker count to `bench`, and `verify` checks the default neuron.  The
 MPE_PSN_WORKERS environment variable (default: the usable cores) sizes the
 pool of `bench` without `--workers` and of every predict, which includes
-`train`'s held-out scoring; outputs do not depend on it.
+`train`'s held-out scoring (`train` checks it before its first epoch);
+outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-equivalence and gradient suites")
     _add_common(p)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--inject-fault", choices=verify.FAULTS, default=None,
-                   help=argparse.SUPPRESS)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("train", help="train the reference classifier")
@@ -123,7 +122,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
-    results = verify.run_all(args.trials, args.seed, args.inject_fault)
+    results = verify.run_all(args.trials, args.seed)
     for res in results:
         print(res.line())
         for d in res.details:
@@ -135,6 +134,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    numerics.resolve_workers()  # a bad MPE_PSN_WORKERS fails before any epoch runs
     if args.dataset:
         full = datagen.load(args.dataset)
         split = int(round(0.8 * full.batch_size))
@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     try:
-        history = network.train(model, train_batch, test_batch)
+        history = model.fit(train_batch.x, train_batch.y, test_batch.x, test_batch.y).history_
     except TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         history = err.history

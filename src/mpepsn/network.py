@@ -54,34 +54,25 @@ class TrainingDivergedError(RuntimeError):
         self.quantity = quantity
 
 
-@dataclass
-class LinearSynapse:
-    """Dense synaptic weights as a tape parameter."""
-
-    W: Var
-
-    @property
-    def n_in(self) -> int:
-        return self.W.shape[0]
-
-
-def synapse_forward(o_prev: Var, syn: LinearSynapse, delay: int = 0) -> Var:
-    """Input current from presynaptic spikes: I = W . o (same step or delayed).
+def synapse_forward(o_prev: Var, W: Var, delay: int = 0) -> Var:
+    """Input current from presynaptic spikes through dense weights W [n_in,
+    n_out]: I = W . o (same step or delayed).
 
     delay=1 uses the previous step's spikes with an empty history at t = 0.
     """
-    o_prev = _presynaptic(autograd.as_var(o_prev), syn, delay, autograd.shift_time)
-    return autograd.matmul(o_prev, syn.W)
+    o_prev = _presynaptic(autograd.as_var(o_prev), W, delay, autograd.shift_time)
+    return autograd.matmul(o_prev, W)
 
 
-def _presynaptic(o_prev, syn: LinearSynapse, delay: int, shift_time):
-    """``o_prev`` checked against the synapse's width, delayed by ``shift_time``
-    when ``delay`` is 1; shared by the tape forward and inference."""
+def _presynaptic(o_prev, W, delay: int, shift_time):
+    """``o_prev`` checked against the width of the weights ``W``, delayed by
+    ``shift_time`` when ``delay`` is 1; shared by the tape forward and
+    inference."""
     if delay not in (0, 1):
         raise ValueError(f"synaptic delay must be 0 or 1, got {delay}")
-    if o_prev.shape[-1] != syn.n_in:
+    if o_prev.shape[-1] != W.shape[0]:
         raise ShapeMismatchError(
-            f"synapse expects {syn.n_in} inputs, got {o_prev.shape[-1]}"
+            f"synapse expects {W.shape[0]} inputs, got {o_prev.shape[-1]}"
         )
     return shift_time(o_prev) if delay == 1 else o_prev
 
@@ -272,23 +263,21 @@ def _all_finite(x: Array) -> bool:
     return bool(np.isfinite(x).all())
 
 
-def _first_non_finite(currents, traces, kappas, mem_cfg, l_cls) -> tuple[int | None, str]:
+def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, str]:
     """(layer, quantity) of the first non-finite value in forward order.
 
-    Within a layer: its current I, then u_hat, then its membrane loss term,
-    recomputed here from the layer's trace and ``kappas`` (empty for LIF,
-    which has no such term).  With every layer finite, the classification
-    loss or, failing that, the blended total.  Called only once the loss or
-    a current is non-finite, so training never pays for the search.
+    Within a layer: its current I, then u_hat, then its membrane loss term
+    from ``mem_terms`` (empty for LIF, which has no such term).  With every
+    layer finite, the classification loss or, failing that, the blended
+    total.  Called only once the loss or a current is non-finite, so
+    training never pays for the search.
     """
     for i, (I, tr) in enumerate(zip(currents, traces)):
         for name, value in (("current I", I.value), ("u_hat", tr.u_hat.value)):
             if not _all_finite(value):
                 return i, name
-        if i < len(kappas):
-            term = losses.mem_loss(tr.u_hat, tr.u, kappas[i], mem_cfg)
-            if not np.isfinite(term.value):
-                return i, "membrane loss term"
+        if i < len(mem_terms) and not np.isfinite(mem_terms[i].value):
+            return i, "membrane loss term"
     if not np.isfinite(l_cls.value):
         return None, "classification loss"
     return None, "total loss"
@@ -397,8 +386,7 @@ class SpikingClassifier:
             bound = float(np.sqrt(1.0 / np_))
             W = Var(init_rng.spawn(2 * i + 1).uniform_tensor((np_, n), -bound, bound))
             self.registry_.register(f"w_{i}", W)
-            syn = LinearSynapse(W=W)
-            self.synapses_.append(syn)
+            self.synapses_.append(W)
             v_th = Var(np.asarray(float(self.v_th_init)))
             self.registry_.register(f"v_th_{i}", v_th)
             self.v_ths_.append(v_th)
@@ -407,8 +395,7 @@ class SpikingClassifier:
             self.kappas_.append(kappa)
         bound = float(np.sqrt(1.0 / widths[-1]))
         W_out = Var(init_rng.spawn(999).uniform_tensor((widths[-1], n_classes), -bound, bound))
-        self.registry_.register("w_out", W_out)
-        self.readout_ = LinearSynapse(W=W_out)
+        self.readout_ = self.registry_.register("w_out", W_out)
 
     # -- forward ------------------------------------------------------------
 
@@ -426,8 +413,8 @@ class SpikingClassifier:
         traces: list[TapeTrace] = []
         currents: list[Var] = []
         o_prev = x
-        for i, syn in enumerate(self.synapses_):
-            I = synapse_forward(o_prev, syn, self.synaptic_delay)
+        for i, W in enumerate(self.synapses_):
+            I = synapse_forward(o_prev, W, self.synaptic_delay)
             currents.append(I)
             if self.neuron_kind == "mpe_psn":
                 layer_rng = rng.spawn(i) if rng is not None else None
@@ -464,22 +451,19 @@ class SpikingClassifier:
             logits, traces, currents = self.model_forward(x, self.mode, sample_rng,
                                                           scratch=scratch)
             l_cls = losses.cls_loss(logits, y)
-            l_mem = Var(np.asarray(0.0))
-            sq_errors = None
+            mem_terms, sq_errors = [], None
             if self.neuron_kind == "mpe_psn":
-                for tr, kappa, sc in zip(traces, self.kappas_, scratch):
-                    l_mem = l_mem + losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_,
-                                                    scratch=sc)
+                mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_, scratch=sc)
+                             for tr, kappa, sc in zip(traces, self.kappas_, scratch)]
                 sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
                              for tr, sc in zip(traces, scratch)]
+            l_mem = sum(mem_terms, Var(np.asarray(0.0)))
             loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
             # Checked before scoring: predict_logits would raise ValueError on
             # the same non-finite currents.
             loss_finite = bool(np.isfinite(loss.value))
             if not (loss_finite and all(_all_finite(I.value) for I in currents)):
-                kappas = self.kappas_ if self.neuron_kind == "mpe_psn" else ()
-                layer, quantity = _first_non_finite(currents, traces, kappas,
-                                                    self.mem_cfg_, l_cls)
+                layer, quantity = _first_non_finite(currents, traces, mem_terms, l_cls)
                 raise TrainingDivergedError(epoch, self.history_, layer, quantity, loss_finite)
             l2_norms, rates, train_acc = diagnostics(
                 [LayerValues(tr.u_hat.value, tr.u.value, tr.o.value) for tr in traces],
@@ -519,9 +503,9 @@ class SpikingClassifier:
         self._check_fitted()
         o = check_input(x, "x")
         with numerics.WorkerPool() as pool:
-            for i, (syn, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
+            for i, (W, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
                 I = numerics.matmul(
-                    _presynaptic(o, syn, self.synaptic_delay, neuron.shift_time), syn.W.value
+                    _presynaptic(o, W.value, self.synaptic_delay, neuron.shift_time), W.value
                 )
                 if not _all_finite(I):
                     raise ValueError(f"layer {i} current I has non-finite entries (NaN or Inf)")
@@ -532,7 +516,7 @@ class SpikingClassifier:
                     o = neuron.mpe_psn_spikes(I, params, pool if big else None)
                 else:
                     o = neuron.lif_sequential(I, params)[1]
-        return numerics.matmul(o, self.readout_.W.value)
+        return numerics.matmul(o, self.readout_.value)
 
     def predict(self, x) -> Array:
         logits = self.predict_logits(x)
@@ -544,13 +528,3 @@ class SpikingClassifier:
     def _check_fitted(self) -> None:
         if not hasattr(self, "registry_"):
             raise RuntimeError("this SpikingClassifier instance is not fitted yet")
-
-
-def train(model: SpikingClassifier, train_batch, test_batch=None):
-    """Fit ``model`` on a labeled batch and return the per-epoch diagnostics."""
-    if test_batch is not None:
-        model.fit(train_batch.x, train_batch.y, test_batch.x, test_batch.y)
-    else:
-        model.fit(train_batch.x, train_batch.y)
-    return model.history_
-

@@ -86,9 +86,9 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
 
     ``u_hist`` None is the zero history of step 0; ``u`` None skips the
     reset, for a pass that keeps only spikes.  The MPE-PSN passes and
-    :func:`parallel_update` call this one function, so they fire on the same
-    bits of h; :func:`lif_sequential` keeps its own arithmetic, as the
-    independent oracle they are checked against.
+    :func:`teacher_forced_forward` call this one function, so they fire on
+    the same bits of h; :func:`lif_sequential` keeps its own arithmetic, as
+    the independent oracle they are checked against.
     """
     if u_hist is None:
         h[...] = 0.0
@@ -118,22 +118,6 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
         u[t] = h * (1.0 - o[t])
         u_prev = u[t]
     return u, o
-
-
-def parallel_update(I: Array, u_hist: Array, params: NeuronParams) -> tuple[Array, Array, Array]:
-    """One-shot update for all time steps given a (shifted) membrane history.
-
-    ``u_hist[t]`` stands in for the membrane potential at t-1; every row is
-    independent of the others, so depth along T is constant.
-    Returns (h, u, o).
-    """
-    if u_hist.shape != I.shape:
-        raise ShapeMismatchError(
-            f"history shape {u_hist.shape} does not match input {I.shape}"
-        )
-    h, u, o = np.empty_like(I), np.empty_like(I), np.empty_like(I)
-    _update(u_hist, I, params, h, o, u)
-    return h, u, o
 
 
 def shift_time(x: Array) -> Array:
@@ -250,5 +234,6 @@ def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Arra
         raise ShapeMismatchError(
             f"oracle membrane shape {u_true.shape} does not match input {I.shape}"
         )
-    _, u, o = parallel_update(I, shift_time(u_true), params)
+    h, u, o = np.empty_like(I), np.empty_like(I), np.empty_like(I)
+    _update(shift_time(u_true), I, params, h, o, u)
     return u, o

@@ -16,8 +16,6 @@ from . import autograd, datagen, network, neuron, numerics
 from .autograd import Var
 from .numerics import Rng
 
-FAULTS = ("u0-shift",)
-
 
 @dataclass
 class CheckResult:
@@ -38,6 +36,12 @@ class CheckResult:
             out += f", max_err={self.max_err:.3g}"
         return out
 
+    def fail(self, detail: str) -> None:
+        """Count one failure; keep the first five details."""
+        self.failures += 1
+        if len(self.details) < 5:
+            self.details.append(detail)
+
     def csv_row(self) -> str:
         return f"{self.name},{self.trials},{self.failures},{format(self.max_err, '.17g')},{'pass' if self.passed else 'fail'}"
 
@@ -56,26 +60,16 @@ def _random_case(rng: Rng, trial: int):
     return I, neuron.NeuronParams()
 
 
-def check_t0_exactness(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) -> CheckResult:
+def check_t0_exactness(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Row 0 of the parallel pass must equal the sequential oracle exactly."""
-    if inject_fault is not None and inject_fault not in FAULTS:
-        raise ValueError(f"unknown fault {inject_fault!r}")
     rng = Rng(seed, stream=101)
     res = CheckResult("t0_exactness", trials, 0)
     for trial in range(trials):
         I, params = _random_case(rng, trial)
         u_seq, o_seq = neuron.lif_sequential(I, params)
         tr = neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(10_000 + trial))
-        u, o = tr.u, tr.o
-        if inject_fault == "u0-shift":
-            # test hook: mis-set the t=0 history to the estimate instead of 0
-            hist = neuron.shift_time(tr.u_hat)
-            hist[0] = tr.u_hat[0]
-            _, u, o = neuron.parallel_update(I, hist, params)
-        if not (np.array_equal(u[0], u_seq[0]) and np.array_equal(o[0], o_seq[0])):
-            res.failures += 1
-            if len(res.details) < 5:
-                res.details.append(f"trial {trial}: shape {I.shape}, seed {seed}")
+        if not (np.array_equal(tr.u[0], u_seq[0]) and np.array_equal(tr.o[0], o_seq[0])):
+            res.fail(f"trial {trial}: shape {I.shape}, seed {seed}")
     return res
 
 
@@ -88,9 +82,7 @@ def check_teacher_forced(trials: int = 1000, seed: int = 0) -> CheckResult:
         u_seq, o_seq = neuron.lif_sequential(I, params)
         u, o = neuron.teacher_forced_forward(I, u_seq, params)
         if not (np.array_equal(u, u_seq) and np.array_equal(o, o_seq)):
-            res.failures += 1
-            if len(res.details) < 5:
-                res.details.append(f"trial {trial}: shape {I.shape}, seed {seed}")
+            res.fail(f"trial {trial}: shape {I.shape}, seed {seed}")
     return res
 
 
@@ -110,9 +102,7 @@ def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
             and np.all(np.isin(o_seq, (0.0, 1.0)))
         )
         if not ok:
-            res.failures += 1
-            if len(res.details) < 5:
-                res.details.append(f"trial {trial}: shape {I.shape}, seed {seed}")
+            res.fail(f"trial {trial}: shape {I.shape}, seed {seed}")
     return res
 
 
@@ -143,9 +133,7 @@ def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: f
         rel, skipped = autograd.finite_diff_check(fn, params, step)
         res.max_err = max(res.max_err, rel)
         if rel >= tol or skipped:
-            res.failures += 1
-            if len(res.details) < 5:
-                res.details.append(f"graph {trial}: rel={rel:.3g}, skipped={skipped}")
+            res.fail(f"graph {trial}: rel={rel:.3g}, skipped={skipped}")
     return res
 
 
@@ -157,10 +145,9 @@ def check_surrogate_chain() -> CheckResult:
     o = autograd.spike(w * x, v_th, alpha=1.0)
     autograd.backward(o)
     got = float(np.asarray(w.grad))
-    res = CheckResult("surrogate_chain_hand_value", 1, 0 if got == 0.8 else 1)
-    if res.failures:
-        res.details.append(f"expected 0.8, got {got!r}")
-    res.max_err = abs(got - 0.8)
+    res = CheckResult("surrogate_chain_hand_value", 1, 0, max_err=abs(got - 0.8))
+    if got != 0.8:
+        res.fail(f"expected 0.8, got {got!r}")
     return res
 
 
@@ -199,9 +186,7 @@ def check_matmul_vs_fixed_order(trials: int = 1000, seed: int = 0) -> CheckResul
             ratio = float(np.max(np.where(err == 0.0, 0.0, err / bound)))
         res.max_err = max(res.max_err, ratio)
         if not ratio <= 1.0:
-            res.failures += 1
-            if len(res.details) < 5:
-                res.details.append(f"trial {trial}: shape {m}x{k}x{n}, err/bound={ratio:.3g}, seed {seed}")
+            res.fail(f"trial {trial}: shape {m}x{k}x{n}, err/bound={ratio:.3g}, seed {seed}")
     return res
 
 
@@ -224,11 +209,6 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
               for delay in (0, 1) for hidden in ((8,), (8, 8))]
     res = CheckResult("inference_vs_training_forward", trials + len(models), 0)
 
-    def fail(detail: str) -> None:
-        res.failures += 1
-        if len(res.details) < 5:
-            res.details.append(f"{detail}, seed {seed}")
-
     with numerics.WorkerPool(3) as pool:
         for trial in range(trials):
             I, params = _random_case(rng, trial)
@@ -236,7 +216,7 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
                 o = neuron.mpe_psn_forward(case, params, "expectation").o
                 if not (np.array_equal(neuron.mpe_psn_spikes(case, params), o)
                         and np.array_equal(neuron.mpe_psn_spikes(case, params, pool), o)):
-                    fail(f"trial {trial}: shape {case.shape}")
+                    res.fail(f"trial {trial}: shape {case.shape}, seed {seed}")
                     break
     train, test = datagen.generate(datagen.DatasetSpec(time_steps=6, samples_per_class=8,
                                                        seed=seed))
@@ -246,15 +226,15 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
         model.fit(train.x, train.y)
         logits, _, _ = model.model_forward(test.x, "expectation")
         if not np.array_equal(model.predict_logits(test.x), logits.value):
-            fail(f"{kind} model, synaptic delay {delay}, hidden sizes {hidden}")
+            res.fail(f"{kind} model, synaptic delay {delay}, hidden sizes {hidden}, seed {seed}")
     return res
 
 
-def run_all(trials: int = 1000, seed: int = 0, inject_fault: str | None = None) -> list[CheckResult]:
+def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return [
-        check_t0_exactness(trials, seed, inject_fault),
+        check_t0_exactness(trials, seed),
         check_teacher_forced(trials, seed),
         check_reset_law(min(trials, 200), seed),
         check_gradients(100, seed),

@@ -1,0 +1,17 @@
+import pytest
+
+from mpepsn import neuron
+
+
+@pytest.fixture
+def t0_fault(monkeypatch):
+    """A parallel forward whose row 0 reads its own estimate as history
+    instead of the zero history; every later row is left as computed."""
+    forward = neuron.mpe_psn_forward
+
+    def faulty(I, params, *args, **kwargs):
+        tr = forward(I, params, *args, **kwargs)
+        neuron._update(tr.u_hat[0], tr.I[0], params, tr.h[0], tr.o[0], tr.u[0])
+        return tr
+
+    monkeypatch.setattr(neuron, "mpe_psn_forward", faulty)

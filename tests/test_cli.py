@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mpepsn import cli, numerics
+from mpepsn.network import SpikingClassifier
 from mpepsn.numerics import save_tensor
 
 
@@ -24,7 +25,7 @@ TRAIN_SMALL = (
 
 # every option of every subcommand, with a value that parses
 KEPT = {
-    "verify": {"--seed": "1", "--out": "o.csv", "--trials": "3", "--inject-fault": "u0-shift"},
+    "verify": {"--seed": "1", "--out": "o.csv", "--trials": "3"},
     "train": {
         "--seed": "1", "--out": "o.csv", "--tau-m": "0.5", "--v-th-init": "0.9",
         "--alpha": "2", "--mode": "expectation", "--time-steps": "4", "--neurons": "8",
@@ -45,7 +46,7 @@ KEPT = {
 # neuron and worker flags a subcommand would ignore, so it rejects them
 REMOVED = {
     "verify": {"--tau-m": "0.5", "--v-th-init": "0.9", "--alpha": "3", "--workers": "7",
-               "--mode": "expectation"},
+               "--mode": "expectation", "--inject-fault": "u0-shift"},
     "train": {"--workers": "2"},
     "bench": {"--tau-m": "0.9", "--v-th-init": "0.9", "--alpha": "3", "--mode": "expectation"},
     "estimate": {"--alpha": "3", "--workers": "2"},
@@ -75,7 +76,7 @@ def test_flag_table_covers_every_option():
     for command, p in sub.choices.items():
         flags = {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
         assert flags == set(KEPT[command])
-    assert sum(map(len, KEPT.values())) == 40
+    assert sum(map(len, KEPT.values())) == 39
 
 
 class TestVerify:
@@ -90,8 +91,8 @@ class TestVerify:
         assert csv[0] == "check,trials,failures,max_err,status"
         assert len(csv) == 8
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--trials", "25", "--inject-fault", "u0-shift")
+    def test_injected_fault_fails(self, capsys, t0_fault):
+        code, out, _ = run(capsys, "verify", "--trials", "25")
         assert code == 1
         assert "FAIL t0_exactness" in out
 
@@ -135,6 +136,16 @@ class TestTrain:
         code, _, err = run(capsys, *TRAIN_SMALL)
         assert code == 2
         assert f"{numerics.WORKERS_ENV_VAR} must be an integer >= 1, got 'abc'" in err
+
+    def test_bad_worker_env_fails_before_training(self, capsys, monkeypatch):
+        def forward(*args, **kwargs):
+            raise AssertionError("model_forward ran")
+
+        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "abc")
+        monkeypatch.setattr(SpikingClassifier, "model_forward", forward)
+        code, _, err = run(capsys, *TRAIN_SMALL)
+        assert code == 2
+        assert numerics.WORKERS_ENV_VAR in err
 
     def test_blas_thread_count_invariance(self, tmp_path):
         # numpy reads the BLAS thread cap at import, so each run needs its own

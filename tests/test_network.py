@@ -5,14 +5,12 @@ from mpepsn import autograd, datagen, network, neuron, numerics
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
 from mpepsn.network import (
     EpochDiagnostics,
-    LinearSynapse,
     SpikingClassifier,
     TrainingDivergedError,
     accuracy,
     lif_tape_forward,
     mpe_psn_tape_forward,
     synapse_forward,
-    train,
 )
 from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
@@ -30,26 +28,22 @@ def small_model(**overrides):
 
 class TestSynapse:
     def test_direct(self):
-        syn = LinearSynapse(W=Var(np.array([[2.0], [3.0]])))
-        out = synapse_forward(np.array([[[1.0, 1.0]]]), syn)
+        out = synapse_forward(np.array([[[1.0, 1.0]]]), Var(np.array([[2.0], [3.0]])))
         np.testing.assert_array_equal(out.value, [[[5.0]]])
 
     def test_delay_shifts_spikes(self):
-        syn = LinearSynapse(W=Var(np.eye(2)))
         o = np.arange(8.0).reshape(4, 1, 2)
-        out = synapse_forward(o, syn, delay=1)
+        out = synapse_forward(o, Var(np.eye(2)), delay=1)
         np.testing.assert_array_equal(out.value[0], 0.0)
         np.testing.assert_array_equal(out.value[1:], o[:-1])
 
     def test_invalid_delay(self):
-        syn = LinearSynapse(W=Var(np.eye(2)))
         with pytest.raises(ValueError):
-            synapse_forward(np.zeros((1, 1, 2)), syn, delay=2)
+            synapse_forward(np.zeros((1, 1, 2)), Var(np.eye(2)), delay=2)
 
     def test_width_mismatch(self):
-        syn = LinearSynapse(W=Var(np.eye(2)))
         with pytest.raises(ShapeMismatchError):
-            synapse_forward(np.zeros((1, 1, 3)), syn)
+            synapse_forward(np.zeros((1, 1, 3)), Var(np.eye(2)))
 
 
 class TestTapeForward:
@@ -278,7 +272,7 @@ class TestSpikingClassifier:
     def test_history_records_every_epoch(self):
         tr, te = small_task()
         m = small_model(epochs=4)
-        history = train(m, tr, te)
+        history = m.fit(tr.x, tr.y, te.x, te.y).history_
         assert [d.epoch for d in history] == [1, 2, 3, 4]
         assert all(np.isfinite(d.test_acc) for d in history)
         assert all(len(d.l2_norms) == 1 and len(d.spike_rates) == 1 for d in history)

@@ -9,7 +9,6 @@ from mpepsn.neuron import (
     heaviside,
     lif_sequential,
     mpe_psn_forward,
-    parallel_update,
     teacher_forced_forward,
 )
 from mpepsn.numerics import Rng, ShapeMismatchError, WorkerPool
@@ -131,7 +130,7 @@ class TestParallelForward:
 
     def test_threshold_tie_fires_in_every_forward(self):
         # h == v_th exactly fires and resets, as in the oracle: at t = 0 from
-        # the current alone, and in parallel_update from 0.25 * 2.0 + 0.5
+        # the current alone, and under teacher forcing from 0.25 * 2.0 + 0.5
         I, p = as3d([1.0, 0.5]), NeuronParams()
         u_seq, o_seq = lif_sequential(I, p)
         assert (o_seq[0].item(), u_seq[0].item()) == (1.0, 0.0)
@@ -139,8 +138,8 @@ class TestParallelForward:
             tr = mpe_psn_forward(I, p, mode, Rng(0))
             assert (tr.o[0].item(), tr.u[0].item()) == (1.0, 0.0)
         assert neuron.mpe_psn_spikes(I, p)[0].item() == 1.0
-        h, u, o = parallel_update(as3d([0.5]), as3d([2.0]), p)
-        assert (h.item(), o.item(), u.item()) == (1.0, 1.0, 0.0)
+        u, o = teacher_forced_forward(as3d([0.0, 0.5]), as3d([2.0, 0.0]), p)
+        assert (o[1].item(), u[1].item()) == (1.0, 0.0)
 
     def test_reset_law(self):
         I = random_case(3)
@@ -210,8 +209,3 @@ class TestTeacherForced:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             teacher_forced_forward(np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), NeuronParams())
-
-
-def test_parallel_update_history_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        parallel_update(np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), NeuronParams())

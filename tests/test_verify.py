@@ -26,14 +26,10 @@ class TestChecks:
     def test_t0_exactness_clean(self):
         assert verify.check_t0_exactness(trials=50).passed
 
-    def test_t0_exactness_fault_detected(self):
-        res = verify.check_t0_exactness(trials=50, inject_fault="u0-shift")
+    def test_t0_exactness_fault_detected(self, t0_fault):
+        res = verify.check_t0_exactness(trials=50)
         assert res.failures > 0
         assert res.details
-
-    def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError):
-            verify.check_t0_exactness(trials=5, inject_fault="w-flip")
 
     def test_teacher_forced(self):
         assert verify.check_teacher_forced(trials=50).passed
@@ -90,8 +86,8 @@ class TestRunAll:
         with pytest.raises(ValueError):
             verify.run_all(trials=0)
 
-    def test_fault_propagates(self):
-        results = verify.run_all(trials=25, inject_fault="u0-shift")
+    def test_fault_propagates(self, t0_fault):
+        results = verify.run_all(trials=25)
         by_name = {r.name: r for r in results}
         assert not by_name["t0_exactness"].passed
         assert by_name["teacher_forced_equivalence"].passed
