@@ -138,8 +138,9 @@ def ratio_matrix(records, T_grid, N_grid) -> str:
 def trend_summary(records) -> list[str]:
     """Monotone-trend check of the ratio over N at the largest measured T.
 
-    One inversion is tolerated as noise; the check is informative only when
-    the pool actually had >= 4 workers.
+    One inversion is tolerated as noise; the check is informative only with
+    >= 4 usable cores, since at most ``min(workers, usable cores)`` threads,
+    counting the caller, run a pool's ranges.
     """
     if not records:
         return ["# no records"]
@@ -150,7 +151,7 @@ def trend_summary(records) -> list[str]:
     lines = [
         f"# trend at T={t_max}: ratios over N = "
         + ", ".join(f"{r.N}:{r.ratio:.3f}" for r in row),
-        f"# inversions along N: {inversions} (<=1 expected with >=4 workers)",
+        f"# inversions along N: {inversions} (<=1 expected with >=4 usable cores)",
     ]
     if len(row) >= 2:
         ok = row[-1].ratio > row[0].ratio

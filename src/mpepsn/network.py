@@ -435,8 +435,14 @@ class SpikingClassifier:
 
     def fit(self, x, y, x_test=None, y_test=None):
         x = check_input(x, "x")
+        if (x_test is None) != (y_test is None):
+            given, missing = ("x_test", "y_test") if y_test is None else ("y_test", "x_test")
+            raise ValueError(f"{given} was given without {missing}: a held-out set needs both")
         if x_test is not None:
-            check_input(x_test, "x_test")
+            n_test = check_input(x_test, "x_test").shape[1]
+            if np.shape(y_test)[:1] != (n_test,):
+                raise ValueError(f"y_test has shape {np.shape(y_test)}, "
+                                 f"expected one label per x_test sample ({n_test})")
         y = np.asarray(y, dtype=np.int64)
         n_classes = int(y.max()) + 1 if y.size else 2
         n_classes = max(n_classes, 2)

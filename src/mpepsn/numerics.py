@@ -10,7 +10,9 @@ the operations in this module.  Two contracts matter throughout:
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -62,35 +64,57 @@ class WorkerPool:
     through the pool gives each range's elements the same arithmetic (RNG
     draws are chunk-keyed), so results are bit-identical for any worker
     count.  numpy ufuncs release the GIL on large blocks, which is where the
-    concurrency comes from.  The calling thread runs the first range itself
-    and the pool's threads take the rest in turn.  The pool starts at most
+    concurrency comes from.  The pool starts at most
     ``min(workers, usable cores) - 1`` threads, since more would only take
     turns on the same cores; ``workers`` still sets the number of ranges.
+    The calling thread runs the first range and each pool thread one of the
+    next; then they all drain one queue of the rest, so each of the
+    ``min(workers, usable cores)`` runners runs about
+    ``workers / min(workers, usable cores)`` ranges.
     """
 
     def __init__(self, workers: int | None = None):
         self.workers = resolve_workers(workers)
-        threads = min(self.workers, _usable_cores()) - 1
-        self._executor = ThreadPoolExecutor(threads) if threads > 0 else None
+        self._threads = min(self.workers, _usable_cores()) - 1
+        self._executor = ThreadPoolExecutor(self._threads) if self._threads > 0 else None
 
     def map_ranges(self, n: int, fn) -> None:
-        """Call ``fn(lo, hi)`` over a partition of ``range(n)``."""
+        """Call ``fn(lo, hi)`` over a partition of ``range(n)``.
+
+        Every range runs; once all have finished, the error of the lowest
+        range that raised, if any, is raised.
+        """
         if n <= 0:
             return
         per = -(-n // self.workers)  # ceil
         bounds = list(range(0, n, per)) + [n]
-        ranges = list(zip(bounds[:-1], bounds[1:]))
-        if self._executor is None:
-            for lo, hi in ranges:
-                fn(lo, hi)
-            return
-        futures = [self._executor.submit(fn, lo, hi) for lo, hi in ranges[1:]]
+        ranges = zip(bounds[:-1], bounds[1:])
+        # the shared queue: next() over list iterators is atomic only under
+        # the GIL (not in a free-threaded build), so a lock guards it
+        lock = threading.Lock()
+        errors = {}
+
+        def drain(r) -> None:
+            """Run range ``r``, then ranges from the queue until it is empty."""
+            while r is not None:
+                try:
+                    fn(*r)
+                except Exception as err:
+                    errors[r[0]] = err
+                with lock:
+                    r = next(ranges, None)
+
+        # the caller starts on range 0 and each thread on one of the next
+        starts = list(itertools.islice(ranges, self._threads + 1))
+        futures = [self._executor.submit(drain, r) for r in starts[1:]]
         try:
-            fn(*ranges[0])
+            drain(starts[0])
         finally:
             wait(futures)  # no range may still be writing when this returns
         for f in futures:
             f.result()
+        if errors:
+            raise errors[min(errors)]
 
     def close(self) -> None:
         if self._executor is not None:

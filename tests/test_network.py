@@ -240,6 +240,16 @@ class TestSpikingClassifier:
         with pytest.raises(ValueError, match="x has 1 non-finite"):
             m.predict(x_te)
 
+    def test_held_out_set_needs_both_halves_that_agree(self):
+        tr, te = small_task()
+        for x_test, y_test, named in ((te.x, None, "x_test was given without y_test"),
+                                      (None, te.y, "y_test was given without x_test"),
+                                      (te.x, te.y[:-1], "y_test has shape")):
+            m = small_model(epochs=1)
+            with pytest.raises(ValueError, match=named):
+                m.fit(tr.x, tr.y, x_test, y_test)
+            assert not hasattr(m, "history_")  # raised before the first epoch
+
     def test_learns_separable_task(self):
         tr, te = small_task()
         m = small_model().fit(tr.x, tr.y)

@@ -1,3 +1,4 @@
+import collections
 import os
 import sys
 import threading
@@ -196,19 +197,42 @@ class TestWorkerPool:
         assert sorted(threads) == [0, 3, 6]
         assert threads[0] == threading.get_ident()
 
-    def test_range_error_raised_after_all_ranges_finish(self):
-        done = []
+    @pytest.mark.parametrize("bad, runner", [(0, "caller"), (2, "pool thread")],
+                             ids=["caller", "pool_thread"])
+    def test_range_error_raised_after_all_ranges_finish(self, monkeypatch, bad, runner):
+        # two pool threads whatever the machine: the caller runs range 0
+        # and the threads ranges 1 and 2
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 3)
+        caller = threading.get_ident()
+        done, raised_on = [], []
 
         def work(lo, hi):
-            if lo == 0:
-                raise RuntimeError("range 0 failed")
+            if lo == bad:
+                raised_on.append("caller" if threading.get_ident() == caller else "pool thread")
+                raise RuntimeError(f"range {lo} failed")
             threading.Event().wait(0.05)
             done.append(lo)
 
         with WorkerPool(3) as pool:
-            with pytest.raises(RuntimeError, match="range 0 failed"):
+            with pytest.raises(RuntimeError, match=f"range {bad} failed"):
                 pool.map_ranges(3, work)
-            assert sorted(done) == [1, 2]
+            assert sorted(done) == [r for r in range(3) if r != bad]
+        assert raised_on == [runner]
+
+    def test_ranges_balanced_over_fewer_cores(self, monkeypatch):
+        # 4 ranges on 2 usable cores: the caller and the one pool thread
+        # must each run 2
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)
+        runs = collections.Counter()
+
+        def work(lo, hi):
+            runs[threading.get_ident()] += 1
+            threading.Event().wait(0.02)
+
+        with WorkerPool(4) as pool:
+            pool.map_ranges(4, work)
+        assert sum(runs.values()) == 4
+        assert max(runs.values()) <= 2
 
 
     def test_threads_bounded_by_usable_cores(self):
