@@ -19,7 +19,7 @@ from .neuron import (
     mpe_psn_spikes,
     teacher_forced_forward,
 )
-from .numerics import Rng, WorkerPool, bernoulli_sample, l2_norm, matmul, sigmoid
+from .numerics import Rng, WorkerPool, l2_norm, matmul
 
 __all__ = [
     "ParamRegistry", "Var", "backward", "finite_diff_check", "surrogate_grad",
@@ -29,7 +29,7 @@ __all__ = [
     "NeuronParams", "ParallelTrace",
     "heaviside", "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes",
     "teacher_forced_forward",
-    "Rng", "WorkerPool", "bernoulli_sample", "l2_norm", "matmul", "sigmoid",
+    "Rng", "WorkerPool", "l2_norm", "matmul",
 ]
 
 __version__ = "0.1.0"

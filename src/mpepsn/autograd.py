@@ -2,10 +2,12 @@
 
 A ``Var`` wraps a float64 array and remembers how it was computed; calling
 :func:`backward` on a scalar ``Var`` walks the tape in reverse topological
-order and accumulates gradients into the leaves.  Spike (Heaviside) nodes
-backpropagate through a triangular surrogate.  A node with several outputs
-(such as a whole neuron layer with a closed-form backward) is built with
-:func:`multi_output`.
+order and accumulates gradients into the leaves.  The ops are the few that
+training composes (add, sub, mul, matmul, sum, time shift, detach); there
+is no elementwise spike or sigmoid node.  A whole neuron layer is one node
+with several outputs and a closed-form backward, built with
+:func:`multi_output`, that differentiates its spikes through the triangular
+:func:`surrogate_grad` and reports them to :func:`log_spikes`.
 """
 
 from __future__ import annotations
@@ -123,12 +125,6 @@ def matmul(a: Var, w: Var) -> Var:
     return Var(value, parents=(a, w), backward=backward)
 
 
-def sigmoid(x) -> Var:
-    x = as_var(x)
-    y = numerics.sigmoid(x.value)
-    return Var(y, parents=(x,), backward=lambda g: (g * y * (1.0 - y),))
-
-
 def surrogate_grad(h, v_th: float, alpha: float, out: Array | None = None) -> Array:
     """Triangular surrogate for the spike derivative.
 
@@ -170,24 +166,6 @@ def log_spikes(*spikes: Array) -> None:
     """Record spike (or draw) outputs while a :class:`spike_logging` is open."""
     if _spike_log is not None:
         _spike_log.extend(spikes)
-
-
-def spike(h: Var, v_th: Var, alpha: float) -> Var:
-    """Heaviside(h - v_th) forward; triangular surrogate backward.
-
-    v_th receives the negated surrogate-weighted gradient (the spike argument
-    is h - v_th).
-    """
-    h, v_th = as_var(h), as_var(v_th)
-    o = (h.value >= v_th.value).astype(np.float64)
-    log_spikes(o)
-
-    def backward(g: Array):
-        sg = surrogate_grad(h.value, float(v_th.value), alpha)
-        weighted = g * sg
-        return weighted, unbroadcast(-weighted, v_th.shape)
-
-    return Var(o, parents=(h, v_th), backward=backward)
 
 
 def shift_time(x: Var) -> Var:
@@ -247,16 +225,6 @@ def vsum(x, axis=None) -> Var:
         return (np.broadcast_to(gx, x.shape).astype(np.float64),)
 
     return Var(value, parents=(x,), backward=backward)
-
-
-def vmean(x, axis=None) -> Var:
-    x = as_var(x)
-    if axis is None:
-        count = x.value.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([x.shape[a] for a in axes]))
-    return mul(vsum(x, axis), 1.0 / count)
 
 
 def detach(x: Var) -> Var:

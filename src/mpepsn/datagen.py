@@ -118,13 +118,16 @@ def save(batch: LabeledBatch, path) -> None:
 
 
 def load(path) -> LabeledBatch:
-    """Inverse of :func:`save`; rejects malformed files with a line number."""
+    """Inverse of :func:`save`; rejects malformed files with a line number,
+    a label outside the header's K classes among them."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# dataset"):
             raise ValueError(f"{path}:1: missing '# dataset' header")
         try:
-            _, T, N, B = (int(v) for v in header.split(":", 1)[1].split(","))
+            K, T, N, B = (int(v) for v in header.split(":", 1)[1].split(","))
+            if min(K, T, N, B) < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}:1: malformed dataset header") from None
         x = np.empty((T, B, N))
@@ -147,4 +150,8 @@ def load(path) -> LabeledBatch:
                         y[b] = int(parts[N])
                 except ValueError as err:
                     raise ValueError(f"{path}:{lineno}: {err}") from None
+                if t == 0 and not 0 <= y[b] < K:
+                    raise ValueError(
+                        f"{path}:{lineno}: label {y[b]} outside [0, {K}) of the header's K"
+                    )
     return LabeledBatch(x=x, y=y)

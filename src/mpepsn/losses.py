@@ -61,8 +61,9 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     corrected value with it; pass an explicitly detached Var to freeze it).
 
     One tape node with parents (u_hat, u_target, kappa).  Its value and
-    gradients are bit-identical to the elementwise tape it replaces,
-    ``vsum(kappa * vmean((u_hat - u_target) * (u_hat - u_target), axes))``:
+    gradients are bit-identical to the elementwise tape of
+    ``sum(kappa * mean((u_hat - u_target) * (u_hat - u_target), axes))``
+    (the tests keep it as the oracle):
     the same ops in the same order, the square's gradient d*G formed once
     and added to itself as the tape's two factors were.  With ``scratch``,
     the difference d, its square (read back by :func:`mem_loss_sq_error`)

@@ -446,6 +446,11 @@ class SpikingClassifier:
         y = np.asarray(y, dtype=np.int64)
         n_classes = int(y.max()) + 1 if y.size else 2
         n_classes = max(n_classes, 2)
+        if x_test is not None:
+            y_test = np.asarray(y_test)
+            if y_test.size and not (y_test.min() >= 0 and y_test.max() < n_classes):
+                raise ValueError(f"y_test labels must lie in [0, {n_classes}), "
+                                 f"the classes learnt from y")
         self._build(x.shape[0], x.shape[2], n_classes)
         sample_rng = Rng(self.seed).spawn(1)
         self.history_ = []

@@ -338,7 +338,12 @@ def load_tensor(path) -> Array:
         header = fh.readline()
         if not header.startswith("# shape:"):
             raise ValueError(f"{path}:1: missing '# shape:' header")
-        shape = tuple(int(s) for s in header.split(":", 1)[1].split(","))
+        try:
+            shape = tuple(int(s) for s in header.split(":", 1)[1].split(","))
+            if min(shape) < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed shape header") from None
         values = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -3,7 +3,9 @@
 Each check runs many randomized trials against an independent oracle (the
 sequential recurrence, the fixed-order matmul, the training forward, or
 central finite differences) and reports failures with enough context to
-reproduce them.
+reproduce them.  The finite differences are taken of the training loss of
+small classifier-shaped chains, so the gradient checked is the one built
+from the fused layer and loss nodes that ``SpikingClassifier.fit`` runs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd, datagen, network, neuron, numerics
+from . import autograd, datagen, losses, network, neuron, numerics
 from .autograd import Var
 from .numerics import Rng
 
@@ -106,30 +108,89 @@ def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
     return res
 
 
-def _random_smooth_graph(r: Rng):
-    """Scalar-valued smooth composite (matmul / sigmoid / products / means)."""
-    dims = r.uniforms(3)
-    m = 1 + int(dims[0] * 4)
-    k = 1 + int(dims[1] * 4)
-    p = 1 + int(dims[2] * 4)
-    x = autograd.parameter(r.spawn(1).uniform_tensor((m, k), -1.0, 1.0), "x")
-    w = autograd.parameter(r.spawn(2).uniform_tensor((k, p), -1.0, 1.0), "w")
-    target = r.spawn(3).uniform_tensor((m, p), -1.0, 1.0)
+# The fused spiking layers a gradient graph runs: the parallel layer in each
+# estimator mode, and the sequential LIF layer.
+LAYER_KINDS = ("sampled", "expectation", "lif")
+
+# So small that no membrane value lies in the surrogate's support, which
+# makes the tape gradient the exact derivative of the loss with every spike
+# held fixed.
+GRADIENT_ALPHA = 1e-6
+
+
+def _layer(kind: str, I: Var, v_th: Var, alpha: float, rng: Rng):
+    """(u_hat, u, o) of one fused spiking layer of ``kind`` over the current ``I``."""
+    tau_m = neuron.NeuronParams().tau_m
+    if kind == "lif":
+        u, o = network.lif_tape_forward(I, v_th, tau_m, alpha)
+        return u, u, o
+    tr = network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng)
+    return tr.u_hat, tr.u, tr.o
+
+
+def _random_chain(r: Rng, trial: int):
+    """Training loss of a small ``SpikingClassifier``-shaped chain.
+
+    One or two (``network.synapse_forward``, fused layer) pairs, then the
+    readout synapse and ``losses.cls_loss``; an MPE-PSN chain adds each
+    layer's ``losses.mem_loss`` and blends by ``losses.total_loss``, as
+    ``fit`` does.  The layer kind, the synaptic delay, the depth and the
+    kappa axis cycle with ``trial``, so any 24 consecutive graphs hold every
+    combination; the sizes, weights, kappas and labels are drawn from
+    ``r``.  Returns the loss closure and its parameters: the weights and
+    thresholds.
+
+    A central difference of the whole loss resolves a derivative only to
+    about eps * loss / step (1e-11 here), so no term may be scaled down
+    toward that floor: lambda is 0.5, not training's 0.01, and kappa is
+    held constant, since its gradient, lambda times the mean of
+    (u_hat - u)^2, is quadratic in a difference that can be small
+    (``test_losses`` checks it alone).
+    """
+    kind = LAYER_KINDS[trial % 3]
+    delay = trial // 3 % 2
+    depth = 1 + trial // 6 % 2
+    cfg = losses.MemLossConfig(lam=0.5, kappa_axis=losses.KAPPA_AXES[trial // 12 % 2])
+    T, B, n_in, *hidden = (1 + int(d * 4) for d in r.spawn(1).uniforms(3 + depth))
+    K = 2 + int(r.spawn(4).uniforms(1)[0] * 2)
+    x = r.spawn(2).uniform_tensor((T, B, n_in), -2.0, 2.0)
+    labels = (r.spawn(3).uniforms(B) * K).astype(np.int64)
+    widths = [n_in, *hidden]
+    weights = [autograd.parameter(r.spawn(10 + i).uniform_tensor((n, m), -1.5, 1.5), f"w_{i}")
+               for i, (n, m) in enumerate(zip(widths[:-1], widths[1:]))]
+    v_ths = [autograd.parameter(np.asarray(1.0), f"v_th_{i}") for i in range(depth)]
+    kappas = [r.spawn(20 + i).uniform_tensor((cfg.kappa_length(T, n),), 0.0, 2.0)
+              for i, n in enumerate(hidden)]
+    w_out = autograd.parameter(r.spawn(30).uniform_tensor((widths[-1], K), -1.5, 1.5), "w_out")
 
     def fn() -> Var:
-        y = autograd.sigmoid(autograd.matmul(x, w))
-        d = y - target
-        return autograd.vmean(d * d)
+        o, mem_terms = Var(x), []
+        for i, (W, v_th, kappa) in enumerate(zip(weights, v_ths, kappas)):
+            u_hat, u, o = _layer(kind, network.synapse_forward(o, W, delay), v_th,
+                                 GRADIENT_ALPHA, r.spawn(40 + i))
+            if kind != "lif":
+                mem_terms.append(losses.mem_loss(u_hat, u, kappa, cfg))
+        l_cls = losses.cls_loss(network.synapse_forward(o, w_out), labels)
+        if not mem_terms:
+            return l_cls
+        return losses.total_loss(l_cls, sum(mem_terms, Var(np.asarray(0.0))), cfg.lam)
 
-    return fn, [x, w]
+    return fn, weights + [w_out] + v_ths
 
 
 def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: float = 1e-4) -> CheckResult:
-    """Tape gradients vs central finite differences on smooth graphs."""
+    """Tape gradients of the training loss vs central finite differences.
+
+    Each graph is a :func:`_random_chain`: synapse, fused spiking layer,
+    readout, classification and membrane losses, so the closed-form
+    backwards that ``fit`` runs are the ones differentiated.  A coordinate
+    whose perturbation flips a spike or a Bernoulli draw is a failure, not a
+    skip: the loss is not differentiable there, so the graph proves nothing.
+    """
     rng = Rng(seed, stream=104)
     res = CheckResult("gradient_vs_finite_difference", graphs, 0)
     for trial in range(graphs):
-        fn, params = _random_smooth_graph(rng.spawn(trial))
+        fn, params = _random_chain(rng.spawn(trial), trial)
         rel, skipped = autograd.finite_diff_check(fn, params, step)
         res.max_err = max(res.max_err, rel)
         if rel >= tol or skipped:
@@ -137,17 +198,26 @@ def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: f
     return res
 
 
+def surrogate_chain_grad(kind: str) -> float:
+    """d o / d w of the one-neuron, one-step chain o = spike(w * x) through
+    the fused layer ``kind``, at x = 1, w = 1.2, v_th = 1 and alpha = 1: the
+    surrogate at 1.2 times x, 0.8."""
+    w = autograd.parameter(np.full((1, 1), 1.2), "w")
+    I = network.synapse_forward(np.ones((1, 1, 1)), w)
+    _, _, o = _layer(kind, I, Var(np.asarray(1.0)), 1.0, Rng(0))
+    autograd.backward(autograd.vsum(o))
+    return float(w.grad[0, 0])
+
+
 def check_surrogate_chain() -> CheckResult:
-    """One-neuron, one-step chain has gradient surrogate(w*x) * x = 0.8 exactly."""
-    w = autograd.parameter(np.asarray(1.2), "w")
-    v_th = Var(np.asarray(1.0))
-    x = 1.0
-    o = autograd.spike(w * x, v_th, alpha=1.0)
-    autograd.backward(o)
-    got = float(np.asarray(w.grad))
-    res = CheckResult("surrogate_chain_hand_value", 1, 0, max_err=abs(got - 0.8))
-    if got != 0.8:
-        res.fail(f"expected 0.8, got {got!r}")
+    """One-neuron, one-step chain has gradient surrogate(w*x) * x = 0.8
+    exactly through every fused layer kind (one trial)."""
+    grads = {kind: surrogate_chain_grad(kind) for kind in LAYER_KINDS}
+    res = CheckResult("surrogate_chain_hand_value", 1, 0,
+                      max_err=max(abs(got - 0.8) for got in grads.values()))
+    wrong = [f"{kind} layer got {got!r}" for kind, got in grads.items() if got != 0.8]
+    if wrong:
+        res.fail("expected 0.8: " + ", ".join(wrong))
     return res
 
 

@@ -11,12 +11,12 @@ from mpepsn.autograd import (
     multi_output,
     parameter,
     shift_time,
-    spike,
     surrogate_grad,
-    vmean,
     vsum,
 )
 from mpepsn.numerics import Rng
+
+from elementwise_ops import sigmoid, spike, vmean
 
 
 def leaf(value):
@@ -90,9 +90,12 @@ class TestMatmul:
 
 
 class TestSigmoid:
+    """The elementwise oracle ops of ``elementwise_ops``, which the fused
+    nodes are checked against (this class, TestSpike and the vmean cases)."""
+
     def test_value_and_grad_at_zero(self):
         x = leaf(0.0)
-        y = autograd.sigmoid(x)
+        y = sigmoid(x)
         assert y.value == 0.5
         backward(y)
         assert x.grad == 0.25
@@ -242,7 +245,7 @@ class TestFiniteDiff:
         target = Rng(8).uniform_tensor((5, 3), -1, 1)
 
         def fn():
-            d = autograd.sigmoid(autograd.matmul(Var(x), w)) - target
+            d = sigmoid(autograd.matmul(Var(x), w)) - target
             return vmean(d * d)
 
         max_rel, skipped = finite_diff_check(fn, [w])

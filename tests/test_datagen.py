@@ -126,6 +126,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=":1"):
             load(path)
 
+    @pytest.mark.parametrize("header", ["2,-1,1,1", "2,1,0,1", "0,1,1,1", "2,1,1"])
+    def test_malformed_header_reports_line(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(f"# dataset K,T,N0,B: {header}\n0,0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:1: malformed dataset header"):
+            load(path)
+
     def test_truncation_reports_line(self, tmp_path):
         batch = LabeledBatch(x=np.zeros((2, 2, 3)), y=np.array([0, 1]))
         path = tmp_path / "d.csv"
@@ -133,6 +140,17 @@ class TestCsv:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match=":5"):
+            load(path)
+
+    @pytest.mark.parametrize("label", ["2", "7", "-1"])
+    def test_label_outside_header_classes_reports_line(self, tmp_path, label):
+        batch = LabeledBatch(x=np.zeros((2, 3, 1)), y=np.array([0, 1, 1]))
+        path = tmp_path / "d.csv"
+        save(batch, path)
+        lines = path.read_text().splitlines()
+        lines[3] = "0," + label  # sample 1 at t = 0: K = 2 in the header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"d\.csv:4: label {label} outside \[0, 2\)"):
             load(path)
 
     def test_wrong_field_count_reports_line(self, tmp_path):

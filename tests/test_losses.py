@@ -8,6 +8,8 @@ from mpepsn.autograd import Var, backward, finite_diff_check, parameter
 from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, mem_loss_sq_error, total_loss
 from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
+from elementwise_ops import vmean
+
 
 class TestConfig:
     def test_defaults(self):
@@ -79,7 +81,7 @@ class TestMemLoss:
         """The elementwise tape that the fused node replaces."""
         d = u_hat - u
         axes = (1, 2) if cfg.kappa_axis == "time" else (0, 1)
-        return autograd.vsum(kappa * autograd.vmean(d * d, axis=axes))
+        return autograd.vsum(kappa * vmean(d * d, axis=axes))
 
     @pytest.mark.parametrize("axis", ["time", "neuron"])
     @pytest.mark.parametrize("lam", [0.01, 1.0])

@@ -14,6 +14,8 @@ from mpepsn.network import (
 )
 from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
+from elementwise_ops import sigmoid, spike
+
 
 def small_task(seed=42):
     spec = datagen.DatasetSpec(samples_per_class=16, seed=seed)
@@ -143,9 +145,9 @@ class TestFusedMatchesElementwiseTape:
                 b = neuron.mpe_psn_forward(self.I, neuron.NeuronParams(), mode, Rng(9)).b
                 u_hat = Var(1.0 - b) * I
             else:
-                u_hat = (1.0 - autograd.sigmoid(I)) * I
+                u_hat = (1.0 - sigmoid(I)) * I
             h = 0.25 * autograd.shift_time(u_hat) + I
-            o = autograd.spike(h, v_th, 1.0)
+            o = spike(h, v_th, 1.0)
             u = h * (1.0 - o)
         terms = {"u_hat": vsum(u_hat * self.c_hat), "u": vsum(u * self.c_u),
                  "o": vsum(o * self.c_o)}
@@ -179,7 +181,7 @@ class TestFusedMatchesElementwiseTape:
         u_prev, loss = Var(np.zeros(self.I.shape[1:])), Var(np.asarray(0.0))
         for t, row in enumerate(rows):
             h = 0.25 * u_prev + row
-            o_t = autograd.spike(h, v_ref, 1.0)
+            o_t = spike(h, v_ref, 1.0)
             u_prev = h * (1.0 - o_t)
             loss = loss + vsum(u_prev * self.c_u[t]) + vsum(o_t * self.c_o[t])
         backward(loss)
@@ -248,6 +250,14 @@ class TestSpikingClassifier:
             m = small_model(epochs=1)
             with pytest.raises(ValueError, match=named):
                 m.fit(tr.x, tr.y, x_test, y_test)
+            assert not hasattr(m, "history_")  # raised before the first epoch
+
+    def test_held_out_labels_outside_the_learnt_classes_rejected(self):
+        tr, te = small_task()
+        for y_test in (te.y + 5, te.y - 1):
+            m = small_model(epochs=1)
+            with pytest.raises(ValueError, match=r"y_test labels must lie in \[0, 2\)"):
+                m.fit(tr.x, tr.y, te.x, y_test)
             assert not hasattr(m, "history_")  # raised before the first epoch
 
     def test_learns_separable_task(self):

@@ -323,6 +323,13 @@ class TestTensorCsv:
         with pytest.raises(ValueError, match="header"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("shape", ["a,2", "-1,2", "0,2", "2,", ""])
+    def test_malformed_shape_header_reports_line(self, tmp_path, shape):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# shape: {shape}\n1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:1: malformed shape header"):
+            load_tensor(path)
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# shape: 1,1,2\n1.0,oops\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from mpepsn import neuron, numerics, verify
+from mpepsn import losses, neuron, numerics, verify
 from mpepsn.verify import CheckResult
 
 
@@ -42,10 +42,54 @@ class TestChecks:
         assert res.passed
         assert res.max_err < 1e-4
 
+    @pytest.mark.parametrize("name, scale", [("mem_loss", 0.5), ("cls_loss", 1.5)])
+    def test_gradients_detect_a_wrong_backward(self, monkeypatch, name, scale):
+        # the same loss node, with the gradient of its first parent (u_hat,
+        # or the logits) scaled and its value left as it is
+        loss_fn = getattr(losses, name)
+
+        def faulty(*args, **kwargs):
+            node = loss_fn(*args, **kwargs)
+            backward = node._backward
+
+            def scaled(g):
+                first, *rest = backward(g)
+                return (first * scale, *rest)
+
+            node._backward = scaled
+            return node
+
+        monkeypatch.setattr(losses, name, faulty)
+        res = verify.check_gradients(graphs=25)
+        assert res.failures > 0
+        assert res.details
+
+    def test_gradient_graphs_run_every_layer_kind_and_delay(self, monkeypatch):
+        kinds, delays = set(), set()
+        layer, synapse = verify._layer, verify.network.synapse_forward
+
+        def record_layer(kind, *args):
+            kinds.add(kind)
+            return layer(kind, *args)
+
+        def record_delay(o, W, delay=0):
+            delays.add(delay)
+            return synapse(o, W, delay)
+
+        monkeypatch.setattr(verify, "_layer", record_layer)
+        monkeypatch.setattr(verify.network, "synapse_forward", record_delay)
+        verify.check_gradients(graphs=6)
+        assert kinds == set(verify.LAYER_KINDS)
+        assert delays == {0, 1}
+
     def test_surrogate_chain_exact(self):
         res = verify.check_surrogate_chain()
         assert res.passed
         assert res.max_err == 0.0
+
+    @pytest.mark.parametrize("kind", verify.LAYER_KINDS)
+    def test_surrogate_chain_hand_value_per_layer_kind(self, kind):
+        assert verify.surrogate_chain_grad(kind) == 0.8
 
     def test_matmul_vs_fixed_order(self):
         res = verify.check_matmul_vs_fixed_order(trials=50)
