@@ -118,16 +118,24 @@ def cls_loss(logits, labels) -> Var:
 
     z = logits.value
     rows = np.arange(B)
-    shifted = z - z.max(axis=2, keepdims=True)
+    # the max and the sum over classes as elementwise ops over the K class
+    # slices, the sum in index order: numpy's reductions over a short
+    # innermost axis cost several times more
+    z_max = np.maximum(z[:, :, 0], z[:, :, 1])
+    for k in range(2, K):
+        np.maximum(z_max, z[:, :, k], out=z_max)
+    shifted = z - z_max[:, :, None]
     ez = np.exp(shifted)
-    ez_sum = ez.sum(axis=2, keepdims=True)
-    softmax = ez / ez_sum
+    ez_sum = np.add(ez[:, :, 0], ez[:, :, 1])
+    for k in range(2, K):
+        np.add(ez_sum, ez[:, :, k], out=ez_sum)
+    softmax = ez / ez_sum[:, :, None]
     # the log-probability of the labelled class only, each entry formed by
     # the same ops as the full log-softmax's; in place, so picked keeps the
     # layout the fancy index gives it, which sets the summation order of
     # the mean
     picked = shifted[:, rows, labels]
-    picked -= np.log(ez_sum[:, :, 0])
+    picked -= np.log(ez_sum)
     value = -picked.mean()
 
     def backward(g):

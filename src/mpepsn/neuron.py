@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import expit
-
-from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges
+# sigmoid is bound by name: _estimate runs on pool threads, which must not
+# enter a wrapper put on the numerics.sigmoid attribute (as a tracer does)
+from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges, sigmoid
 
 MODES = ("sampled", "expectation")
 
@@ -72,7 +72,7 @@ def _estimate(I: Array, P: Array, b: Array, u_hat: Array, uniforms: Array | None
     itself (expectation mode).  The buffers may alias one another, since
     each op reads only what the previous one wrote.
     """
-    expit(I, out=P)
+    sigmoid(I, out=P)
     if uniforms is not None:
         np.less(uniforms, P, out=b)
     np.subtract(1.0, b, out=u_hat)

@@ -16,7 +16,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -194,19 +193,27 @@ class Rng:
         """Independent child stream keyed by (this stream, child_id)."""
         return Rng(self.seed, _splitmix64(self.stream ^ _splitmix64(child_id + 1)))
 
-    # Drawing a full chunk advances Philox's low counter word by CHUNK // 4
-    # (one step per four doubles); advancing by this wraps it back to 0 and
-    # carries one into the chunk index, where the next chunk's generator
-    # starts.
-    _NEXT_CHUNK = 2**64 - CHUNK // 4
+    # A chunk of CHUNK uniforms takes CHUNK // 2 Philox words, and Philox
+    # yields four words per step of its low counter word, so drawing a full
+    # chunk advances that word by CHUNK // 8; advancing by this wraps it back
+    # to 0 and carries one into the chunk index, where the next chunk's
+    # generator starts.
+    _NEXT_CHUNK = 2**64 - CHUNK // 8
 
-    def _chunk_generator(self, call: int, chunk: int) -> np.random.Generator:
+    def _chunk_generator(self, call: int, chunk: int) -> np.random.Philox:
         counter = np.array([0, chunk, call, 0], dtype=np.uint64)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        return np.random.Philox(counter=counter, key=key)
 
     def uniforms(self, n: int, pool: WorkerPool | None = None) -> Array:
-        """n doubles uniform on [0, 1)."""
+        """n doubles uniform on [0, 1), each a multiple of 2^-32.
+
+        Each 64-bit Philox word gives two uniforms, its low 32-bit half and
+        then its high half, scaled by 2^-32 (exactly: a 32-bit integer times
+        a power of two is a double).  The draw ``U < P`` is thus Bernoulli(P)
+        to within 2^-32 of P, a distributional contract checked by
+        ``verify.check_bernoulli_draws``.
+        """
         out = np.empty(n, dtype=np.float64)
         call = self._calls
         self._calls += 1
@@ -215,12 +222,17 @@ class Rng:
         def work(lo: int, hi: int) -> None:
             # one generator per range, advanced to each next chunk's counter:
             # the same draws as a generator built per chunk, built once
-            gen = self._chunk_generator(call, lo)
+            bits = self._chunk_generator(call, lo)
             for c in range(lo, hi):
                 if c > lo:
-                    gen.bit_generator.advance(self._NEXT_CHUNK)
+                    bits.advance(self._NEXT_CHUNK)
                 start = c * self.CHUNK
-                gen.random(out=out[start:min(start + self.CHUNK, n)])
+                stop = min(start + self.CHUNK, n)
+                words = bits.random_raw(-(-(stop - start) // 2))
+                # little-endian words viewed as 32-bit halves: low half first
+                # on any byte order
+                halves = words.astype("<u8", copy=False).view("<u4")
+                np.multiply(halves[:stop - start], 2.0**-32, out=out[start:stop])
 
         map_ranges(pool, nchunks, work)
         return out
@@ -301,9 +313,24 @@ def matmul_fixed_order(a, b) -> Array:
     return out.reshape(*lead, b.shape[1])
 
 
-def sigmoid(x) -> Array:
-    """Logistic function 1 / (1 + exp(-x)), saturation-safe."""
-    return expit(_as_tensor(x))
+def sigmoid(x, out: Array | None = None) -> Array:
+    """Logistic function 1 / (1 + exp(-x)), written into ``out`` when given.
+
+    Formed as written, in place: negate, exp, add 1, take the reciprocal.
+    Below about -709 exp(-x) overflows to inf (not an error here) and the
+    result is exactly 0.  NaN stays NaN.  Against ``scipy.special.expit``
+    it agrees within 4 ulp of expit's value, checked by
+    ``verify.check_sigmoid_vs_expit``.
+    """
+    x = _as_tensor(x)
+    if out is None:
+        out = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(1.0, out, out=out)
+    return out
 
 
 def bernoulli_sample(p, rng: Rng, pool: WorkerPool | None = None) -> Array:
@@ -323,11 +350,16 @@ def l2_norm(x) -> float:
 
 
 def save_tensor(x, path) -> None:
-    """Write a tensor as CSV: one row per leading slice, 17 significant digits."""
+    """Write a tensor as CSV: one row per leading slice, 17 significant digits.
+
+    The header lists the extents, or reads ``()`` for a 0-d tensor, whose
+    one value is the one row.
+    """
     x = _as_tensor(x)
     rows = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
+    shape = ",".join(str(d) for d in x.shape) if x.ndim else "()"
     with open(path, "w") as fh:
-        fh.write("# shape: " + ",".join(str(d) for d in x.shape) + "\n")
+        fh.write(f"# shape: {shape}\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
@@ -339,8 +371,9 @@ def load_tensor(path) -> Array:
         if not header.startswith("# shape:"):
             raise ValueError(f"{path}:1: missing '# shape:' header")
         try:
-            shape = tuple(int(s) for s in header.split(":", 1)[1].split(","))
-            if min(shape) < 1:
+            spec = header.split(":", 1)[1].strip()
+            shape = () if spec == "()" else tuple(int(s) for s in spec.split(","))
+            if any(d < 1 for d in shape):
                 raise ValueError
         except ValueError:
             raise ValueError(f"{path}:1: malformed shape header") from None

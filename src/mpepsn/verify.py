@@ -1,18 +1,21 @@
 """Property suites behind the `verify` subcommand (and the test suite).
 
 Each check runs many randomized trials against an independent oracle (the
-sequential recurrence, the fixed-order matmul, the training forward, or
-central finite differences) and reports failures with enough context to
-reproduce them.  The finite differences are taken of the training loss of
-small classifier-shaped chains, so the gradient checked is the one built
-from the fused layer and loss nodes that ``SpikingClassifier.fit`` runs.
+sequential recurrence, the fixed-order matmul, scipy's ``expit``, the
+binomial law, the training forward, or central finite differences) and
+reports failures with enough context to reproduce them.  The finite
+differences are taken of the training loss of small classifier-shaped
+chains, so the gradient checked is the one built from the fused layer and
+loss nodes that ``SpikingClassifier.fit`` runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from . import autograd, datagen, losses, network, neuron, numerics
 from .autograd import Var
@@ -132,9 +135,12 @@ def _random_chain(r: Rng, trial: int):
     """Training loss of a small ``SpikingClassifier``-shaped chain.
 
     One or two (``network.synapse_forward``, fused layer) pairs, then the
-    readout synapse and ``losses.cls_loss``; an MPE-PSN chain adds each
-    layer's ``losses.mem_loss`` and blends by ``losses.total_loss``, as
-    ``fit`` does.  The layer kind, the synaptic delay, the depth and the
+    readout synapse and ``losses.cls_loss``, blended by
+    ``losses.total_loss`` with one term per layer: its ``losses.mem_loss``
+    for MPE-PSN, as ``fit`` does, and for LIF, which has no membrane loss,
+    a fixed random weighting of u, so that the gradient through the
+    membrane history (backprop through time), which at this alpha passes
+    no spike, is differentiated.  The layer kind, the synaptic delay, the depth and the
     kappa axis cycle with ``trial``, so any 24 consecutive graphs hold every
     combination; the sizes, weights, kappas and labels are drawn from
     ``r``.  Returns the loss closure and its parameters: the weights and
@@ -161,18 +167,20 @@ def _random_chain(r: Rng, trial: int):
     v_ths = [autograd.parameter(np.asarray(1.0), f"v_th_{i}") for i in range(depth)]
     kappas = [r.spawn(20 + i).uniform_tensor((cfg.kappa_length(T, n),), 0.0, 2.0)
               for i, n in enumerate(hidden)]
+    u_weights = [r.spawn(50 + i).uniform_tensor((T, B, n), -1.0, 1.0)
+                 for i, n in enumerate(hidden)]
     w_out = autograd.parameter(r.spawn(30).uniform_tensor((widths[-1], K), -1.5, 1.5), "w_out")
 
     def fn() -> Var:
         o, mem_terms = Var(x), []
-        for i, (W, v_th, kappa) in enumerate(zip(weights, v_ths, kappas)):
+        for i, (W, v_th) in enumerate(zip(weights, v_ths)):
             u_hat, u, o = _layer(kind, network.synapse_forward(o, W, delay), v_th,
                                  GRADIENT_ALPHA, r.spawn(40 + i))
-            if kind != "lif":
-                mem_terms.append(losses.mem_loss(u_hat, u, kappa, cfg))
+            if kind == "lif":
+                mem_terms.append(autograd.vsum(u * u_weights[i]))
+            else:
+                mem_terms.append(losses.mem_loss(u_hat, u, kappas[i], cfg))
         l_cls = losses.cls_loss(network.synapse_forward(o, w_out), labels)
-        if not mem_terms:
-            return l_cls
         return losses.total_loss(l_cls, sum(mem_terms, Var(np.asarray(0.0))), cfg.lam)
 
     return fn, weights + [w_out] + v_ths
@@ -182,10 +190,11 @@ def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: f
     """Tape gradients of the training loss vs central finite differences.
 
     Each graph is a :func:`_random_chain`: synapse, fused spiking layer,
-    readout, classification and membrane losses, so the closed-form
-    backwards that ``fit`` runs are the ones differentiated.  A coordinate
-    whose perturbation flips a spike or a Bernoulli draw is a failure, not a
-    skip: the loss is not differentiable there, so the graph proves nothing.
+    readout, classification and membrane losses (for LIF, a weighting of
+    u), so the closed-form backwards that ``fit`` runs are the ones
+    differentiated.  A coordinate whose perturbation flips a spike or a
+    Bernoulli draw is a failure, not a skip: the loss is not differentiable
+    there, so the graph proves nothing.
     """
     rng = Rng(seed, stream=104)
     res = CheckResult("gradient_vs_finite_difference", graphs, 0)
@@ -260,6 +269,85 @@ def check_matmul_vs_fixed_order(trials: int = 1000, seed: int = 0) -> CheckResul
     return res
 
 
+# The largest gap between ``numerics.sigmoid`` and ``scipy.special.expit``
+# measured over 2e8 inputs uniform on [-745, 40] (numpy 2.4.6, scipy 1.17.1,
+# x86-64), in units in the last place of expit's value.  1.9% of inputs
+# differ at all; the 4-ulp gaps lie near -37.
+SIGMOID_ULP_BOUND = 4.0
+SIGMOID_EDGE_INPUTS = (-np.inf, -710.0, 0.0, 710.0, np.inf, np.nan)
+
+
+def check_sigmoid_vs_expit(trials: int = 1000, seed: int = 0) -> CheckResult:
+    """``numerics.sigmoid`` against the oracle ``scipy.special.expit``, within a
+    stated tolerance.
+
+    Contract, elementwise: |sigmoid(x) - expit(x)| <= 4 * spacing(expit(x)),
+    and NaN where expit gives NaN, nowhere else.  Each trial draws 1024
+    inputs uniform on [-750, 750], where most saturate (both forms give
+    exactly 0 below about -709.8), and 1024 on [-40, 40], where the two
+    forms differ most, and appends :data:`SIGMOID_EDGE_INPUTS`.  ``max_err``
+    is the worst gap in ulp.
+    """
+    rng = Rng(seed, stream=107)
+    res = CheckResult("sigmoid_vs_expit", trials, 0)
+    for trial in range(trials):
+        r = rng.spawn(trial)
+        x = np.concatenate([r.spawn(1).uniform_tensor((1024,), -750.0, 750.0),
+                            r.spawn(2).uniform_tensor((1024,), -40.0, 40.0),
+                            SIGMOID_EDGE_INPUTS])
+        want, got = expit(x), numerics.sigmoid(x)
+        with np.errstate(invalid="ignore"):
+            ulps = float(np.nanmax(np.abs(got - want) / np.spacing(want)))
+        res.max_err = max(res.max_err, ulps)
+        if not (ulps <= SIGMOID_ULP_BOUND
+                and np.array_equal(np.isnan(got), np.isnan(want))):
+            res.fail(f"trial {trial}: {ulps:.3g} ulp from expit "
+                     f"(bound {SIGMOID_ULP_BOUND:g}) or NaN mismatch, seed {seed}")
+    return res
+
+
+# The probabilities at which the draw's frequency is checked: both ends of
+# the range, where a coarse or misplaced grid shows first, and the middle.
+BERNOULLI_PROBABILITIES = (2.0**-10, 0.25, 0.5, 0.75, 1.0 - 2.0**-10)
+BERNOULLI_DRAWS = 1 << 20
+BERNOULLI_SIGMAS = 5.0
+
+
+def check_bernoulli_draws(seed: int = 0) -> CheckResult:
+    """``Rng.uniforms`` as the Bernoulli draw ``U < P``, within a stated tolerance.
+
+    Contract, distributional: at each P of :data:`BERNOULLI_PROBABILITIES`,
+    the frequency of U < P over 2^20 uniforms lies within 5 binomial
+    standard deviations, sqrt(P (1 - P) / 2^20), of P, and every uniform
+    is a multiple of 2^-32 in [0, 1).  Bitwise, across worker counts: at n
+    on and around the chunk edges, the uniforms drawn over pools of 1, 2
+    and 3 workers equal those drawn without a pool.  ``max_err`` is the
+    worst frequency gap in standard deviations.
+    """
+    rng = Rng(seed, stream=108)
+    C, n = Rng.CHUNK, BERNOULLI_DRAWS
+    sizes = (1, C - 1, C, C + 1, 2 * C, 5 * C + 17)
+    res = CheckResult("bernoulli_draws", len(BERNOULLI_PROBABILITIES) + len(sizes), 0)
+    for i, p in enumerate(BERNOULLI_PROBABILITIES):
+        u = rng.spawn(i).uniforms(n)
+        gap = abs(np.count_nonzero(u < p) / n - p) / math.sqrt(p * (1.0 - p) / n)
+        scaled = u * 2.0**32
+        on_grid = bool(u.min() >= 0.0 and u.max() < 1.0
+                       and np.array_equal(scaled, np.floor(scaled)))
+        res.max_err = max(res.max_err, gap)
+        if not (gap <= BERNOULLI_SIGMAS and on_grid):
+            res.fail(f"P={p!r}: frequency {gap:.3g} sd from P, "
+                     f"on the 2^-32 grid: {on_grid}, seed {seed}")
+    with (numerics.WorkerPool(1) as p1, numerics.WorkerPool(2) as p2,
+          numerics.WorkerPool(3) as p3):
+        for j, n in enumerate(sizes):
+            want = rng.spawn(100 + j).uniforms(n)
+            if not all(np.array_equal(rng.spawn(100 + j).uniforms(n, pool), want)
+                       for pool in (p1, p2, p3)):
+                res.fail(f"n={n}: uniforms differ across 1, 2 and 3 workers, seed {seed}")
+    return res
+
+
 def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> CheckResult:
     """The no-tape inference forward against the training forward, bit for bit.
 
@@ -310,5 +398,7 @@ def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
         check_gradients(100, seed),
         check_surrogate_chain(),
         check_matmul_vs_fixed_order(trials, seed),
+        check_sigmoid_vs_expit(trials, seed),
+        check_bernoulli_draws(seed),
         check_inference_vs_training_forward(trials, seed),
     ]

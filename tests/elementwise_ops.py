@@ -7,14 +7,15 @@ beside the tests, and not in the package.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from mpepsn.autograd import Var, as_var, log_spikes, mul, surrogate_grad, unbroadcast, vsum
 
 
 def sigmoid(x) -> Var:
     x = as_var(x)
-    y = expit(x.value)
+    # the expression numerics.sigmoid forms, op for op
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.value))
     return Var(y, parents=(x,), backward=lambda g: (g * y * (1.0 - y),))
 
 

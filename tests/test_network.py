@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mpepsn import autograd, datagen, network, neuron, numerics
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
@@ -131,8 +132,13 @@ class TestFusedMatchesElementwiseTape:
     def setup_method(self):
         r = Rng(21)
         self.I = r.spawn(0).uniform_tensor((5, 2, 4), -2, 2)
+        self.I[0, 0, 0] = 0.44  # where expit and 1 / (1 + exp(-x)) differ in the last bit
         self.c_hat, self.c_u, self.c_o = (r.spawn(k).uniform_tensor(self.I.shape, -1, 1)
                                           for k in (1, 2, 3))
+
+    def test_input_separates_the_sigmoid_forms(self):
+        # so the expectation cases compare the package's sigmoid bit for bit
+        assert np.any(expit(self.I) != numerics.sigmoid(self.I))
 
     def mpe_psn_grads(self, fused, mode, read):
         """Gradients of I and v_th for a loss over the outputs named in ``read``."""

@@ -159,7 +159,8 @@ class TestRng:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_advanced_generator_matches_one_per_chunk(self, workers):
-        # the reference builds a fresh generator for every chunk
+        # the reference builds a fresh generator for every chunk and splits
+        # each of its words into the low, then the high 32-bit half
         C = Rng.CHUNK
         r = Rng(7, stream=3)
         with WorkerPool(workers) as pool:
@@ -167,7 +168,10 @@ class TestRng:
                 got = r.uniforms(n, pool)
                 ref = np.empty(n)
                 for c in range(-(-n // C)):
-                    r._chunk_generator(call, c).random(out=ref[c * C:(c + 1) * C])
+                    chunk = ref[c * C:(c + 1) * C]
+                    words = r._chunk_generator(call, c).random_raw(-(-chunk.size // 2))
+                    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)
+                    chunk[:] = halves[:chunk.size] * 2.0**-32
                 assert np.array_equal(got, ref), (workers, n)
 
 
@@ -311,6 +315,13 @@ class TestTensorCsv:
         path = tmp_path / "t.csv"
         save_tensor(x, path)
         np.testing.assert_array_equal(load_tensor(path), x)
+
+    def test_round_trip_0d(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_tensor(np.float64(2.0), path)
+        assert path.read_text().splitlines()[0] == "# shape: ()"
+        x = load_tensor(path)
+        assert x.shape == () and x == 2.0
 
     def test_header(self, tmp_path):
         path = tmp_path / "t.csv"

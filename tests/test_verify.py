@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mpepsn import losses, neuron, numerics, verify
@@ -105,6 +106,52 @@ class TestChecks:
         assert res.failures == res.trials
         assert res.details
 
+    def test_sigmoid_vs_expit(self):
+        res = verify.check_sigmoid_vs_expit(trials=50)
+        assert res.passed
+        assert 0.0 < res.max_err <= verify.SIGMOID_ULP_BOUND
+
+    def test_sigmoid_check_detects_8_ulp(self, monkeypatch):
+        sigmoid = numerics.sigmoid
+
+        def off_by_8_ulp(x, out=None):
+            y = sigmoid(x, out)
+            return y + 8 * np.spacing(y)
+
+        monkeypatch.setattr(numerics, "sigmoid", off_by_8_ulp)
+        res = verify.check_sigmoid_vs_expit(trials=10)
+        assert res.failures == res.trials
+        assert res.details
+
+    def test_sigmoid_check_requires_nan_to_propagate(self, monkeypatch):
+        sigmoid = numerics.sigmoid
+        monkeypatch.setattr(numerics, "sigmoid",
+                            lambda x, out=None: np.nan_to_num(sigmoid(x, out)))
+        assert verify.check_sigmoid_vs_expit(trials=10).failures == 10
+
+    def test_bernoulli_draws(self):
+        res = verify.check_bernoulli_draws()
+        assert res.passed
+        assert res.trials == len(verify.BERNOULLI_PROBABILITIES) + 6
+        assert 0.0 < res.max_err <= verify.BERNOULLI_SIGMAS
+
+    def test_bernoulli_check_detects_a_draw_scaled_by_2_to_the_minus_31(self, monkeypatch):
+        uniforms = numerics.Rng.uniforms
+        monkeypatch.setattr(numerics.Rng, "uniforms",
+                            lambda rng, n, pool=None: uniforms(rng, n, pool) * 2.0)
+        res = verify.check_bernoulli_draws()
+        assert res.failures == len(verify.BERNOULLI_PROBABILITIES)
+        assert res.details
+
+    def test_bernoulli_check_detects_a_stale_chunk_step(self, monkeypatch):
+        # a chunk step for one uniform per Philox word (four per Philox step,
+        # not eight): a range of two or more chunks then leaves the chunk
+        # keying after its first
+        monkeypatch.setattr(numerics.Rng, "_NEXT_CHUNK", 2**64 - numerics.Rng.CHUNK // 4)
+        res = verify.check_bernoulli_draws()
+        assert res.failures == 3  # n = CHUNK + 1, 2 * CHUNK and 5 * CHUNK + 17
+        assert all("differ across" in d for d in res.details)
+
     def test_inference_vs_training_forward(self):
         res = verify.check_inference_vs_training_forward(trials=50)
         assert res.passed
@@ -123,7 +170,7 @@ class TestChecks:
 class TestRunAll:
     def test_all_pass(self):
         results = verify.run_all(trials=25)
-        assert len(results) == 7
+        assert len(results) == 9
         assert all(r.passed for r in results)
 
     def test_trials_validated(self):
