@@ -13,6 +13,7 @@ except that inputs are [T, B, N] temporal tensors rather than 2-D matrices.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,13 +25,6 @@ from .losses import MemLossConfig
 from .numerics import Array, Rng, Scratch, ShapeMismatchError
 
 NEURON_KINDS = ("mpe_psn", "lif_sequential")
-
-# Columns (B * N) from which predict splits a layer's spikes-only pass over
-# the worker pool.  At T=8 on a 2-core VM, two workers (pool opened per
-# call) broke even with one at 2^14 columns, where starting the thread
-# costs about what the second core saves, and took 2.4-2.9 ms against
-# 3.1-3.5 at 2^15 and 8.1-8.7 against 15.0-15.2 at 2^17.
-POOL_MIN_COLUMNS = 1 << 15
 
 
 class TrainingDivergedError(RuntimeError):
@@ -502,32 +496,78 @@ class SpikingClassifier:
     def predict_logits(self, x) -> Array:
         """Logits [T, B, K] of the expectation-mode forward, built without a tape.
 
-        Each spiking layer keeps only its spikes (:func:`neuron.mpe_psn_spikes`
-        or :func:`neuron.lif_sequential`), so the logits are bit-identical to
-        ``model_forward(x, "expectation")[0].value`` at a fraction of its
-        memory traffic.  An MPE-PSN layer of at least ``POOL_MIN_COLUMNS``
-        columns (B * N) splits them over a :class:`numerics.WorkerPool` of
-        the default size, opened for this call; the logits are the same
-        for any worker count.  A layer whose current is not finite (finite
-        input can overflow) raises ValueError naming the layer.
+        The batch is cut into blocks of samples, sized by the model's shape
+        alone (:meth:`_block_samples`), and each block runs the whole chain on
+        its own slice: synapse product, finiteness test, spikes-only layer
+        (:func:`neuron.mpe_psn_spikes` or :func:`neuron.lif_sequential`)
+        and readout, written into its slice of the logits.  So no [T, B, N]
+        array is formed, and the logits are bit-identical to
+        ``model_forward(x, "expectation")[0].value``.  Several blocks run
+        on a :class:`numerics.WorkerPool` of ``MPE_PSN_WORKERS`` workers
+        (default: the usable cores), opened for this call; one block runs
+        inline.  Every block does the same arithmetic whichever worker
+        takes it, so the logits are the same for any worker count.  A
+        layer whose current is not finite (finite input can overflow)
+        raises ValueError naming the first such layer in forward order.
         """
         self._check_fitted()
-        o = check_input(x, "x")
-        with numerics.WorkerPool() as pool:
-            for i, (W, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
-                I = numerics.matmul(
-                    _presynaptic(o, W.value, self.synaptic_delay, neuron.shift_time), W.value
-                )
-                if not _all_finite(I):
-                    raise ValueError(f"layer {i} current I has non-finite entries (NaN or Inf)")
-                params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
-                                             alpha=self.alpha)
-                if self.neuron_kind == "mpe_psn":
-                    big = I.shape[1] * I.shape[2] >= POOL_MIN_COLUMNS
-                    o = neuron.mpe_psn_spikes(I, params, pool if big else None)
-                else:
-                    o = neuron.lif_sequential(I, params)[1]
-        return numerics.matmul(o, self.readout_.value)
+        x = check_input(x, "x")
+        return self._blocked_logits(x, numerics.resolve_workers())
+
+    def _blocked_logits(self, x: Array, workers: int) -> Array:
+        """:meth:`predict_logits` of a checked input on ``workers`` workers.
+
+        The batch is cut into blocks of :meth:`_block_samples` samples, the
+        remainder joining the last block, so no block is smaller than that
+        unless the whole batch is.
+        """
+        T, B, _ = x.shape
+        size = self._block_samples(T)
+        bounds = [k * size for k in range(max(B // size, 1))] + [B]
+        n = len(bounds) - 1
+        logits = np.empty((T, B, self.readout_.value.shape[1]))
+        bad = [None] * n
+
+        def block_range(lo: int, hi: int) -> None:
+            for k in range(lo, hi):
+                bad[k] = self._block_logits(x, bounds[k], bounds[k + 1], logits)
+
+        with numerics.WorkerPool(workers) if n > 1 else contextlib.nullcontext() as pool:
+            numerics.map_ranges(pool, n, block_range)
+        bad = [i for i in bad if i is not None]
+        if bad:
+            raise ValueError(f"layer {min(bad)} current I has non-finite entries (NaN or Inf)")
+        return logits
+
+    def _block_samples(self, T: int) -> int:
+        """Samples per predict block: ``numerics.PREDICT_BLOCK_VALUES``
+        values per [T, samples, width] array at the widest layer, but no
+        fewer than ``numerics.MATMUL_MIN_BLOCK_ROWS`` product rows."""
+        width = max(W.value.shape[0] for W in (*self.synapses_, self.readout_))
+        return max(numerics.PREDICT_BLOCK_VALUES // (T * width),
+                   -(-numerics.MATMUL_MIN_BLOCK_ROWS // T))
+
+    def _block_logits(self, x: Array, lo: int, hi: int, logits: Array) -> int | None:
+        """Write the logits of samples [lo, hi) of ``x`` into ``logits[:, lo:hi]``.
+
+        Returns the index of the first layer whose current is not finite,
+        leaving the slice unwritten, or None.
+        """
+        o = x[:, lo:hi]
+        for i, (W, v_th) in enumerate(zip(self.synapses_, self.v_ths_)):
+            I = numerics.matmul(
+                _presynaptic(o, W.value, self.synaptic_delay, neuron.shift_time), W.value
+            )
+            if not _all_finite(I):
+                return i
+            params = neuron.NeuronParams(tau_m=self.tau_m, v_th=float(v_th.value),
+                                         alpha=self.alpha)
+            if self.neuron_kind == "mpe_psn":
+                o = neuron.mpe_psn_spikes(I, params)
+            else:
+                o = neuron.lif_sequential(I, params)[1]
+        logits[:, lo:hi] = numerics.matmul(o, self.readout_.value)
+        return None
 
     def predict(self, x) -> Array:
         logits = self.predict_logits(x)

@@ -85,7 +85,9 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     this op order.
 
     ``u_hist`` None is the zero history of step 0; ``u`` None skips the
-    reset, for a pass that keeps only spikes.  The MPE-PSN passes and
+    reset, for a pass that keeps only spikes.  ``u_hist``, ``h`` and ``o``
+    may be one array, since each op reads only what the previous one
+    wrote, elementwise.  The MPE-PSN passes and
     :func:`teacher_forced_forward` call this one function, so they fire on
     the same bits of h; :func:`lif_sequential` keeps its own arithmetic, as
     the independent oracle they are checked against.
@@ -192,33 +194,24 @@ def mpe_psn_forward(
     )
 
 
-def mpe_psn_spikes(I, params: NeuronParams, pool: WorkerPool | None = None) -> Array:
+def mpe_psn_spikes(I, params: NeuronParams) -> Array:
     """The spikes o of ``mpe_psn_forward(I, params, "expectation")``, and nothing else.
 
-    The inference pass: it walks time one row at a time and keeps one row
-    of estimate history, so it writes o and two row buffers instead of six
-    [T, B, N] arrays, and it never forms the estimate of the last row,
-    which nothing reads.  It runs the same estimate and update helpers as
-    :func:`mpe_psn_forward`, so o is bit-identical to that pass's.  Each of
-    the B * N columns depends only on its own earlier rows, so ``pool``
-    splits the columns into ranges (one range without a pool), each walking
-    all T rows with row buffers of its own; o is bit-identical for any
-    worker count.
+    The inference pass: it runs the same estimate and update helpers as
+    :func:`mpe_psn_forward`, so o is bit-identical to that pass's, but it
+    writes one [T, B, N] array instead of six.  Row t of that array takes
+    the estimate of row t - 1 (the last row's estimate, which nothing
+    reads, is never formed), then the pre-reset potential h formed from it
+    in place, then the spikes.  Predict calls it on one cache-sized block
+    of samples at a time.
     """
     I = _check_3d(I)
-    shape, T = I.shape, I.shape[0]
-    I = I.reshape(T, -1)
     o = np.empty_like(I)
-
-    def column_range(lo: int, hi: int) -> None:
-        u_hat, h = np.empty(hi - lo), np.empty(hi - lo)
-        for t in range(T):
-            _update(u_hat if t else None, I[t, lo:hi], params, h, o[t, lo:hi])
-            if t + 1 < T:
-                _estimate(I[t, lo:hi], u_hat, u_hat, u_hat, None)
-
-    map_ranges(pool, I.shape[1], column_range)
-    return o.reshape(shape)
+    if I.shape[0] > 1:
+        _estimate(I[:-1], o[1:], o[1:], o[1:], None)
+        _update(o[1:], I[1:], params, o[1:], o[1:])
+    _update(None, I[0], params, o[0], o[0])
+    return o
 
 
 def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Array]:

@@ -255,6 +255,16 @@ class Rng:
 MATMUL_BLOCK_WORK = 1 << 19
 MATMUL_MIN_BLOCK_ROWS = 256
 
+# Values in one [T, samples, width] array of a predict block at the model's
+# widest layer: ``SpikingClassifier.predict_logits`` runs its whole layer
+# chain one block of samples at a time, so a block's arrays stay in L2, and
+# a block holds no fewer than MATMUL_MIN_BLOCK_ROWS / T samples.  At T=8 and
+# width 32 this is 256 samples.  On a 2-vCPU VM, blocks of 512 predicted
+# train_ref about as fast, but the pool thread's malloc arena kept more of
+# their memory: the benchmark's peak RSS rose 1.4-2.2% over a whole-batch
+# predict, against 0.3-0.6% with 256.
+PREDICT_BLOCK_VALUES = 1 << 16
+
 
 def matmul(a, b) -> Array:
     """Matrix product through BLAS; the hot path of training and inference.

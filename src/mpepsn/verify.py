@@ -356,34 +356,46 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
     :func:`_random_case` family, and over the first time step alone of each
     (T = 1, where the spikes-only pass forms no estimate),
     ``neuron.mpe_psn_spikes(I, p)`` equals
-    ``neuron.mpe_psn_forward(I, p, "expectation").o``, run inline and with
-    its columns split over a pool of 3 workers (uneven ranges).  Then on a small
+    ``neuron.mpe_psn_forward(I, p, "expectation").o``.  Then on a small
     fitted model of each neuron kind, with synaptic delay 0 and 1 and one or
-    two hidden layers, ``predict_logits(x)`` equals
-    ``model_forward(x, "expectation")[0].value``.
+    two hidden layers (threshold 0.5: at 1.0 a second layer stays silent,
+    and every logit is 0), the logits of predict equal
+    ``model_forward(x, "expectation")[0].value``: on a held-out set of one
+    block, and on batches of 3 S + 17 and 2 S - 1 samples (S the model's
+    block size: three blocks and one with the remainder, and one block of
+    nearly two) predicted on 1, 2 and 3 workers.
     """
     rng = Rng(seed, stream=106)
     models = [(kind, delay, hidden) for kind in network.NEURON_KINDS
               for delay in (0, 1) for hidden in ((8,), (8, 8))]
     res = CheckResult("inference_vs_training_forward", trials + len(models), 0)
 
-    with numerics.WorkerPool(3) as pool:
-        for trial in range(trials):
-            I, params = _random_case(rng, trial)
-            for case in (I, I[:1]):
-                o = neuron.mpe_psn_forward(case, params, "expectation").o
-                if not (np.array_equal(neuron.mpe_psn_spikes(case, params), o)
-                        and np.array_equal(neuron.mpe_psn_spikes(case, params, pool), o)):
-                    res.fail(f"trial {trial}: shape {case.shape}, seed {seed}")
-                    break
-    train, test = datagen.generate(datagen.DatasetSpec(time_steps=6, samples_per_class=8,
+    for trial in range(trials):
+        I, params = _random_case(rng, trial)
+        for case in (I, I[:1]):
+            o = neuron.mpe_psn_forward(case, params, "expectation").o
+            if not np.array_equal(neuron.mpe_psn_spikes(case, params), o):
+                res.fail(f"trial {trial}: shape {case.shape}, seed {seed}")
+                break
+    T = 6
+    train, test = datagen.generate(datagen.DatasetSpec(time_steps=T, samples_per_class=8,
                                                        seed=seed))
     for kind, delay, hidden in models:
         model = network.SpikingClassifier(hidden_sizes=hidden, neuron_kind=kind,
-                                          synaptic_delay=delay, epochs=3, seed=seed)
+                                          synaptic_delay=delay, v_th_init=0.5, epochs=3,
+                                          seed=seed)
         model.fit(train.x, train.y)
+        size = model._block_samples(T)
+        spec = datagen.DatasetSpec(time_steps=T, samples_per_class=2 * size + 20, seed=seed + 1)
+        wide = datagen.generate(spec)[0].x  # 3.2 S + 32 samples
         logits, _, _ = model.model_forward(test.x, "expectation")
-        if not np.array_equal(model.predict_logits(test.x), logits.value):
+        ok = np.array_equal(model.predict_logits(test.x), logits.value)
+        for B in (3 * size + 17, 2 * size - 1):
+            x = wide[:, :B]
+            logits, _, _ = model.model_forward(x, "expectation")
+            ok = ok and all(np.array_equal(model._blocked_logits(x, workers), logits.value)
+                            for workers in (1, 2, 3))
+        if not ok:
             res.fail(f"{kind} model, synaptic delay {delay}, hidden sizes {hidden}, seed {seed}")
     return res
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -133,12 +135,16 @@ class TestFusedMatchesElementwiseTape:
         r = Rng(21)
         self.I = r.spawn(0).uniform_tensor((5, 2, 4), -2, 2)
         self.I[0, 0, 0] = 0.44  # where expit and 1 / (1 + exp(-x)) differ in the last bit
+        # h[1, 0, 0] below v_th and inside the surrogate's support, so a loss
+        # reading u or o alone reaches P[0, 0, 0] through the history
+        self.I[1, 0, 0] = 0.3
         self.c_hat, self.c_u, self.c_o = (r.spawn(k).uniform_tensor(self.I.shape, -1, 1)
                                           for k in (1, 2, 3))
 
     def test_input_separates_the_sigmoid_forms(self):
-        # so the expectation cases compare the package's sigmoid bit for bit
-        assert np.any(expit(self.I) != numerics.sigmoid(self.I))
+        # so the expectation cases compare the package's sigmoid bit for bit,
+        # at a row whose estimate feeds the next row's history
+        assert np.any(expit(self.I[:-1]) != numerics.sigmoid(self.I[:-1]))
 
     def mpe_psn_grads(self, fused, mode, read):
         """Gradients of I and v_th for a loss over the outputs named in ``read``."""
@@ -457,9 +463,10 @@ class TestNoTapeInference:
 
 
 class TestPooledPredict:
-    """An MPE-PSN layer of at least ``POOL_MIN_COLUMNS`` columns splits its
-    spikes-only pass over a pool of ``MPE_PSN_WORKERS`` (default: the usable
-    cores); the logits must not depend on the worker count."""
+    """Predict cuts the batch into blocks of samples sized by the model's
+    shape (``numerics.PREDICT_BLOCK_VALUES``), and several blocks run on a
+    pool of ``MPE_PSN_WORKERS`` (default: the usable cores); the logits must
+    not depend on the worker count."""
 
     @staticmethod
     def count_pool_calls(monkeypatch):
@@ -474,35 +481,42 @@ class TestPooledPredict:
         return calls
 
     @staticmethod
-    def logits_per_worker_count(monkeypatch, model, x):
+    def logits_per_worker_count(monkeypatch, model, x, counts=("1", "2", "3")):
         out = []
-        for workers in ("1", "2", "3"):
+        for workers in counts:
             monkeypatch.setenv(numerics.WORKERS_ENV_VAR, workers)
             out.append(model.predict_logits(x))
         return out
+
+    @staticmethod
+    def currents(T, B, seed=8):
+        return Rng(seed).uniform_tensor((T, B, 16), -0.5, 1.5)
 
     @pytest.mark.parametrize("kind", ["mpe_psn", "lif_sequential"])
     @pytest.mark.parametrize("delay", [0, 1])
     @pytest.mark.parametrize("hidden", [(8,), (8, 8)])
     def test_logits_identical_across_worker_counts(self, monkeypatch, kind, delay, hidden):
-        tr, te = small_task()
+        tr, _ = small_task()
+        # threshold 0.5: at 1.0 a second hidden layer stays silent on these inputs
         m = small_model(hidden_sizes=hidden, neuron_kind=kind, synaptic_delay=delay,
-                        epochs=5).fit(tr.x, tr.y)
-        monkeypatch.setattr(network, "POOL_MIN_COLUMNS", 1)  # pool even these few columns
+                        v_th_init=0.5, epochs=5).fit(tr.x, tr.y)
+        # blocks of the fewest samples: 32 at T = 8 (MATMUL_MIN_BLOCK_ROWS rows)
+        monkeypatch.setattr(numerics, "PREDICT_BLOCK_VALUES", 1)
+        size = m._block_samples(8)
+        x = self.currents(8, 3 * size + 17)  # three blocks and one with the remainder
         calls = self.count_pool_calls(monkeypatch)
-        one, *more = self.logits_per_worker_count(monkeypatch, m, te.x)
+        one, *more = self.logits_per_worker_count(monkeypatch, m, x)
         for logits in more:
             assert logits.tobytes() == one.tobytes()
-        logits, _, _ = m.model_forward(te.x, "expectation")
+        logits, _, _ = m.model_forward(x, "expectation")
         assert one.tobytes() == logits.value.tobytes()
-        expected = [1, 2, 3] * len(hidden) if kind == "mpe_psn" else []
-        assert sorted(calls) == sorted(expected)
+        assert np.any(one != 0.0)
+        assert calls == [1, 2, 3]  # one per multi-block predict, whatever the kind
 
     def test_large_predict_uses_the_pool(self, monkeypatch):
         tr, _ = small_task()
         m = small_model(hidden_sizes=(32,), epochs=5).fit(tr.x, tr.y)
-        B = network.POOL_MIN_COLUMNS // 32 + 5
-        x = (Rng(8).uniform_tensor((8, B, tr.x.shape[2]), 0, 1) < 0.3).astype(float)
+        x = (self.currents(8, 2 * m._block_samples(8) + 5) < 0.3).astype(float)
         calls = self.count_pool_calls(monkeypatch)
         one, *more = self.logits_per_worker_count(monkeypatch, m, x)
         assert calls == [1, 2, 3]
@@ -512,11 +526,62 @@ class TestPooledPredict:
     def test_small_predict_makes_no_pool_call(self, monkeypatch):
         tr, te = small_task()
         m = small_model(epochs=5).fit(tr.x, tr.y)
-        assert te.x.shape[1] * 16 < network.POOL_MIN_COLUMNS
+        assert te.x.shape[1] < 2 * m._block_samples(8)  # one block
         calls = self.count_pool_calls(monkeypatch)
         monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "2")
         m.predict(te.x)
         assert calls == []
+
+    def test_one_call_per_block_for_any_worker_count(self, monkeypatch):
+        """Above the usable cores the worker count adds no per-block work,
+        and the pool starts no more threads than the cores it may use."""
+        tr, _ = small_task()
+        m = small_model(epochs=2).fit(tr.x, tr.y)
+        monkeypatch.setattr(numerics, "PREDICT_BLOCK_VALUES", 1)
+        size = m._block_samples(8)
+        x = self.currents(8, 5 * size + 3)
+        block_logits = SpikingClassifier._block_logits
+        calls = []
+
+        def counted(model, *args):
+            calls.append(threading.get_ident())
+            return block_logits(model, *args)
+
+        monkeypatch.setattr(SpikingClassifier, "_block_logits", counted)
+        out = []
+        for workers in ("1", "3", "64"):
+            calls.clear()
+            out += self.logits_per_worker_count(monkeypatch, m, x, (workers,))
+            assert len(calls) == 5
+            assert len(set(calls)) <= min(int(workers), numerics._usable_cores())
+        assert out[1].tobytes() == out[0].tobytes() == out[2].tobytes()
+
+    def test_bad_worker_count_fails_on_a_one_block_predict(self, monkeypatch):
+        tr, te = small_task()
+        m = small_model(epochs=2).fit(tr.x, tr.y)
+        calls = self.count_pool_calls(monkeypatch)
+        for bad in ("0", "abc"):
+            monkeypatch.setenv(numerics.WORKERS_ENV_VAR, bad)
+            with pytest.raises(ValueError, match=numerics.WORKERS_ENV_VAR):
+                m.predict(te.x[:, :3])
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_in_the_last_block_names_the_first_layer(self, monkeypatch):
+        tr, _ = small_task()
+        m = small_model(hidden_sizes=(8, 8), epochs=2).fit(tr.x, tr.y)
+        monkeypatch.setattr(numerics, "PREDICT_BLOCK_VALUES", 1)
+        x = self.currents(8, 3 * m._block_samples(8) + 7)
+        m.synapses_[0].value[:, 0] = 0.25
+        x[5, -1] = 1.5e308  # finite, but the last sample's layer-0 current overflows
+        for layer_1_too in (False, True):
+            if layer_1_too:  # then every block's layer-1 current is non-finite
+                m.synapses_[1].value[0, 0] = np.inf
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv(numerics.WORKERS_ENV_VAR, workers)
+                with pytest.raises(ValueError, match="layer 0 current I has non-finite"):
+                    m.predict_logits(x)
 
 
 class TestAllFinite:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpepsn import losses, neuron, numerics, verify
+from mpepsn import losses, network, neuron, numerics, verify
 from mpepsn.verify import CheckResult
 
 
@@ -160,10 +160,38 @@ class TestChecks:
 
     def test_inference_check_detects_a_dropped_history(self, monkeypatch):
         # spikes of the input current alone: right at t = 0, wrong after it
-        monkeypatch.setattr(neuron, "mpe_psn_spikes",
-                            lambda I, p, pool=None: neuron.heaviside(I, p.v_th))
+        monkeypatch.setattr(neuron, "mpe_psn_spikes", lambda I, p: neuron.heaviside(I, p.v_th))
         res = verify.check_inference_vs_training_forward(trials=50)
         assert 0 < res.failures < res.trials
+        assert res.details
+
+    @staticmethod
+    def plant_block_fault(monkeypatch, fault):
+        """Predict with ``fault(model, x, lo, hi)`` giving the samples and
+        bounds that each block reads."""
+        block_logits = network.SpikingClassifier._block_logits
+
+        def faulty(model, x, lo, hi, logits):
+            return block_logits(model, *fault(model, x, lo, hi), logits)
+
+        monkeypatch.setattr(network.SpikingClassifier, "_block_logits", faulty)
+
+    def test_inference_check_detects_a_block_reading_one_sample_off(self, monkeypatch):
+        # every block after the first reads the samples one further on
+        self.plant_block_fault(monkeypatch, lambda model, x, lo, hi: (
+            (np.roll(x, -1, axis=1) if lo else x), lo, hi))
+        res = verify.check_inference_vs_training_forward(trials=5)
+        assert res.failures == 8  # each model, on its batch of several blocks
+        assert res.details
+
+    def test_inference_check_detects_a_dropped_remainder(self, monkeypatch):
+        # the last block stops at the block size, leaving its remainder unwritten
+        def fault(model, x, lo, hi):
+            return x, lo, min(hi, lo + model._block_samples(x.shape[0]))
+
+        self.plant_block_fault(monkeypatch, fault)
+        res = verify.check_inference_vs_training_forward(trials=5)
+        assert res.failures == 8
         assert res.details
 
 
