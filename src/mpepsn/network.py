@@ -167,31 +167,45 @@ def mpe_psn_tape_forward(
     return TapeTrace(u_hat=u_hat, u=u, o=o, values=tr)
 
 
-def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float) -> tuple[Var, Var]:
+def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
+                     *, scratch: Scratch | None = None) -> tuple[Var, Var]:
     """Differentiable sequential LIF recurrence (backprop through time): one
-    tape node over :func:`neuron.lif_sequential`, with a closed-form backward
-    that walks time in reverse, adding terms in the order of the per-step
-    elementwise tape it replaces (bit for bit, as for the parallel layer)."""
+    tape node over the recurrence of :func:`neuron.lif_sequential`, with a
+    closed-form backward that walks time in reverse, adding terms in the
+    order of the per-step elementwise tape it replaces (bit for bit, as for
+    the parallel layer).
+
+    The forward keeps the pre-reset potential h, which the backward reads.
+    u, o, h and the backward's surrogate and input gradient (which it
+    returns) come from ``scratch`` when given, else they are fresh; the
+    reverse walk works in two row buffers.
+    """
+    scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
-    u, o = neuron.lif_sequential(I.value, params)
+    x = neuron._check_3d(I.value)
+    shape = x.shape
+    u, o, h = scratch("u", shape), scratch("o", shape), scratch("h", shape)
+    neuron._lif_into(x, params, u, o, h)
     autograd.log_spikes(o)
 
     def backward(g_u, g_o):
-        h = tau_m * neuron.shift_time(u) + I.value  # pre-reset membrane, as the loop formed it
-        sg = autograd.surrogate_grad(h, params.v_th, alpha)
-        g_I = np.zeros_like(h)
-        g_h_row, tmp_row = np.empty(h.shape[1:]), np.empty(h.shape[1:])
+        sg = autograd.surrogate_grad(h, params.v_th, alpha, out=scratch("grad.sg", shape))
+        g_I = scratch("grad.I", shape)
+        g_u_row, tmp_row = scratch("grad.u_row", shape[1:]), scratch("grad.tmp_row", shape[1:])
         g_h = g_v_th = None
-        for t in reversed(range(h.shape[0])):
-            g_u_t = autograd.add_grads(
-                None if g_u is None else g_u[t], None if g_h is None else g_h * tau_m
-            )
+        for t in reversed(range(shape[0])):
+            # g_u[t] + g_h * tau_m, where None stands for no term
+            g_u_t = None if g_u is None else g_u[t]
+            if g_h is not None:
+                np.multiply(g_h, tau_m, out=g_u_row)
+                g_u_t = g_u_row if g_u_t is None else np.add(g_u_t, g_u_row, out=g_u_row)
+            g_I_t = g_I[t]
             g_h, weighted = _reset_backward(
-                g_u_t, None if g_o is None else g_o[t], h[t], o[t], sg[t], g_h_row, tmp_row
+                g_u_t, None if g_o is None else g_o[t], h[t], o[t], sg[t], g_I_t, tmp_row
             )
             g_v_th = autograd.add_grads(g_v_th, _threshold_grad(weighted, v_th))
-            if g_h is not None:
-                g_I[t] = g_h
+            if g_h is not g_I_t:  # the weighted spike gradient, when u has none at t
+                g_I_t[...] = g_h
         return g_I, g_v_th
 
     return autograd.multi_output((u, o), (I, v_th), backward)
@@ -244,12 +258,20 @@ def diagnostics(layers, logits: Array, labels,
     logits.
     """
     if sq_errors is None:
-        l2_norms = [float(numerics.l2_norm(layer.u_hat - layer.u)) for layer in layers]
+        l2_norms = [_estimate_l2(layer.u_hat, layer.u) for layer in layers]
     else:
         l2_norms = [float(np.sqrt(np.sum(sq))) for sq in sq_errors]
     rates = [100.0 * float(np.mean(layer.o)) for layer in layers]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
+
+
+def _estimate_l2(u_hat: Array, u: Array) -> float:
+    """``l2_norm(u_hat - u)``; a LIF layer's u_hat is its u, and for a finite
+    u that norm is 0.0 without forming the difference."""
+    if u_hat is u and _all_finite(u):
+        return 0.0
+    return float(numerics.l2_norm(u_hat - u))
 
 
 def _all_finite(x: Array) -> bool:
@@ -399,8 +421,8 @@ class SpikingClassifier:
         every layer's input current.
 
         ``scratch`` holds one :class:`numerics.Scratch` per spiking layer for
-        the parallel layers' arrays; ``fit`` passes its own, so the arrays of
-        a trace returned to any other caller are fresh and stay as they are.
+        that layer's arrays; ``fit`` passes its own, so the arrays of a trace
+        returned to any other caller are fresh and stay as they are.
         """
         x = autograd.as_var(np.asarray(x, dtype=np.float64))
         mode = self.mode if mode is None else mode
@@ -419,7 +441,8 @@ class SpikingClassifier:
                 traces.append(tr)
                 o_prev = tr.o
             else:
-                u, o = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha)
+                u, o = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha,
+                                        scratch=None if scratch is None else scratch[i])
                 traces.append(TapeTrace(u_hat=u, u=u, o=o))
                 o_prev = o
         logits = synapse_forward(o_prev, self.readout_, delay=0)
@@ -527,10 +550,12 @@ class SpikingClassifier:
         n = len(bounds) - 1
         logits = np.empty((T, B, self.readout_.value.shape[1]))
         bad = [None] * n
+        err = np.geterr()  # numpy keeps it per thread; pool threads take the caller's
 
         def block_range(lo: int, hi: int) -> None:
-            for k in range(lo, hi):
-                bad[k] = self._block_logits(x, bounds[k], bounds[k + 1], logits)
+            with np.errstate(**err):
+                for k in range(lo, hi):
+                    bad[k] = self._block_logits(x, bounds[k], bounds[k + 1], logits)
 
         with numerics.WorkerPool(workers) if n > 1 else contextlib.nullcontext() as pool:
             numerics.map_ranges(pool, n, block_range)

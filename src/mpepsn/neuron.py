@@ -1,14 +1,18 @@
 """Spiking neuron dynamics: sequential LIF oracle and the parallel estimator.
 
 The sequential path is the ground truth: a hard-reset LIF recurrence that
-must walk time step by step.  The parallel path replaces the unavailable
-membrane history with a Bernoulli estimate derived from the input current,
-which makes every time step computable at once; step 0 needs no history and
-is always exact.
+must walk time step by step.  It walks each column tile of the [T, B*N]
+view through time in place, so it allocates nothing per step, and it keeps
+its own arithmetic; the LIF tape node runs the same recurrence and keeps
+the pre-reset potential for its backward.  The parallel path replaces the
+unavailable membrane history with a Bernoulli estimate derived from the
+input current, which makes every time step computable at once; step 0
+needs no history and is always exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,9 @@ import numpy as np
 from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges, sigmoid
 
 MODES = ("sampled", "expectation")
+# Columns of one tile of the LIF recurrence: a 512 KB float64 row, so a
+# tile's rows of h, I, u and o fit in L2 together.
+LIF_TILE_COLUMNS = 1 << 16
 
 
 @dataclass
@@ -107,19 +114,48 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     """Ground-truth hard-reset LIF recurrence, O(T) along time.
 
     u_t = (tau_m * u_{t-1} + I_t) * (1 - spike_t), with u_{-1} = 0 and
-    spike_t = heaviside(tau_m * u_{t-1} + I_t, v_th).
+    spike_t = heaviside(tau_m * u_{t-1} + I_t, v_th).  Returns fresh u and
+    o; the only other memory it takes is one tile row (:func:`_lif_into`).
     """
     I = _check_3d(I)
-    T = I.shape[0]
-    u = np.empty_like(I)
-    o = np.empty_like(I)
-    u_prev = np.zeros(I.shape[1:], dtype=np.float64)
-    for t in range(T):
-        h = params.tau_m * u_prev + I[t]
-        o[t] = heaviside(h, params.v_th)
-        u[t] = h * (1.0 - o[t])
-        u_prev = u[t]
+    u, o = np.empty(I.shape), np.empty(I.shape)
+    _lif_into(I, params, u, o)
     return u, o
+
+
+def _lif_into(I: Array, params: NeuronParams, u: Array, o: Array, h: Array | None = None) -> None:
+    """Write the LIF recurrence of the checked [T, B, N] input ``I`` into the
+    C-contiguous ``u`` and ``o`` (and the pre-reset potential into ``h``;
+    None keeps only one tile row of it).
+
+    The flat [T, B*N] view is walked in column tiles of ``LIF_TILE_COLUMNS``,
+    so a tile's rows of h, I, u and o stay in cache while t advances.  Each
+    step is h = tau_m * u_{t-1} + I_t (+0.0 + I_0 at t = 0, a zero history,
+    so -0.0 gives +0.0), o = (h >= v_th), u = h * (1 - o), written in place.
+    This arithmetic is the oracle's own: it does not call :func:`_update`.
+    """
+    T = I.shape[0]
+    n = I.size // T
+    rows_I = I.reshape(T, n)
+    rows_u, rows_o = u.reshape(T, n, copy=False), o.reshape(T, n, copy=False)
+    rows_h = None if h is None else h.reshape(T, n, copy=False)
+    tau_m, v_th = params.tau_m, params.v_th
+    h_row = np.empty(min(LIF_TILE_COLUMNS, n)) if h is None else None
+    for lo in range(0, n, LIF_TILE_COLUMNS):
+        cols = slice(lo, min(lo + LIF_TILE_COLUMNS, n))
+        tile_h = (itertools.repeat(h_row[:cols.stop - lo]) if rows_h is None
+                  else rows_h[:, cols])
+        u_prev = None
+        for I_t, h_t, u_t, o_t in zip(rows_I[:, cols], tile_h, rows_u[:, cols], rows_o[:, cols]):
+            if u_prev is None:
+                np.add(0.0, I_t, out=h_t)
+            else:
+                np.multiply(u_prev, tau_m, out=h_t)
+                np.add(h_t, I_t, out=h_t)
+            np.greater_equal(h_t, v_th, out=o_t)
+            np.subtract(1.0, o_t, out=u_t)
+            np.multiply(h_t, u_t, out=u_t)
+            u_prev = u_t
 
 
 def shift_time(x: Array) -> Array:

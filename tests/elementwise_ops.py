@@ -1,14 +1,29 @@
-"""Elementwise tape ops kept as oracles for the fused nodes.
+"""Elementwise ops kept as oracles for the fused nodes and kernels.
 
 The package builds each spiking layer and the membrane loss as one tape
 node with a closed-form backward.  The tests check those nodes against the
 same forward composed from these single-purpose ops, so the ops live here,
-beside the tests, and not in the package.
+beside the tests, and not in the package.  The same holds for the LIF
+recurrence: the package walks it in place over column tiles, and the tests
+check it against the plain loop that forms fresh arrays at every step.
 """
 
 import numpy as np
 
 from mpepsn.autograd import Var, as_var, log_spikes, mul, surrogate_grad, unbroadcast, vsum
+
+
+def lif_sequential(I, params):
+    """u and o of the hard-reset LIF recurrence, one fresh [B, N] array per op
+    and step, in the order ``neuron.lif_sequential`` applies the ops."""
+    u, o = np.empty_like(I), np.empty_like(I)
+    u_prev = np.zeros(I.shape[1:])
+    for t in range(I.shape[0]):
+        h = params.tau_m * u_prev + I[t]
+        o[t] = (h >= params.v_th).astype(np.float64)
+        u[t] = h * (1.0 - o[t])
+        u_prev = u[t]
+    return u, o
 
 
 def sigmoid(x) -> Var:

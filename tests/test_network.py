@@ -1,4 +1,6 @@
+import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -183,25 +185,48 @@ class TestFusedMatchesElementwiseTape:
                                       self.mpe_psn_grads(False, mode, read)):
             np.testing.assert_array_equal(fused, elementwise)
 
-    def test_lif(self):
+    @pytest.mark.parametrize("read", ["u", "o", "u o"])
+    def test_lif(self, read):
         I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
         u, o = lif_tape_forward(I, v_th, 0.25, 1.0)
-        backward(vsum(u * self.c_u) + vsum(o * self.c_o))
+        terms = {"u": vsum(u * self.c_u), "o": vsum(o * self.c_o)}
+        first, *rest = read.split()
+        loss = terms[first]
+        for name in rest:
+            loss = loss + terms[name]
+        backward(loss)
 
         rows = [parameter(row.copy()) for row in self.I]
         v_ref = parameter(np.asarray(1.0))
-        u_prev, loss = Var(np.zeros(self.I.shape[1:])), Var(np.asarray(0.0))
+        u_prev, loss = Var(np.zeros(self.I.shape[1:])), None
         for t, row in enumerate(rows):
             h = 0.25 * u_prev + row
             o_t = spike(h, v_ref, 1.0)
             u_prev = h * (1.0 - o_t)
-            loss = loss + vsum(u_prev * self.c_u[t]) + vsum(o_t * self.c_o[t])
+            terms = {"u": vsum(u_prev * self.c_u[t]), "o": vsum(o_t * self.c_o[t])}
+            for name in read.split():
+                loss = terms[name] if loss is None else loss + terms[name]
         backward(loss)
         np.testing.assert_array_equal(I.grad, np.stack([row.grad for row in rows]))
         np.testing.assert_array_equal(v_th.grad, v_ref.grad)
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("bad", [None, -np.inf, np.nan])
+    def test_lif_norm_keeps_the_bits_of_u_minus_u(self, monkeypatch, bad):
+        """A LIF layer's u_hat is its u: the norm is l2_norm(u - u) to the
+        bit, and a finite u gives it without forming the difference."""
+        u = Rng(5).uniform_tensor((3, 2, 4), -1, 1)
+        if bad is not None:
+            u[1, 0, 2] = bad
+        with np.errstate(invalid="ignore"):
+            ref = float(numerics.l2_norm(u.copy() - u))
+            if bad is None:
+                monkeypatch.setattr(numerics, "l2_norm", None)
+            (norm,), _, _ = network.diagnostics([network.LayerValues(u, u, np.zeros_like(u))],
+                                                np.zeros((3, 2, 2)), np.zeros(2, dtype=int))
+        assert struct.pack("<d", norm) == struct.pack("<d", ref)
+
     def test_accuracy_time_mean_argmax(self):
         logits = np.zeros((2, 2, 2))
         logits[:, 0, 1] = 1.0  # sample 0 -> class 1
@@ -403,10 +428,10 @@ class TestScratchScope:
         first = [d.csv_row() for d in m.fit(tr.x, tr.y).history_]
         assert [d.csv_row() for d in m.fit(tr.x, tr.y).history_] == first
 
-    def test_same_shaped_layers_match_fresh_arrays(self, monkeypatch):
-        """Two layers of one shape would clobber each other's arrays if they
-        shared a scratch; the reference fit hands each layer new arrays at
-        every epoch, as allocating each array afresh does."""
+    @staticmethod
+    def fits_with_reused_and_fresh_arrays(monkeypatch, **overrides):
+        """History and weights of a fit, and of the same fit that hands each
+        layer new arrays at every epoch, as allocating each array afresh does."""
         tr, _ = small_task()
 
         def fit(model):
@@ -414,7 +439,7 @@ class TestScratchScope:
             return ([d.csv_row() for d in model.history_],
                     [model.registry_[name].value.tobytes() for name in model.registry_.names()])
 
-        reused = fit(small_model(hidden_sizes=(16, 16), epochs=4))
+        reused = fit(small_model(hidden_sizes=(16, 16), epochs=4, **overrides))
         model_forward = SpikingClassifier.model_forward
 
         def fresh_each_epoch(self, x, mode=None, rng=None, *, scratch=None):
@@ -422,7 +447,39 @@ class TestScratchScope:
             return model_forward(self, x, mode, rng, scratch=scratch)
 
         monkeypatch.setattr(SpikingClassifier, "model_forward", fresh_each_epoch)
-        assert fit(small_model(hidden_sizes=(16, 16), epochs=4)) == reused
+        return reused, fit(small_model(hidden_sizes=(16, 16), epochs=4, **overrides))
+
+    def test_same_shaped_layers_match_fresh_arrays(self, monkeypatch):
+        """Two layers of one shape would clobber each other's arrays if they
+        shared a scratch."""
+        reused, fresh = self.fits_with_reused_and_fresh_arrays(monkeypatch)
+        assert fresh == reused
+
+    def test_lif_layers_match_fresh_arrays(self, monkeypatch):
+        reused, fresh = self.fits_with_reused_and_fresh_arrays(
+            monkeypatch, neuron_kind="lif_sequential", v_th_init=0.5)
+        assert fresh == reused
+
+    def test_lif_calls_on_one_scratch_share_memory(self):
+        sc, v_th = Scratch(), Var(np.asarray(1.0))
+        grads = []
+        for seed in (3, 4):
+            I = parameter(Rng(seed).uniform_tensor((4, 2, 8), -2, 2))
+            u, o = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
+            backward(vsum(u) + vsum(o))
+            grads.append((u.value, o.value, I.grad))
+        for first, second in zip(*grads):
+            assert np.shares_memory(first, second)
+
+    def test_lif_trace_outside_fit_is_never_overwritten(self):
+        tr, te = small_task()
+        m = small_model(neuron_kind="lif_sequential", epochs=2).fit(tr.x, tr.y)
+        logits, traces, _ = m.model_forward(te.x)
+        held = [a.value.copy() for a in (traces[0].u, traces[0].o, logits)]
+        m.model_forward(te.x[::-1])
+        m.fit(te.x, te.y)
+        for before, after in zip(held, (traces[0].u, traces[0].o, logits)):
+            np.testing.assert_array_equal(before, after.value)
 
 
 class TestNoTapeInference:
@@ -565,6 +622,20 @@ class TestPooledPredict:
             with pytest.raises(ValueError, match=numerics.WORKERS_ENV_VAR):
                 m.predict(te.x[:, :3])
         assert calls == []
+
+    def test_callers_errstate_reaches_the_pool_threads(self, monkeypatch):
+        tr, _ = small_task()
+        m = small_model(hidden_sizes=(8, 8), epochs=2).fit(tr.x, tr.y)
+        monkeypatch.setattr(numerics, "PREDICT_BLOCK_VALUES", 1)
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)  # so a pool thread runs
+        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "2")
+        x = self.currents(8, 3 * m._block_samples(8) + 7)
+        m.synapses_[0].value[:, 0] = 0.25
+        x[5, -1] = 1.5e308  # the last block, which the pool thread runs, overflows
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="layer 0 current I has non-finite"):
+                m.predict_logits(x)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")

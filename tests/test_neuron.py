@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mpepsn.neuron import (
     teacher_forced_forward,
 )
 from mpepsn.numerics import Rng, ShapeMismatchError, WorkerPool
+
+import elementwise_ops
 
 
 def random_case(seed, T=None):
@@ -67,6 +70,60 @@ class TestLifSequential:
     def test_needs_time_axis(self):
         with pytest.raises(ShapeMismatchError):
             lif_sequential(np.zeros((4, 4)), NeuronParams())
+
+
+class TestTiledLif:
+    """The in-place, column-tiled recurrence against the loop that forms
+    fresh arrays at every step, byte for byte (the sign of zero included),
+    with tiles of 4 columns so that small shapes span several tiles."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(neuron, "LIF_TILE_COLUMNS", 4)
+
+    @staticmethod
+    def assert_bytes_equal(I, params):
+        with np.errstate(invalid="ignore"):
+            ref = elementwise_ops.lif_sequential(I, params)
+            got = lif_sequential(I, params)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 1, 11), (5, 2, 4), (1, 3, 5), (1, 1, 1), (3, 11, 1)])
+    @pytest.mark.parametrize("v_th", [1.0, 0.0, -0.5])
+    def test_matches_the_per_step_loop(self, shape, v_th):
+        I = Rng(31).uniform_tensor(shape, -2.0, 2.0)
+        I[0].reshape(-1)[::2] = -0.0  # a zero history keeps h = +0.0
+        I.reshape(-1)[1::5] = -0.0
+        self.assert_bytes_equal(I, NeuronParams(v_th=v_th))
+
+    @pytest.mark.parametrize("v_th", [1.0, 0.0, -0.5])
+    def test_non_finite_currents(self, v_th):
+        I = Rng(32).uniform_tensor((7, 1, 11), -2.0, 2.0)  # B*N = 2 tiles of 4 + 3
+        flat = I.reshape(-1)
+        flat[3::7], flat[5::11], flat[9::13] = np.nan, np.inf, -np.inf
+        I[0, 0, :3] = (np.inf, -np.inf, np.nan)
+        self.assert_bytes_equal(I, NeuronParams(v_th=v_th))
+
+    def test_kept_potential_is_the_loop_s(self):
+        I, p = Rng(33).uniform_tensor((6, 1, 11), -2.0, 2.0), NeuronParams()
+        u, o, h = np.empty(I.shape), np.empty(I.shape), np.empty(I.shape)
+        neuron._lif_into(I, p, u, o, h)
+        ref = p.tau_m * neuron.shift_time(u) + I
+        assert h.tobytes() == ref.tobytes()
+        assert u.tobytes() == lif_sequential(I, p)[0].tobytes()
+
+
+def test_lif_sequential_takes_one_tile_row_beside_its_outputs():
+    I = Rng(34).uniform_tensor((16, 1, 1 << 16), -2.0, 2.0)
+    row = neuron.LIF_TILE_COLUMNS * I.itemsize
+    tracemalloc.start()
+    try:
+        u, o = lif_sequential(I, NeuronParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - (u.nbytes + o.nbytes) <= 1.5 * row
 
 
 class TestEstimator:
