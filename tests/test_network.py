@@ -456,6 +456,7 @@ class TestScratchScope:
         assert fresh == reused
 
     def test_lif_layers_match_fresh_arrays(self, monkeypatch):
+        # threshold 0.5: at 1.0 the second layer stays all but silent
         reused, fresh = self.fits_with_reused_and_fresh_arrays(
             monkeypatch, neuron_kind="lif_sequential", v_th_init=0.5)
         assert fresh == reused
