@@ -13,7 +13,6 @@ from .network import EpochDiagnostics, SpikingClassifier
 from .neuron import (
     NeuronParams,
     ParallelTrace,
-    heaviside,
     lif_sequential,
     mpe_psn_forward,
     mpe_psn_spikes,
@@ -27,8 +26,7 @@ __all__ = [
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "SpikingClassifier",
     "NeuronParams", "ParallelTrace",
-    "heaviside", "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes",
-    "teacher_forced_forward",
+    "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes", "teacher_forced_forward",
     "Rng", "WorkerPool", "l2_norm", "matmul",
 ]
 

@@ -25,6 +25,14 @@ MODES = ("sampled", "expectation")
 # Columns of one tile of the LIF recurrence: a 512 KB float64 row, so a
 # tile's rows of h, I, u and o fit in L2 together.
 LIF_TILE_COLUMNS = 1 << 16
+# RNG chunks in one block of the sampled estimate: 2^16 values, a 512 KB
+# float64 block, so a block's uniforms and its rows of I, b and u_hat stay in
+# L2 from the draw to the last op that reads them.  A sampled pass at
+# (32, 1, 2^18) on 2 workers of a 2-vCPU VM, median of 24: 176 ms with one
+# whole-array draw; blocks of 1, 2, 4, 8 and 16 chunks 186, 156, 153, 151
+# and 157 ms.  One chunk is too short a call: the GIL changes hands around
+# each op.
+MPE_BLOCK_CHUNKS = 4
 
 
 @dataclass
@@ -42,25 +50,28 @@ class NeuronParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass
 class ParallelTrace:
-    """All intermediates of one parallel forward pass, shape [T, B, N] each."""
+    """All intermediates of one parallel forward pass, shape [T, B, N] each.
 
-    I: Array
-    P: Array
-    b: Array
-    u_hat: Array
-    h: Array
-    u: Array
-    o: Array
+    A sampled pass never forms the spike probability P = sigmoid(I): it
+    draws b against each block's sigmoid where b then lands.  Its P is
+    formed on first read, as ``sigmoid(I)`` of the trace's I, the same bits
+    the draw compared against, since sigmoid is elementwise.  Iterating a
+    trace yields all seven arrays, in the order I, P, b, u_hat, h, u, o.
+    """
+
+    def __init__(self, I: Array, P: Array | None, b: Array, u_hat: Array, h: Array,
+                 u: Array, o: Array):
+        self.I, self._P, self.b, self.u_hat, self.h, self.u, self.o = I, P, b, u_hat, h, u, o
+
+    @property
+    def P(self) -> Array:
+        if self._P is None:
+            self._P = sigmoid(self.I)
+        return self._P
 
     def __iter__(self):
         return iter((self.I, self.P, self.b, self.u_hat, self.h, self.u, self.o))
-
-
-def heaviside(h, v_th: float) -> Array:
-    """Spike indicator: 1.0 where h >= v_th, else 0.0 (ties fire)."""
-    return (np.asarray(h, dtype=np.float64) >= v_th).astype(np.float64)
 
 
 def _check_3d(I: Array) -> Array:
@@ -114,8 +125,9 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
     """Ground-truth hard-reset LIF recurrence, O(T) along time.
 
     u_t = (tau_m * u_{t-1} + I_t) * (1 - spike_t), with u_{-1} = 0 and
-    spike_t = heaviside(tau_m * u_{t-1} + I_t, v_th).  Returns fresh u and
-    o; the only other memory it takes is one tile row (:func:`_lif_into`).
+    spike_t = 1 where tau_m * u_{t-1} + I_t >= v_th (ties fire), else 0.
+    Returns fresh u and o; the only other memory it takes is one tile row
+    (:func:`_lif_into`).
     """
     I = _check_3d(I)
     u, o = np.empty(I.shape), np.empty(I.shape)
@@ -183,9 +195,15 @@ def mpe_psn_forward(
     no history (zero), so its output coincides with the sequential oracle
     exactly.  Work is split into flat index ranges over ``pool`` (one range
     without a pool); every range does the same elementwise arithmetic, so
-    the result is bit-identical for any worker count.  The six arrays it
-    writes come from ``scratch`` when given (training reuses them from one
-    epoch to the next), else they are fresh.
+    the result is bit-identical for any worker count.
+
+    It writes five arrays: b (P itself in expectation mode), u_hat, h, u
+    and o.  They come from ``scratch`` when given (training reuses them from
+    one epoch to the next), else they are fresh.  Sampled mode takes its
+    estimate in blocks of ``MPE_BLOCK_CHUNKS`` RNG chunks (``Rng.draw_blocks``):
+    each block's sigmoid(I) is written into b's block and the draw compares
+    its uniforms against it there, so neither the whole draw nor P is ever
+    held; the trace forms P when it is read.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -195,16 +213,24 @@ def mpe_psn_forward(
     n = I.size
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
-    P, u_hat, h, u, o = (scratch(name, (n,)) for name in ("P", "u_hat", "h", "u", "o"))
-    b = scratch("b", (n,)) if mode == "sampled" else P
-    uniforms = rng.uniforms(n, pool) if mode == "sampled" else None
+    u_hat, h, u, o = (scratch(name, (n,)) for name in ("u_hat", "h", "u", "o"))
+    if mode == "sampled":
+        P, b = None, scratch("b", (n,))
 
-    def estimate_range(lo: int, hi: int) -> None:
-        sl = slice(lo, hi)
-        _estimate(flat_I[sl], P[sl], b[sl], u_hat[sl],
-                  None if uniforms is None else uniforms[sl])
+        def estimate_block(lo: int, hi: int, uniforms: Array) -> None:
+            # sigmoid(I) lands in b's block, which the draw then overwrites
+            sl = slice(lo, hi)
+            _estimate(flat_I[sl], b[sl], b[sl], u_hat[sl], uniforms)
 
-    map_ranges(pool, n, estimate_range)
+        rng.draw_blocks(n, MPE_BLOCK_CHUNKS, estimate_block, pool)
+    else:
+        P = b = scratch("P", (n,))
+
+        def estimate_range(lo: int, hi: int) -> None:
+            sl = slice(lo, hi)
+            _estimate(flat_I[sl], P[sl], P[sl], u_hat[sl], None)
+
+        map_ranges(pool, n, estimate_range)
 
     stride = I.shape[1] * I.shape[2]
 
@@ -221,7 +247,7 @@ def mpe_psn_forward(
     shape = I.shape
     return ParallelTrace(
         I=I,
-        P=P.reshape(shape),
+        P=None if P is None else P.reshape(shape),
         b=b.reshape(shape),
         u_hat=u_hat.reshape(shape),
         h=h.reshape(shape),

@@ -205,6 +205,31 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Philox(counter=counter, key=key)
 
+    def _next_call(self) -> int:
+        call = self._calls
+        self._calls += 1
+        return call
+
+    def _fill(self, bits: np.random.Philox, lo: int, hi: int, n: int, out: Array) -> None:
+        """Write positions ``[lo * CHUNK, min(hi * CHUNK, n))`` of an n-value
+        draw into ``out``, from ``bits`` standing at chunk ``lo``'s counter.
+
+        The one chunk filler behind :meth:`uniforms` and :meth:`draw_blocks`.
+        After each chunk ``bits`` is advanced to the next chunk's counter, so
+        one generator serves every chunk of a range: the same draws as a
+        generator built per chunk, built once.
+        """
+        base = lo * self.CHUNK
+        for c in range(lo, hi):
+            start = c * self.CHUNK
+            stop = min(start + self.CHUNK, n)
+            words = bits.random_raw(-(-(stop - start) // 2))
+            # little-endian words viewed as 32-bit halves: low half first on
+            # any byte order
+            halves = words.astype("<u8", copy=False).view("<u4")
+            np.multiply(halves[:stop - start], 2.0**-32, out=out[start - base:stop - base])
+            bits.advance(self._NEXT_CHUNK)
+
     def uniforms(self, n: int, pool: WorkerPool | None = None) -> Array:
         """n doubles uniform on [0, 1), each a multiple of 2^-32.
 
@@ -215,27 +240,36 @@ class Rng:
         ``verify.check_bernoulli_draws``.
         """
         out = np.empty(n, dtype=np.float64)
-        call = self._calls
-        self._calls += 1
-        nchunks = -(-n // self.CHUNK)
+        call = self._next_call()
 
         def work(lo: int, hi: int) -> None:
-            # one generator per range, advanced to each next chunk's counter:
-            # the same draws as a generator built per chunk, built once
-            bits = self._chunk_generator(call, lo)
-            for c in range(lo, hi):
-                if c > lo:
-                    bits.advance(self._NEXT_CHUNK)
-                start = c * self.CHUNK
-                stop = min(start + self.CHUNK, n)
-                words = bits.random_raw(-(-(stop - start) // 2))
-                # little-endian words viewed as 32-bit halves: low half first
-                # on any byte order
-                halves = words.astype("<u8", copy=False).view("<u4")
-                np.multiply(halves[:stop - start], 2.0**-32, out=out[start:stop])
+            self._fill(self._chunk_generator(call, lo), lo, hi, n, out[lo * self.CHUNK:])
 
-        map_ranges(pool, nchunks, work)
+        map_ranges(pool, -(-n // self.CHUNK), work)
         return out
+
+    def draw_blocks(self, n: int, block_chunks: int, fn, pool: WorkerPool | None = None) -> None:
+        """Draw the n uniforms of one :meth:`uniforms` call, bit for bit, one
+        block of ``block_chunks`` chunks at a time, calling ``fn(lo, hi, u)``
+        with positions ``[lo, hi)`` of the draw in ``u``.
+
+        The chunks are split into ``pool``'s ranges; each range draws its
+        blocks in order into one block buffer of its own, which the next
+        block overwrites, so the whole draw is never held at once.
+        """
+        call = self._next_call()
+
+        def work(lo: int, hi: int) -> None:
+            bits = self._chunk_generator(call, lo)
+            buf = np.empty(min((hi - lo) * self.CHUNK, block_chunks * self.CHUNK,
+                               n - lo * self.CHUNK))
+            for c in range(lo, hi, block_chunks):
+                c_hi = min(c + block_chunks, hi)
+                start, stop = c * self.CHUNK, min(c_hi * self.CHUNK, n)
+                self._fill(bits, c, c_hi, n, buf)
+                fn(start, stop, buf[:stop - start])
+
+        map_ranges(pool, -(-n // self.CHUNK), work)
 
     def uniform_tensor(self, shape, low: float, high: float) -> Array:
         """Tensor with entries uniform on [low, high)."""

@@ -321,8 +321,11 @@ def check_bernoulli_draws(seed: int = 0) -> CheckResult:
     standard deviations, sqrt(P (1 - P) / 2^20), of P, and every uniform
     is a multiple of 2^-32 in [0, 1).  Bitwise, across worker counts: at n
     on and around the chunk edges, the uniforms drawn over pools of 1, 2
-    and 3 workers equal those drawn without a pool.  ``max_err`` is the
-    worst frequency gap in standard deviations.
+    and 3 workers equal those drawn without a pool, and so do the draws b
+    of a sampled ``neuron.mpe_psn_forward`` over n values, which draws in
+    blocks of ``neuron.MPE_BLOCK_CHUNKS`` chunks (5 * CHUNK + 17 crosses a
+    block edge).  ``max_err`` is the worst frequency gap in standard
+    deviations.
     """
     rng = Rng(seed, stream=108)
     C, n = Rng.CHUNK, BERNOULLI_DRAWS
@@ -338,13 +341,18 @@ def check_bernoulli_draws(seed: int = 0) -> CheckResult:
         if not (gap <= BERNOULLI_SIGMAS and on_grid):
             res.fail(f"P={p!r}: frequency {gap:.3g} sd from P, "
                      f"on the 2^-32 grid: {on_grid}, seed {seed}")
+    params = neuron.NeuronParams()
     with (numerics.WorkerPool(1) as p1, numerics.WorkerPool(2) as p2,
           numerics.WorkerPool(3) as p3):
         for j, n in enumerate(sizes):
-            want = rng.spawn(100 + j).uniforms(n)
-            if not all(np.array_equal(rng.spawn(100 + j).uniforms(n, pool), want)
-                       for pool in (p1, p2, p3)):
-                res.fail(f"n={n}: uniforms differ across 1, 2 and 3 workers, seed {seed}")
+            I = rng.spawn(200 + j).uniform_tensor((1, 1, n), -2.0, 2.0)
+            want, *got = ((rng.spawn(100 + j).uniforms(n, pool),
+                           neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(300 + j),
+                                                  pool).b)
+                          for pool in (None, p1, p2, p3))
+            if not all(np.array_equal(x, y) for draws in got for x, y in zip(draws, want)):
+                res.fail(f"n={n}: uniforms or sampled-pass draws differ across 1, 2 and 3 "
+                         f"workers, seed {seed}")
     return res
 
 

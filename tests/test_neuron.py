@@ -6,13 +6,13 @@ import pytest
 
 from mpepsn import neuron
 from mpepsn.neuron import (
+    MODES,
     NeuronParams,
-    heaviside,
     lif_sequential,
     mpe_psn_forward,
     teacher_forced_forward,
 )
-from mpepsn.numerics import Rng, ShapeMismatchError, WorkerPool
+from mpepsn.numerics import Rng, Scratch, ShapeMismatchError, WorkerPool
 
 import elementwise_ops
 
@@ -31,12 +31,22 @@ def as3d(values):
 
 
 class TestHeaviside:
+    """The spike rule every forward applies: fire where h >= v_th."""
+
+    @staticmethod
+    def spikes(current):
+        # at t = 0 every forward's h is the current itself
+        I, p = as3d([current]), NeuronParams()
+        outs = [lif_sequential(I, p)[1], neuron.mpe_psn_spikes(I, p)]
+        outs += [mpe_psn_forward(I, p, mode, Rng(0)).o for mode in MODES]
+        return {o.item() for o in outs}
+
     def test_tie_fires(self):
-        assert heaviside(np.array(1.0), 1.0) == 1.0
+        assert self.spikes(1.0) == {1.0}
 
     def test_below(self):
-        assert heaviside(np.array(0.999), 1.0) == 0.0
-        assert heaviside(np.array(-5.0), 1.0) == 0.0
+        assert self.spikes(0.999) == {0.0}
+        assert self.spikes(-5.0) == {0.0}
 
 
 class TestNeuronParams:
@@ -219,7 +229,7 @@ class TestParallelForward:
         shifted = neuron.shift_time(tr.u_hat)
         for t in np.random.default_rng(0).permutation(I.shape[0]):
             h_t = params.tau_m * shifted[t] + I[t]
-            o_t = heaviside(h_t, params.v_th)
+            o_t = np.greater_equal(h_t, params.v_th).astype(np.float64)
             np.testing.assert_array_equal(h_t, tr.h[t])
             np.testing.assert_array_equal(o_t, tr.o[t])
             np.testing.assert_array_equal(h_t * (1.0 - o_t), tr.u[t])
@@ -240,6 +250,62 @@ class TestParallelForward:
                     tr = mpe_psn_forward(I, NeuronParams(), mode, Rng(7), pool)
                     for x, y in zip(ref, tr):
                         np.testing.assert_array_equal(x, y)
+
+
+def reference_sampled(I, params, rng):
+    """The sampled pass formed the whole-array way: one ``Rng.uniforms``
+    draw of all [T, B, N] values, then the estimate and update helpers."""
+    U = rng.uniforms(I.size).reshape(I.shape)
+    P, b, u_hat, h, u, o = (np.empty_like(I) for _ in range(6))
+    neuron._estimate(I, P, b, u_hat, U)
+    neuron._update(None, I[0], params, h[0], o[0], u[0])
+    neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
+    return I, P, b, u_hat, h, u, o
+
+
+class TestSampledBlocks:
+    C = Rng.CHUNK
+
+    @pytest.mark.parametrize("block_chunks", [neuron.MPE_BLOCK_CHUNKS, 1])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [
+        (3, 1, 5),                        # n below one chunk
+        (1, 2, 2 * C + 7),                # T = 1
+        (5, 1, 5 * C + 17),               # n not a multiple of a block
+        (2, 3, 3 * C),                    # whole chunks, one ragged block
+    ])
+    def test_trace_equals_the_whole_array_draw(self, monkeypatch, shape, workers, block_chunks):
+        monkeypatch.setattr(neuron, "MPE_BLOCK_CHUNKS", block_chunks)
+        I, p = Rng(36).uniform_tensor(shape, -2.0, 2.0), NeuronParams()
+        rng, ref_rng = Rng(37), Rng(37)
+        with WorkerPool(workers or 1) as pool:
+            for _ in range(2):  # a second pass draws the rng's next call
+                tr = mpe_psn_forward(I, p, "sampled", rng, pool if workers else None)
+                ref = reference_sampled(I, p, ref_rng)
+                assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
+
+    def test_holds_five_arrays_and_forms_P_on_read(self):
+        I = Rng(38).uniform_tensor((16, 2, 1 << 15), -2.0, 2.0)
+        tracemalloc.start()
+        try:
+            tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(38))
+            held, peak = tracemalloc.get_traced_memory()
+            P = tr.P
+            held_with_P = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 5.0 <= held / I.nbytes < 5.1
+        assert peak / I.nbytes < 5.5
+        assert 6.0 <= held_with_P / I.nbytes < 6.1
+        assert tr.P is P
+
+    def test_sampled_scratch_has_no_P(self):
+        I, s = random_case(39), Scratch()
+        mpe_psn_forward(I, NeuronParams(), "sampled", Rng(39), scratch=s)
+        with pytest.raises(KeyError):
+            s.written("P", (I.size,))
+        mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
+        s.written("P", (I.size,))  # expectation mode draws no b: P is its b
 
 
 class TestTeacherForced:

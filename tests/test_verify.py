@@ -160,7 +160,8 @@ class TestChecks:
 
     def test_inference_check_detects_a_dropped_history(self, monkeypatch):
         # spikes of the input current alone: right at t = 0, wrong after it
-        monkeypatch.setattr(neuron, "mpe_psn_spikes", lambda I, p: neuron.heaviside(I, p.v_th))
+        monkeypatch.setattr(neuron, "mpe_psn_spikes",
+                            lambda I, p: np.greater_equal(I, p.v_th).astype(np.float64))
         res = verify.check_inference_vs_training_forward(trials=50)
         assert 0 < res.failures < res.trials
         assert res.details
