@@ -3,11 +3,12 @@
 A ``Var`` wraps a float64 array and remembers how it was computed; calling
 :func:`backward` on a scalar ``Var`` walks the tape in reverse topological
 order and accumulates gradients into the leaves.  The ops are the few that
-training composes (add, sub, mul, matmul, sum, time shift, detach); there
-is no elementwise spike or sigmoid node.  A whole neuron layer is one node
-with several outputs and a closed-form backward, built with
-:func:`multi_output`, that differentiates its spikes through the triangular
-:func:`surrogate_grad` and reports them to :func:`log_spikes`.
+training composes (add, mul, matmul, time shift, detach), and sub and sum,
+which only ``verify`` and the tests' oracles use; there is no elementwise
+spike or sigmoid node.  A whole neuron layer is one node with several
+outputs and a closed-form backward, built with :func:`multi_output`, that
+differentiates its spikes through the triangular :func:`surrogate_grad`
+and reports them to :func:`log_spikes`.
 """
 
 from __future__ import annotations

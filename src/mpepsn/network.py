@@ -14,6 +14,7 @@ except that inputs are [T, B, N] temporal tensors rather than 2-D matrices.
 from __future__ import annotations
 
 import contextlib
+import inspect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -365,11 +366,8 @@ class SpikingClassifier:
         self.momentum = momentum
         self.seed = seed
 
-    _PARAM_NAMES = (
-        "hidden_sizes", "neuron_kind", "tau_m", "v_th_init", "alpha", "mode",
-        "synaptic_delay", "lam", "kappa_axis", "kappa_init", "epochs", "lr",
-        "momentum", "seed",
-    )
+    # the hyperparameters are the constructor's arguments, as in scikit-learn
+    _PARAM_NAMES = tuple(inspect.signature(__init__).parameters)[1:]  # all but self
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._PARAM_NAMES}

@@ -83,16 +83,16 @@ def _check_3d(I: Array) -> Array:
     return I
 
 
-def _estimate(I: Array, P: Array, b: Array, u_hat: Array, uniforms: Array | None) -> None:
-    """Write P = sigmoid(I) and u_hat = (1 - b) * I, in this op order.
+def _estimate(I: Array, b: Array, u_hat: Array, uniforms: Array | None) -> None:
+    """Write P = sigmoid(I) into b, draw b = (uniforms < P) in place, then
+    write u_hat = (1 - b) * I, in this op order.
 
-    ``b`` is drawn as ``uniforms < P``; with ``uniforms`` None it must be P
-    itself (expectation mode).  The buffers may alias one another, since
-    each op reads only what the previous one wrote.
+    ``uniforms`` None keeps b = P (expectation mode).  The buffers may alias
+    one another, since each op reads only what the previous one wrote.
     """
-    sigmoid(I, out=P)
+    sigmoid(I, out=b)
     if uniforms is not None:
-        np.less(uniforms, P, out=b)
+        np.less(uniforms, b, out=b)
     np.subtract(1.0, b, out=u_hat)
     np.multiply(u_hat, I, out=u_hat)
 
@@ -197,13 +197,14 @@ def mpe_psn_forward(
     without a pool); every range does the same elementwise arithmetic, so
     the result is bit-identical for any worker count.
 
-    It writes five arrays: b (P itself in expectation mode), u_hat, h, u
-    and o.  They come from ``scratch`` when given (training reuses them from
-    one epoch to the next), else they are fresh.  Sampled mode takes its
-    estimate in blocks of ``MPE_BLOCK_CHUNKS`` RNG chunks (``Rng.draw_blocks``):
-    each block's sigmoid(I) is written into b's block and the draw compares
-    its uniforms against it there, so neither the whole draw nor P is ever
-    held; the trace forms P when it is read.
+    It writes five arrays: b, u_hat, h, u and o.  They come from
+    ``scratch`` when given (training reuses them from one epoch to the
+    next), else they are fresh.  One estimate closure writes sigmoid(I) into
+    b and, in sampled mode, draws b there against its uniforms: sampled mode
+    hands it to ``Rng.draw_blocks``, which feeds it blocks of
+    ``MPE_BLOCK_CHUNKS`` RNG chunks, so neither the whole draw nor P is ever
+    held and the trace forms P when it is read; expectation mode hands it to
+    ``map_ranges``, and b is the trace's P.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -213,24 +214,16 @@ def mpe_psn_forward(
     n = I.size
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
-    u_hat, h, u, o = (scratch(name, (n,)) for name in ("u_hat", "h", "u", "o"))
+    b, u_hat, h, u, o = (scratch(name, (n,)) for name in ("b", "u_hat", "h", "u", "o"))
+
+    def estimate(lo: int, hi: int, uniforms: Array | None = None) -> None:
+        sl = slice(lo, hi)
+        _estimate(flat_I[sl], b[sl], u_hat[sl], uniforms)
+
     if mode == "sampled":
-        P, b = None, scratch("b", (n,))
-
-        def estimate_block(lo: int, hi: int, uniforms: Array) -> None:
-            # sigmoid(I) lands in b's block, which the draw then overwrites
-            sl = slice(lo, hi)
-            _estimate(flat_I[sl], b[sl], b[sl], u_hat[sl], uniforms)
-
-        rng.draw_blocks(n, MPE_BLOCK_CHUNKS, estimate_block, pool)
+        rng.draw_blocks(n, MPE_BLOCK_CHUNKS, estimate, pool)
     else:
-        P = b = scratch("P", (n,))
-
-        def estimate_range(lo: int, hi: int) -> None:
-            sl = slice(lo, hi)
-            _estimate(flat_I[sl], P[sl], P[sl], u_hat[sl], None)
-
-        map_ranges(pool, n, estimate_range)
+        map_ranges(pool, n, estimate)
 
     stride = I.shape[1] * I.shape[2]
 
@@ -245,10 +238,11 @@ def mpe_psn_forward(
 
     map_ranges(pool, n, update_range)
     shape = I.shape
+    b = b.reshape(shape)
     return ParallelTrace(
         I=I,
-        P=None if P is None else P.reshape(shape),
-        b=b.reshape(shape),
+        P=None if mode == "sampled" else b,
+        b=b,
         u_hat=u_hat.reshape(shape),
         h=h.reshape(shape),
         u=u.reshape(shape),
@@ -270,7 +264,7 @@ def mpe_psn_spikes(I, params: NeuronParams) -> Array:
     I = _check_3d(I)
     o = np.empty_like(I)
     if I.shape[0] > 1:
-        _estimate(I[:-1], o[1:], o[1:], o[1:], None)
+        _estimate(I[:-1], o[1:], o[1:], None)
         _update(o[1:], I[1:], params, o[1:], o[1:])
     _update(None, I[0], params, o[0], o[0])
     return o

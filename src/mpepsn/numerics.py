@@ -5,7 +5,8 @@ the operations in this module.  Two contracts matter throughout:
 
 * determinism: the same inputs and seed produce bit-identical outputs,
   regardless of how many workers the pool uses;
-* tensors are immutable by convention: no operation mutates its inputs.
+* a function writes only into arrays it is given as outputs (``out=``,
+  ``Scratch`` arrays, a helper's named buffers), never into its inputs.
 """
 
 from __future__ import annotations
@@ -230,22 +231,19 @@ class Rng:
             np.multiply(halves[:stop - start], 2.0**-32, out=out[start - base:stop - base])
             bits.advance(self._NEXT_CHUNK)
 
-    def uniforms(self, n: int, pool: WorkerPool | None = None) -> Array:
+    def uniforms(self, n: int) -> Array:
         """n doubles uniform on [0, 1), each a multiple of 2^-32.
 
         Each 64-bit Philox word gives two uniforms, its low 32-bit half and
         then its high half, scaled by 2^-32 (exactly: a 32-bit integer times
         a power of two is a double).  The draw ``U < P`` is thus Bernoulli(P)
         to within 2^-32 of P, a distributional contract checked by
-        ``verify.check_bernoulli_draws``.
+        ``verify.check_bernoulli_draws``.  One range, filled on the calling
+        thread: :meth:`draw_blocks` is the draw a pool splits.
         """
         out = np.empty(n, dtype=np.float64)
         call = self._next_call()
-
-        def work(lo: int, hi: int) -> None:
-            self._fill(self._chunk_generator(call, lo), lo, hi, n, out[lo * self.CHUNK:])
-
-        map_ranges(pool, -(-n // self.CHUNK), work)
+        self._fill(self._chunk_generator(call, 0), 0, -(-n // self.CHUNK), n, out)
         return out
 
     def draw_blocks(self, n: int, block_chunks: int, fn, pool: WorkerPool | None = None) -> None:
@@ -253,9 +251,9 @@ class Rng:
         block of ``block_chunks`` chunks at a time, calling ``fn(lo, hi, u)``
         with positions ``[lo, hi)`` of the draw in ``u``.
 
-        The chunks are split into ``pool``'s ranges; each range draws its
-        blocks in order into one block buffer of its own, which the next
-        block overwrites, so the whole draw is never held at once.
+        Each of ``pool``'s ranges of chunks (this is the one pooled draw)
+        draws its blocks in order into one block buffer of its own, which the
+        next block overwrites, so the whole draw is never held at once.
         """
         call = self._next_call()
 
@@ -377,13 +375,13 @@ def sigmoid(x, out: Array | None = None) -> Array:
     return out
 
 
-def bernoulli_sample(p, rng: Rng, pool: WorkerPool | None = None) -> Array:
+def bernoulli_sample(p, rng: Rng) -> Array:
     """0/1 tensor, each element 1 with its probability in ``p``."""
     p = _as_tensor(p)
     # written so that NaN, which fails every comparison, fails the check
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("bernoulli_sample: probabilities must lie in [0, 1] (no NaN)")
-    u = rng.uniforms(p.size, pool).reshape(p.shape)
+    u = rng.uniforms(p.size).reshape(p.shape)
     return (u < p).astype(np.float64)
 
 

@@ -313,6 +313,17 @@ BERNOULLI_DRAWS = 1 << 20
 BERNOULLI_SIGMAS = 5.0
 
 
+def _blocked_uniforms(rng: Rng, n: int, pool) -> np.ndarray:
+    """The n uniforms of ``rng.draw_blocks`` over ``pool``, in one array."""
+    out = np.empty(n)
+
+    def put(lo: int, hi: int, u: np.ndarray) -> None:
+        out[lo:hi] = u
+
+    rng.draw_blocks(n, neuron.MPE_BLOCK_CHUNKS, put, pool)
+    return out
+
+
 def check_bernoulli_draws(seed: int = 0) -> CheckResult:
     """``Rng.uniforms`` as the Bernoulli draw ``U < P``, within a stated tolerance.
 
@@ -320,12 +331,12 @@ def check_bernoulli_draws(seed: int = 0) -> CheckResult:
     the frequency of U < P over 2^20 uniforms lies within 5 binomial
     standard deviations, sqrt(P (1 - P) / 2^20), of P, and every uniform
     is a multiple of 2^-32 in [0, 1).  Bitwise, across worker counts: at n
-    on and around the chunk edges, the uniforms drawn over pools of 1, 2
-    and 3 workers equal those drawn without a pool, and so do the draws b
-    of a sampled ``neuron.mpe_psn_forward`` over n values, which draws in
-    blocks of ``neuron.MPE_BLOCK_CHUNKS`` chunks (5 * CHUNK + 17 crosses a
-    block edge).  ``max_err`` is the worst frequency gap in standard
-    deviations.
+    on and around the chunk edges, the uniforms of ``Rng.draw_blocks``, the
+    pooled draw, in blocks of ``neuron.MPE_BLOCK_CHUNKS`` chunks (5 * CHUNK
+    + 17 crosses a block edge) without a pool and over pools of 1, 2 and 3
+    workers equal ``uniforms(n)``, and the draws b of a sampled
+    ``neuron.mpe_psn_forward`` over n values are the same over those pools.
+    ``max_err`` is the worst frequency gap in standard deviations.
     """
     rng = Rng(seed, stream=108)
     C, n = Rng.CHUNK, BERNOULLI_DRAWS
@@ -344,15 +355,18 @@ def check_bernoulli_draws(seed: int = 0) -> CheckResult:
     params = neuron.NeuronParams()
     with (numerics.WorkerPool(1) as p1, numerics.WorkerPool(2) as p2,
           numerics.WorkerPool(3) as p3):
+        pools = (None, p1, p2, p3)
         for j, n in enumerate(sizes):
+            want = rng.spawn(100 + j).uniforms(n)
             I = rng.spawn(200 + j).uniform_tensor((1, 1, n), -2.0, 2.0)
-            want, *got = ((rng.spawn(100 + j).uniforms(n, pool),
-                           neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(300 + j),
-                                                  pool).b)
-                          for pool in (None, p1, p2, p3))
-            if not all(np.array_equal(x, y) for draws in got for x, y in zip(draws, want)):
-                res.fail(f"n={n}: uniforms or sampled-pass draws differ across 1, 2 and 3 "
-                         f"workers, seed {seed}")
+            b_want, *b_got = (neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(300 + j),
+                                                     pool).b for pool in pools)
+            if not (all(np.array_equal(_blocked_uniforms(rng.spawn(100 + j), n, pool), want)
+                        for pool in pools)
+                    and all(np.array_equal(b, b_want) for b in b_got)):
+                res.fail(f"n={n}: draws differ across no pool and 1, 2 and 3 workers "
+                         f"(draw_blocks against uniforms(n), or the sampled pass's b), "
+                         f"seed {seed}")
     return res
 
 

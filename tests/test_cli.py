@@ -124,12 +124,24 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_env_invariance(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "1")
-        assert run(capsys, *TRAIN_SMALL, "--out", str(a))[0] == 0
-        monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "4")
-        assert run(capsys, *TRAIN_SMALL, "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+        # 256 held-out samples of width 64 at T=8 are two predict blocks, so
+        # each epoch's held-out scoring runs on a pool of MPE_PSN_WORKERS
+        args = ("train", "--batch", "640", "--neurons", "64", "--epochs", "5")
+        pooled, map_ranges = [], numerics.WorkerPool.map_ranges
+
+        def record(pool, n, fn):
+            pooled.append(pool.workers)
+            return map_ranges(pool, n, fn)
+
+        monkeypatch.setattr(numerics.WorkerPool, "map_ranges", record)
+        logs = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv(numerics.WORKERS_ENV_VAR, workers)
+            log = tmp_path / f"w{workers}.csv"
+            assert run(capsys, *args, "--out", str(log))[0] == 0
+            logs.append(log.read_bytes())
+        assert 4 in pooled
+        assert logs[0] == logs[1]
 
     def test_non_integer_worker_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv(numerics.WORKERS_ENV_VAR, "abc")

@@ -1,3 +1,4 @@
+import inspect
 import struct
 import threading
 import warnings
@@ -256,6 +257,13 @@ class TestSpikingClassifier:
         assert m.lr == 0.05
         with pytest.raises(ValueError):
             m.set_params(bogus=1)
+
+    def test_get_params_keys_are_the_constructor_parameters(self):
+        signature = inspect.signature(SpikingClassifier.__init__)
+        names = [name for name in signature.parameters if name != "self"]
+        m = small_model()
+        assert list(m.get_params()) == names
+        assert SpikingClassifier(**m.get_params()).get_params() == m.get_params()
 
     def test_unfitted_predict_rejected(self):
         with pytest.raises(RuntimeError, match="not fitted"):

@@ -12,7 +12,7 @@ from mpepsn.neuron import (
     mpe_psn_forward,
     teacher_forced_forward,
 )
-from mpepsn.numerics import Rng, Scratch, ShapeMismatchError, WorkerPool
+from mpepsn.numerics import Rng, Scratch, ShapeMismatchError, WorkerPool, sigmoid
 
 import elementwise_ops
 
@@ -254,10 +254,12 @@ class TestParallelForward:
 
 def reference_sampled(I, params, rng):
     """The sampled pass formed the whole-array way: one ``Rng.uniforms``
-    draw of all [T, B, N] values, then the estimate and update helpers."""
+    draw of all [T, B, N] values, P = sigmoid(I), then the estimate and
+    update helpers."""
     U = rng.uniforms(I.size).reshape(I.shape)
-    P, b, u_hat, h, u, o = (np.empty_like(I) for _ in range(6))
-    neuron._estimate(I, P, b, u_hat, U)
+    b, u_hat, h, u, o = (np.empty_like(I) for _ in range(5))
+    P = sigmoid(I)
+    neuron._estimate(I, b, u_hat, U)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
     return I, P, b, u_hat, h, u, o
@@ -304,8 +306,10 @@ class TestSampledBlocks:
         mpe_psn_forward(I, NeuronParams(), "sampled", Rng(39), scratch=s)
         with pytest.raises(KeyError):
             s.written("P", (I.size,))
-        mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
-        s.written("P", (I.size,))  # expectation mode draws no b: P is its b
+        tr = mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
+        with pytest.raises(KeyError):
+            s.written("P", (I.size,))
+        assert np.shares_memory(tr.P, tr.b)  # expectation mode draws no b: b is its P
 
 
 class TestTeacherForced:

@@ -137,11 +137,12 @@ class TestChecks:
 
     def test_bernoulli_check_detects_a_draw_scaled_by_2_to_the_minus_31(self, monkeypatch):
         uniforms = numerics.Rng.uniforms
-        monkeypatch.setattr(numerics.Rng, "uniforms",
-                            lambda rng, n, pool=None: uniforms(rng, n, pool) * 2.0)
+        monkeypatch.setattr(numerics.Rng, "uniforms", lambda rng, n: uniforms(rng, n) * 2.0)
         res = verify.check_bernoulli_draws()
-        assert res.failures == len(verify.BERNOULLI_PROBABILITIES)
-        assert res.details
+        # every frequency trial fails, and so does every size of the bitwise
+        # half: the unscaled draw_blocks no longer equals uniforms(n)
+        assert res.failures == len(verify.BERNOULLI_PROBABILITIES) + 6
+        assert all(d.startswith("P=") for d in res.details)
 
     def test_bernoulli_check_detects_a_stale_chunk_step(self, monkeypatch):
         # a chunk step for one uniform per Philox word (four per Philox step,
@@ -151,6 +152,28 @@ class TestChecks:
         res = verify.check_bernoulli_draws()
         assert res.failures == 3  # n = CHUNK + 1, 2 * CHUNK and 5 * CHUNK + 17
         assert all("differ across" in d for d in res.details)
+
+    def test_bernoulli_check_detects_blocks_restarting_their_range(self, monkeypatch):
+        # each block rebuilds the generator at its range's first chunk, so
+        # the second block of a range repeats the first block's uniforms
+        C = numerics.Rng.CHUNK
+
+        def draw_blocks(rng, n, block_chunks, fn, pool=None):
+            call = rng._next_call()
+
+            def work(lo, hi):
+                for c in range(lo, hi, block_chunks):
+                    c_hi = min(c + block_chunks, hi)
+                    u = np.empty(min(c_hi * C, n) - c * C)
+                    rng._fill(rng._chunk_generator(call, lo), c, c_hi, n, u)
+                    fn(c * C, c * C + u.size, u)
+
+            numerics.map_ranges(pool, -(-n // C), work)
+
+        monkeypatch.setattr(numerics.Rng, "draw_blocks", draw_blocks)
+        res = verify.check_bernoulli_draws()
+        assert res.failures == 1  # n = 5 * CHUNK + 17, the one size of two blocks
+        assert f"n={5 * C + 17}: draws differ across" in res.details[0]
 
     def test_inference_vs_training_forward(self):
         res = verify.check_inference_vs_training_forward(trials=50)
