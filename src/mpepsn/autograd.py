@@ -3,7 +3,7 @@
 A ``Var`` wraps a float64 array and remembers how it was computed; calling
 :func:`backward` on a scalar ``Var`` walks the tape in reverse topological
 order and accumulates gradients into the leaves.  The ops are the few that
-training composes (add, mul, matmul, time shift, detach), and sub and sum,
+training composes (add, mul, matmul, time shift), and sub and sum,
 which only ``verify`` and the tests' oracles use; there is no elementwise
 spike or sigmoid node.  A whole neuron layer is one node with several
 outputs and a closed-form backward, built with :func:`multi_output`, that
@@ -226,11 +226,6 @@ def vsum(x, axis=None) -> Var:
         return (np.broadcast_to(gx, x.shape).astype(np.float64),)
 
     return Var(value, parents=(x,), backward=backward)
-
-
-def detach(x: Var) -> Var:
-    """Cut the tape: same value, no gradient flows past this node."""
-    return Var(as_var(x).value.copy())
 
 
 def backward(loss: Var) -> None:

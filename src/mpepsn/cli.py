@@ -223,7 +223,7 @@ def cmd_estimate(args) -> int:
         )
     rng = Rng(args.seed, stream=3) if args.mode == "sampled" else None
     tr = neuron.mpe_psn_forward(I, params, args.mode, rng)
-    P, b, u_hat = tr.P, tr.b, tr.u_hat
+    P, b, u_hat = numerics.sigmoid(I), tr.b, tr.u_hat
     u_seq, _ = neuron.lif_sequential(I, params)
     print(f"input shape: {I.shape}, mode: {args.mode}")
     print(f"P: min={P.min():.6f} mean={P.mean():.6f} max={P.max():.6f}")

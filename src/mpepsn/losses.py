@@ -57,8 +57,8 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     is insensitive to batch size and width; kappa then weights and sums.
     Gradient flows into both arguments: through the estimate directly, and
     through the corrected potential via the reset product's surrogate (a
-    detached target chases its own tail, since moving the estimate moves the
-    corrected value with it; pass an explicitly detached Var to freeze it).
+    frozen target would chase its own tail, since moving the estimate moves
+    the corrected value with it).
 
     One tape node with parents (u_hat, u_target, kappa).  Its value and
     gradients are bit-identical to the elementwise tape of

@@ -72,15 +72,12 @@ def _presynaptic(o_prev, W, delay: int, shift_time):
     return shift_time(o_prev) if delay == 1 else o_prev
 
 
-@dataclass
-class TapeTrace:
-    """Tape outputs of one spiking layer; ``values`` holds every value of a
-    parallel layer's forward pass (None for LIF, whose u_hat is its u)."""
+class TapeTrace(NamedTuple):
+    """Tape outputs of one spiking layer; a LIF layer's u_hat is its u."""
 
     u_hat: Var
     u: Var
     o: Var
-    values: neuron.ParallelTrace | None = None
 
 
 def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Array):
@@ -156,30 +153,31 @@ def mpe_psn_tape_forward(
             np.multiply(g_u_hat, through_b, out=through_b)
             g_I = through_b if g_I is None else np.add(g_I, through_b, out=g_I)
             if mode == "expectation":
-                # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...)
+                # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...);
+                # in expectation mode b is P
                 through_P = np.multiply(g_u_hat, tr.I, out=scratch("grad.P", shape))
-                np.multiply(through_P, tr.P, out=through_P)
-                np.multiply(through_P, np.subtract(1.0, tr.P, out=scratch("grad.P2", shape)),
+                np.multiply(through_P, tr.b, out=through_P)
+                np.multiply(through_P, np.subtract(1.0, tr.b, out=scratch("grad.P2", shape)),
                             out=through_P)
                 np.subtract(g_I, through_P, out=g_I)
         return g_I, g_v_th
 
-    u_hat, u, o = autograd.multi_output((tr.u_hat, tr.u, tr.o), (I, v_th), backward)
-    return TapeTrace(u_hat=u_hat, u=u, o=o, values=tr)
+    return TapeTrace(*autograd.multi_output((tr.u_hat, tr.u, tr.o), (I, v_th), backward))
 
 
 def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
-                     *, scratch: Scratch | None = None) -> tuple[Var, Var]:
+                     *, scratch: Scratch | None = None) -> TapeTrace:
     """Differentiable sequential LIF recurrence (backprop through time): one
     tape node over the recurrence of :func:`neuron.lif_sequential`, with a
     closed-form backward that walks time in reverse, adding terms in the
     order of the per-step elementwise tape it replaces (bit for bit, as for
     the parallel layer).
 
-    The forward keeps the pre-reset potential h, which the backward reads.
-    u, o, h and the backward's surrogate and input gradient (which it
-    returns) come from ``scratch`` when given, else they are fresh; the
-    reverse walk works in two row buffers.
+    Returns ``TapeTrace(u, u, o)``.  The forward keeps the pre-reset
+    potential h, which the backward reads.  u, o, h and the backward's
+    surrogate and input gradient (which it returns) come from ``scratch``
+    when given, else they are fresh; the reverse walk works in two row
+    buffers.
     """
     scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
@@ -209,7 +207,8 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
                 g_I_t[...] = g_h
         return g_I, g_v_th
 
-    return autograd.multi_output((u, o), (I, v_th), backward)
+    u_var, o_var = autograd.multi_output((u, o), (I, v_th), backward)
+    return TapeTrace(u_var, u_var, o_var)
 
 
 @dataclass
@@ -430,19 +429,15 @@ class SpikingClassifier:
         for i, W in enumerate(self.synapses_):
             I = synapse_forward(o_prev, W, self.synaptic_delay)
             currents.append(I)
+            sc = None if scratch is None else scratch[i]
             if self.neuron_kind == "mpe_psn":
                 layer_rng = rng.spawn(i) if rng is not None else None
-                tr = mpe_psn_tape_forward(
-                    I, self.v_ths_[i], self.tau_m, self.alpha, mode, layer_rng,
-                    scratch=None if scratch is None else scratch[i],
-                )
-                traces.append(tr)
-                o_prev = tr.o
+                tr = mpe_psn_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha, mode,
+                                          layer_rng, scratch=sc)
             else:
-                u, o = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha,
-                                        scratch=None if scratch is None else scratch[i])
-                traces.append(TapeTrace(u_hat=u, u=u, o=o))
-                o_prev = o
+                tr = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha, scratch=sc)
+            traces.append(tr)
+            o_prev = tr.o
         logits = synapse_forward(o_prev, self.readout_, delay=0)
         return logits, traces, currents
 
@@ -469,7 +464,6 @@ class SpikingClassifier:
         self._build(x.shape[0], x.shape[2], n_classes)
         sample_rng = Rng(self.seed).spawn(1)
         self.history_ = []
-        use_mem = self.lam > 0.0 and self.neuron_kind == "mpe_psn"
         # Each epoch's tape is dead before the next forward, so one set of
         # work arrays per layer serves every epoch; it dies with this call.
         scratch = [Scratch() for _ in self.synapses_]
@@ -484,7 +478,7 @@ class SpikingClassifier:
                 sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
                              for tr, sc in zip(traces, scratch)]
             l_mem = sum(mem_terms, Var(np.asarray(0.0)))
-            loss = losses.total_loss(l_cls, l_mem if use_mem else autograd.detach(l_mem), self.lam)
+            loss = losses.total_loss(l_cls, l_mem, self.lam)
             # Checked before scoring: predict_logits would raise ValueError on
             # the same non-finite currents.
             loss_finite = bool(np.isfinite(loss.value))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,28 +51,20 @@ class NeuronParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-class ParallelTrace:
-    """All intermediates of one parallel forward pass, shape [T, B, N] each.
+class ParallelTrace(NamedTuple):
+    """I and the five arrays one parallel forward pass writes, [T, B, N] each.
 
-    A sampled pass never forms the spike probability P = sigmoid(I): it
-    draws b against each block's sigmoid where b then lands.  Its P is
-    formed on first read, as ``sigmoid(I)`` of the trace's I, the same bits
-    the draw compared against, since sigmoid is elementwise.  Iterating a
-    trace yields all seven arrays, in the order I, P, b, u_hat, h, u, o.
+    b is the estimated spike: a Bernoulli draw in sampled mode, and in
+    expectation mode the spike probability P = sigmoid(I) itself, so there
+    b is P.  A sampled pass never holds P.
     """
 
-    def __init__(self, I: Array, P: Array | None, b: Array, u_hat: Array, h: Array,
-                 u: Array, o: Array):
-        self.I, self._P, self.b, self.u_hat, self.h, self.u, self.o = I, P, b, u_hat, h, u, o
-
-    @property
-    def P(self) -> Array:
-        if self._P is None:
-            self._P = sigmoid(self.I)
-        return self._P
-
-    def __iter__(self):
-        return iter((self.I, self.P, self.b, self.u_hat, self.h, self.u, self.o))
+    I: Array
+    b: Array
+    u_hat: Array
+    h: Array
+    u: Array
+    o: Array
 
 
 def _check_3d(I: Array) -> Array:
@@ -203,8 +196,7 @@ def mpe_psn_forward(
     b and, in sampled mode, draws b there against its uniforms: sampled mode
     hands it to ``Rng.draw_blocks``, which feeds it blocks of
     ``MPE_BLOCK_CHUNKS`` RNG chunks, so neither the whole draw nor P is ever
-    held and the trace forms P when it is read; expectation mode hands it to
-    ``map_ranges``, and b is the trace's P.
+    held; expectation mode hands it to ``map_ranges``, and b is P.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -237,17 +229,7 @@ def mpe_psn_forward(
                     h[mid:hi], o[mid:hi], u[mid:hi])
 
     map_ranges(pool, n, update_range)
-    shape = I.shape
-    b = b.reshape(shape)
-    return ParallelTrace(
-        I=I,
-        P=None if mode == "sampled" else b,
-        b=b,
-        u_hat=u_hat.reshape(shape),
-        h=h.reshape(shape),
-        u=u.reshape(shape),
-        o=o.reshape(shape),
-    )
+    return ParallelTrace(I, *(a.reshape(I.shape) for a in (b, u_hat, h, u, o)))
 
 
 def mpe_psn_spikes(I, params: NeuronParams) -> Array:

@@ -122,13 +122,12 @@ GRADIENT_ALPHA = 1e-6
 
 
 def _layer(kind: str, I: Var, v_th: Var, alpha: float, rng: Rng):
-    """(u_hat, u, o) of one fused spiking layer of ``kind`` over the current ``I``."""
+    """The ``network.TapeTrace`` of one fused spiking layer of ``kind`` over
+    the current ``I``."""
     tau_m = neuron.NeuronParams().tau_m
     if kind == "lif":
-        u, o = network.lif_tape_forward(I, v_th, tau_m, alpha)
-        return u, u, o
-    tr = network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng)
-    return tr.u_hat, tr.u, tr.o
+        return network.lif_tape_forward(I, v_th, tau_m, alpha)
+    return network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng)
 
 
 def _random_chain(r: Rng, trial: int):

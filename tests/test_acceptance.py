@@ -10,7 +10,7 @@ parallelism to clear the absolute-ratio bar).
 import numpy as np
 import pytest
 
-from mpepsn import bench, datagen, losses, verify
+from mpepsn import bench, datagen, losses, numerics, verify
 from mpepsn.autograd import Var
 from mpepsn.cli import main as cli_main
 from mpepsn.network import SpikingClassifier
@@ -109,9 +109,18 @@ def test_criterion_6_benchmark_trend(bench_points):
 
 
 def test_criterion_7_determinism(tmp_path, monkeypatch, capsys):
-    train_args = ["train", "--batch", "16", "--neurons", "16", "--epochs", "20"]
+    # 256 held-out samples of width 64 at T=8 are two predict blocks, so
+    # each epoch's held-out scoring runs on a pool of MPE_PSN_WORKERS
+    train_args = ["train", "--batch", "640", "--neurons", "64", "--epochs", "20"]
     verify_args = ["verify", "--trials", "100"]
     outputs = {"train": set(), "verify": set()}
+    pooled, map_ranges, kind = [], numerics.WorkerPool.map_ranges, None
+
+    def record(pool, n, fn):
+        pooled.append((kind, pool.workers))
+        return map_ranges(pool, n, fn)
+
+    monkeypatch.setattr(numerics.WorkerPool, "map_ranges", record)
     for workers in ("1", "4"):
         monkeypatch.setenv(WORKERS_ENV_VAR, workers)
         for rep in range(2):
@@ -120,6 +129,7 @@ def test_criterion_7_determinism(tmp_path, monkeypatch, capsys):
                 assert cli_main(args + ["--out", str(path)]) == 0
                 outputs[kind].add(path.read_bytes())
     capsys.readouterr()
+    assert ("train", 4) in pooled
     ok = len(outputs["train"]) == 1 and len(outputs["verify"]) == 1
     report(7, "byte-identical outputs across runs and worker counts", ok,
            f"distinct train logs={len(outputs['train'])}, "
@@ -140,7 +150,7 @@ def test_criterion_9_spike_rate_reporting(reference_runs):
     o = np.zeros((4, 2, 5))
     o[0, 0, :] = 1.0  # 5 of 40 positions fired -> 12.5%
     z = np.zeros_like(o)
-    trace = ParallelTrace(I=z, P=z, b=z, u_hat=z, h=z, u=z, o=o)
+    trace = ParallelTrace(I=z, b=z, u_hat=z, h=z, u=z, o=o)
     _, rates, _ = diagnostics([trace], np.zeros((4, 2, 2)), np.zeros(2, dtype=int))
     exact = rates[0] == 100.0 * o.mean() == 12.5
     trained = reference_runs["mem_on"].history_[-1].spike_rates

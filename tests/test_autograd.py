@@ -6,7 +6,6 @@ from mpepsn.autograd import (
     ParamRegistry,
     Var,
     backward,
-    detach,
     finite_diff_check,
     multi_output,
     parameter,
@@ -189,13 +188,6 @@ class TestReductions:
         assert m.shape == (4,)
         backward(vsum(m))
         np.testing.assert_array_equal(x.grad, np.full((4, 2, 3), 1.0 / 6.0))
-
-
-class TestDetach:
-    def test_blocks_gradient(self):
-        x = leaf(2.0)
-        backward(x * detach(x))
-        assert x.grad == 2.0
 
 
 class TestRegistry:

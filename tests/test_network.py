@@ -59,30 +59,38 @@ class TestTapeForward:
         I = Rng(0).uniform_tensor((6, 2, 8), -2, 2)
         tape = mpe_psn_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0, "expectation", None)
         plain = neuron.mpe_psn_forward(I, neuron.NeuronParams(), "expectation")
-        for a, b in zip(tape.values, plain):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+        for a, b in zip(tape, (plain.u_hat, plain.u, plain.o)):
+            np.testing.assert_allclose(a.value, b, atol=1e-15)
 
     def test_matches_plain_forward_sampled(self):
         I = Rng(1).uniform_tensor((6, 2, 8), -2, 2)
         tape = mpe_psn_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0, "sampled", Rng(5))
         plain = neuron.mpe_psn_forward(I, neuron.NeuronParams(), "sampled", Rng(5))
-        for a, b in zip(tape.values, plain):
-            np.testing.assert_array_equal(a, b)
+        for a, b in zip(tape, (plain.u_hat, plain.u, plain.o)):
+            np.testing.assert_array_equal(a.value, b)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             mpe_psn_tape_forward(Var(np.zeros((1, 1, 1))), Var(np.asarray(1.0)), 0.25, 1.0, "x", None)
 
+    def test_both_layers_return_one_record(self):
+        I, v_th = Var(Rng(2).uniform_tensor((4, 2, 8), -2, 2)), Var(np.asarray(1.0))
+        lif = lif_tape_forward(I, v_th, 0.25, 1.0)
+        mpe = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, "expectation", None)
+        assert type(lif) is type(mpe) is network.TapeTrace
+        assert network.TapeTrace._fields == ("u_hat", "u", "o")
+        assert lif.u_hat is lif.u  # a LIF layer's u_hat is its u
+
     def test_lif_matches_oracle(self):
         I = Rng(2).uniform_tensor((8, 2, 8), -2, 2)
-        u, o = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0)
+        _, u, o = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0)
         u_ref, o_ref = neuron.lif_sequential(I, neuron.NeuronParams())
         np.testing.assert_array_equal(u.value, u_ref)
         np.testing.assert_array_equal(o.value, o_ref)
 
     def test_lif_gradient_reaches_input(self):
         I = parameter(Rng(3).uniform_tensor((4, 1, 3), -1, 1))
-        u, o = lif_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0)
+        _, u, o = lif_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0)
         backward(vsum(u))
         assert I.grad is not None and np.any(I.grad != 0.0)
 
@@ -105,11 +113,9 @@ class TestFusedGradients:
 
         def fn():
             if kind == "lif":
-                u, o = lif_tape_forward(I, v_th, 0.25, self.ALPHA)
-                u_hat = u
+                u_hat, u, o = lif_tape_forward(I, v_th, 0.25, self.ALPHA)
             else:
-                tr = mpe_psn_tape_forward(I, v_th, 0.25, self.ALPHA, kind, Rng(3))
-                u_hat, u, o = tr.u_hat, tr.u, tr.o
+                u_hat, u, o = mpe_psn_tape_forward(I, v_th, 0.25, self.ALPHA, kind, Rng(3))
             return vsum(u_hat * u_hat * c_hat) + vsum(u * u * c_u) + vsum(o * c_o)
 
         return fn
@@ -189,7 +195,7 @@ class TestFusedMatchesElementwiseTape:
     @pytest.mark.parametrize("read", ["u", "o", "u o"])
     def test_lif(self, read):
         I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
-        u, o = lif_tape_forward(I, v_th, 0.25, 1.0)
+        _, u, o = lif_tape_forward(I, v_th, 0.25, 1.0)
         terms = {"u": vsum(u * self.c_u), "o": vsum(o * self.c_o)}
         first, *rest = read.split()
         loss = terms[first]
@@ -424,11 +430,11 @@ class TestScratchScope:
         tr, te = small_task()
         m = small_model(epochs=2).fit(tr.x, tr.y)
         logits, traces, _ = m.model_forward(te.x, "sampled", Rng(7))
-        held = [a.copy() for a in traces[0].values] + [logits.value.copy()]
+        held = [a.value.copy() for a in (*traces[0], logits)]
         m.model_forward(te.x, "sampled", Rng(8))
         m.fit(te.x, te.y)
-        for before, after in zip(held, list(traces[0].values) + [logits.value]):
-            np.testing.assert_array_equal(before, after)
+        for before, after in zip(held, (*traces[0], logits)):
+            np.testing.assert_array_equal(before, after.value)
 
     def test_back_to_back_fits_repeat(self):
         tr, _ = small_task()
@@ -474,7 +480,7 @@ class TestScratchScope:
         grads = []
         for seed in (3, 4):
             I = parameter(Rng(seed).uniform_tensor((4, 2, 8), -2, 2))
-            u, o = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
+            _, u, o = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
             backward(vsum(u) + vsum(o))
             grads.append((u.value, o.value, I.grad))
         for first, second in zip(*grads):

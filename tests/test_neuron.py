@@ -139,21 +139,20 @@ def test_lif_sequential_takes_one_tile_row_beside_its_outputs():
 class TestEstimator:
     def test_zero_input_expectation(self):
         tr = mpe_psn_forward(np.zeros((2, 1, 3)), NeuronParams(), "expectation")
-        np.testing.assert_array_equal(tr.P, np.full_like(tr.P, 0.5))
-        np.testing.assert_array_equal(tr.b, tr.P)
+        np.testing.assert_array_equal(tr.b, np.full_like(tr.b, 0.5))  # b is P
         np.testing.assert_array_equal(tr.u_hat, np.zeros_like(tr.u_hat))
 
     def test_negative_saturation(self):
         I = np.full((1, 1, 4), -50.0)
         tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(0))
-        assert np.all(tr.P < 1e-15)
+        assert np.all(sigmoid(tr.I) < 1e-15)
         np.testing.assert_array_equal(tr.b, np.zeros_like(tr.b))
         np.testing.assert_array_equal(tr.u_hat, I)
 
     def test_positive_saturation(self):
         I = np.full((1, 1, 4), 50.0)
         tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(0))
-        assert np.all(1.0 - tr.P < 1e-15)
+        assert np.all(1.0 - sigmoid(tr.I) < 1e-15)
         np.testing.assert_array_equal(tr.b, np.ones_like(tr.b))
         np.testing.assert_array_equal(tr.u_hat, np.zeros_like(tr.u_hat))
 
@@ -254,15 +253,13 @@ class TestParallelForward:
 
 def reference_sampled(I, params, rng):
     """The sampled pass formed the whole-array way: one ``Rng.uniforms``
-    draw of all [T, B, N] values, P = sigmoid(I), then the estimate and
-    update helpers."""
+    draw of all [T, B, N] values, then the estimate and update helpers."""
     U = rng.uniforms(I.size).reshape(I.shape)
     b, u_hat, h, u, o = (np.empty_like(I) for _ in range(5))
-    P = sigmoid(I)
     neuron._estimate(I, b, u_hat, U)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
-    return I, P, b, u_hat, h, u, o
+    return I, b, u_hat, h, u, o
 
 
 class TestSampledBlocks:
@@ -286,20 +283,22 @@ class TestSampledBlocks:
                 ref = reference_sampled(I, p, ref_rng)
                 assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
 
-    def test_holds_five_arrays_and_forms_P_on_read(self):
+    def test_holds_five_arrays_and_iterating_allocates_nothing(self):
         I = Rng(38).uniform_tensor((16, 2, 1 << 15), -2.0, 2.0)
         tracemalloc.start()
         try:
             tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(38))
             held, peak = tracemalloc.get_traced_memory()
-            P = tr.P
-            held_with_P = tracemalloc.get_traced_memory()[0]
+            arrays = tuple(tr)
+            held_after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert 5.0 <= held / I.nbytes < 5.1
         assert peak / I.nbytes < 5.5
-        assert 6.0 <= held_with_P / I.nbytes < 6.1
-        assert tr.P is P
+        assert held_after - held < 0.01 * I.nbytes
+        # I and the five arrays the pass wrote, and not one array more
+        assert len(arrays) == 6 and arrays[0] is I
+        assert all(a.shape == I.shape for a in arrays)
 
     def test_sampled_scratch_has_no_P(self):
         I, s = random_case(39), Scratch()
@@ -309,7 +308,7 @@ class TestSampledBlocks:
         tr = mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
         with pytest.raises(KeyError):
             s.written("P", (I.size,))
-        assert np.shares_memory(tr.P, tr.b)  # expectation mode draws no b: b is its P
+        np.testing.assert_array_equal(tr.b, sigmoid(I))  # expectation mode draws no b: b is P
 
 
 class TestTeacherForced:

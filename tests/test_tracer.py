@@ -81,3 +81,19 @@ def test_predict_runs_no_training_forward():
     assert not spans & {"neuron.mpe_psn_forward", "network.model_forward",
                         "network.tape_forward.mpe_psn"}
     assert ("test", "neuron.mpe_psn_forward.bytes_out") not in tracer.counts
+
+
+def test_bytes_out_counts_I_and_the_five_arrays_of_each_pass():
+    """A traced pass counts I and the five arrays it writes: not P, which
+    a sampled pass never holds and an expectation pass holds as b."""
+    I = numerics.Rng(3).uniform_tensor((4, 2, 8), -2.0, 2.0)
+    tracer = layer_tracer()
+    counted = []
+    tracer.install("test")
+    try:
+        for mode, rng in (("sampled", numerics.Rng(4)), ("expectation", None)):
+            neuron.mpe_psn_forward(I, neuron.NeuronParams(), mode, rng)
+            counted.append(tracer.counts[("test", "neuron.mpe_psn_forward.bytes_out")])
+    finally:
+        tracer.uninstall()
+    assert counted == [6 * I.nbytes, 2 * 6 * I.nbytes]
