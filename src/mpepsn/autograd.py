@@ -1,8 +1,10 @@
 """Reverse-mode tape with surrogate gradients for spike nonlinearities.
 
-A ``Var`` wraps a float64 array and remembers how it was computed; calling
-:func:`backward` on a scalar ``Var`` walks the tape in reverse topological
-order and accumulates gradients into the leaves.  The ops are the few that
+A ``Var`` wraps a float64 array (or a bool array of spikes, which every
+consumer reads as 0/1; the arithmetic ops give float64) and remembers how
+it was computed; calling :func:`backward` on a scalar ``Var`` walks the
+tape in reverse topological order and accumulates gradients into the
+leaves.  The ops are the few that
 training composes (add, mul, matmul, time shift), and sub and sum,
 which only ``verify`` and the tests' oracles use; there is no elementwise
 spike or sigmoid node.  A whole neuron layer is one node with several
@@ -25,7 +27,8 @@ class Var:
     __slots__ = ("value", "grad", "parents", "_backward", "requires_grad", "name")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False, name=""):
-        self.value = np.asarray(value, dtype=np.float64)
+        is_bool = isinstance(value, np.ndarray) and value.dtype == np.bool_
+        self.value = value if is_bool else np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
@@ -80,7 +83,7 @@ def unbroadcast(grad: Array, shape) -> Array:
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     return Var(
-        a.value + b.value,
+        np.add(a.value, b.value, dtype=np.float64),  # bool spikes add as 0/1
         parents=(a, b),
         backward=lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)),
     )
@@ -89,7 +92,7 @@ def add(a, b) -> Var:
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     return Var(
-        a.value - b.value,
+        np.subtract(a.value, b.value, dtype=np.float64),
         parents=(a, b),
         backward=lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
     )
@@ -98,7 +101,7 @@ def sub(a, b) -> Var:
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     return Var(
-        a.value * b.value,
+        np.multiply(a.value, b.value, dtype=np.float64),
         parents=(a, b),
         backward=lambda g: (
             unbroadcast(g * b.value, a.shape),

@@ -98,7 +98,7 @@ def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Ar
         else:
             np.subtract(g_o, g_o_total, out=g_o_total)
         g_o = g_o_total
-        np.subtract(1.0, o, out=g_h)
+        np.logical_not(o, out=g_h)  # 1 - o, for the bool spikes
         np.multiply(g_u, g_h, out=g_h)
     if g_o is None:  # then g_u is None as well
         return None, None
@@ -149,7 +149,11 @@ def mpe_psn_tape_forward(
             g_u_hat = g_hist if g_u_hat is None else np.add(g_u_hat, g_hist, out=g_hist)
         g_I = g_h
         if g_u_hat is not None:
-            through_b = np.subtract(1.0, tr.b, out=scratch("grad.tmp", shape))
+            through_b = scratch("grad.tmp", shape)
+            if mode == "sampled":
+                np.logical_not(tr.b, out=through_b)  # 1 - b, for the bool draw
+            else:
+                np.subtract(1.0, tr.b, out=through_b)
             np.multiply(g_u_hat, through_b, out=through_b)
             g_I = through_b if g_I is None else np.add(g_I, through_b, out=g_I)
             if mode == "expectation":
@@ -173,7 +177,7 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
     order of the per-step elementwise tape it replaces (bit for bit, as for
     the parallel layer).
 
-    Returns ``TapeTrace(u, u, o)``.  The forward keeps the pre-reset
+    Returns ``TapeTrace(u, u, o)``, o bool.  The forward keeps the pre-reset
     potential h, which the backward reads.  u, o, h and the backward's
     surrogate and input gradient (which it returns) come from ``scratch``
     when given, else they are fresh; the reverse walk works in two row
@@ -183,7 +187,7 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
     x = neuron._check_3d(I.value)
     shape = x.shape
-    u, o, h = scratch("u", shape), scratch("o", shape), scratch("h", shape)
+    u, o, h = scratch("u", shape), scratch("o", shape, bool), scratch("h", shape)
     neuron._lif_into(x, params, u, o, h)
     autograd.log_spikes(o)
 
@@ -261,7 +265,8 @@ def diagnostics(layers, logits: Array, labels,
         l2_norms = [_estimate_l2(layer.u_hat, layer.u) for layer in layers]
     else:
         l2_norms = [float(np.sqrt(np.sum(sq))) for sq in sq_errors]
-    rates = [100.0 * float(np.mean(layer.o)) for layer in layers]
+    # mean(o) of 0/1 spikes, bit for bit: the count is an exact sum
+    rates = [100.0 * (np.count_nonzero(layer.o) / layer.o.size) for layer in layers]
     acc = accuracy(logits, labels)
     return l2_norms, rates, acc
 
@@ -468,7 +473,11 @@ class SpikingClassifier:
         # work arrays per layer serves every epoch; it dies with this call.
         scratch = [Scratch() for _ in self.synapses_]
         for epoch in range(1, self.epochs + 1):
-            logits, traces, currents = self.model_forward(x, self.mode, sample_rng,
+            # a stream per epoch: model_forward spawns each layer's stream
+            # from the one it is given, and a spawn draws from call 0, so one
+            # stream given to every epoch would repeat its draws
+            epoch_rng = sample_rng.spawn(epoch)
+            logits, traces, currents = self.model_forward(x, self.mode, epoch_rng,
                                                           scratch=scratch)
             l_cls = losses.cls_loss(logits, y)
             mem_terms, sq_errors = [], None

@@ -54,9 +54,11 @@ class NeuronParams:
 class ParallelTrace(NamedTuple):
     """I and the five arrays one parallel forward pass writes, [T, B, N] each.
 
-    b is the estimated spike: a Bernoulli draw in sampled mode, and in
-    expectation mode the spike probability P = sigmoid(I) itself, so there
-    b is P.  A sampled pass never holds P.
+    I (the input current), u_hat (the estimated history), h (the pre-reset
+    potential) and u (the post-reset potential) are float64; the spikes o
+    are bool.  b is the estimated spike: in sampled mode a Bernoulli draw,
+    bool; in expectation mode the spike probability P = sigmoid(I) itself,
+    float64, so there b is P.  A sampled pass never holds P.
     """
 
     I: Array
@@ -77,16 +79,22 @@ def _check_3d(I: Array) -> Array:
 
 
 def _estimate(I: Array, b: Array, u_hat: Array, uniforms: Array | None) -> None:
-    """Write P = sigmoid(I) into b, draw b = (uniforms < P) in place, then
-    write u_hat = (1 - b) * I, in this op order.
+    """Write P = sigmoid(I), the estimated spike b and u_hat = (1 - b) * I,
+    in this op order.
 
-    ``uniforms`` None keeps b = P (expectation mode).  The buffers may alias
-    one another, since each op reads only what the previous one wrote.
+    ``uniforms`` None is expectation mode: P is formed in the float64 b, so
+    b is P.  Otherwise P is formed in u_hat's buffer, b = (uniforms < P) is
+    drawn into the bool b, and u_hat is then overwritten.  In expectation
+    mode the buffers may alias one another, since each op reads only what
+    the previous one wrote.
     """
-    sigmoid(I, out=b)
-    if uniforms is not None:
-        np.less(uniforms, b, out=b)
-    np.subtract(1.0, b, out=u_hat)
+    if uniforms is None:
+        sigmoid(I, out=b)
+        np.subtract(1.0, b, out=u_hat)
+    else:
+        sigmoid(I, out=u_hat)
+        np.less(uniforms, u_hat, out=b)
+        np.logical_not(b, out=u_hat)  # 1 - b, without subtract's cast of a bool
     np.multiply(u_hat, I, out=u_hat)
 
 
@@ -96,12 +104,13 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     this op order.
 
     ``u_hist`` None is the zero history of step 0; ``u`` None skips the
-    reset, for a pass that keeps only spikes.  ``u_hist``, ``h`` and ``o``
-    may be one array, since each op reads only what the previous one
-    wrote, elementwise.  The MPE-PSN passes and
-    :func:`teacher_forced_forward` call this one function, so they fire on
-    the same bits of h; :func:`lif_sequential` keeps its own arithmetic, as
-    the independent oracle they are checked against.
+    reset, for a pass that keeps only spikes.  ``o`` is bool, or float64
+    0/1 in such a pass, where ``u_hist``, ``h`` and ``o`` may be one array,
+    since each op reads only what the previous one wrote, elementwise.  The
+    MPE-PSN passes and :func:`teacher_forced_forward` call this one
+    function, so they fire on the same bits of h; :func:`lif_sequential`
+    keeps its own arithmetic, as the independent oracle they are checked
+    against.
     """
     if u_hist is None:
         h[...] = 0.0
@@ -110,7 +119,7 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     np.add(h, I, out=h)
     np.greater_equal(h, params.v_th, out=o)
     if u is not None:
-        np.subtract(1.0, o, out=u)
+        np.logical_not(o, out=u)  # 1 - o
         np.multiply(u, h, out=u)
 
 
@@ -119,19 +128,19 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
 
     u_t = (tau_m * u_{t-1} + I_t) * (1 - spike_t), with u_{-1} = 0 and
     spike_t = 1 where tau_m * u_{t-1} + I_t >= v_th (ties fire), else 0.
-    Returns fresh u and o; the only other memory it takes is one tile row
-    (:func:`_lif_into`).
+    Returns fresh u (float64) and o (bool); the only other memory it takes
+    is one tile row (:func:`_lif_into`).
     """
     I = _check_3d(I)
-    u, o = np.empty(I.shape), np.empty(I.shape)
+    u, o = np.empty(I.shape), np.empty(I.shape, bool)
     _lif_into(I, params, u, o)
     return u, o
 
 
 def _lif_into(I: Array, params: NeuronParams, u: Array, o: Array, h: Array | None = None) -> None:
     """Write the LIF recurrence of the checked [T, B, N] input ``I`` into the
-    C-contiguous ``u`` and ``o`` (and the pre-reset potential into ``h``;
-    None keeps only one tile row of it).
+    C-contiguous float64 ``u`` and bool ``o`` (and the pre-reset potential
+    into the float64 ``h``; None keeps only one tile row of it).
 
     The flat [T, B*N] view is walked in column tiles of ``LIF_TILE_COLUMNS``,
     so a tile's rows of h, I, u and o stay in cache while t advances.  Each
@@ -158,7 +167,7 @@ def _lif_into(I: Array, params: NeuronParams, u: Array, o: Array, h: Array | Non
                 np.multiply(u_prev, tau_m, out=h_t)
                 np.add(h_t, I_t, out=h_t)
             np.greater_equal(h_t, v_th, out=o_t)
-            np.subtract(1.0, o_t, out=u_t)
+            np.logical_not(o_t, out=u_t)  # 1 - o_t
             np.multiply(h_t, u_t, out=u_t)
             u_prev = u_t
 
@@ -190,13 +199,15 @@ def mpe_psn_forward(
     without a pool); every range does the same elementwise arithmetic, so
     the result is bit-identical for any worker count.
 
-    It writes five arrays: b, u_hat, h, u and o.  They come from
-    ``scratch`` when given (training reuses them from one epoch to the
-    next), else they are fresh.  One estimate closure writes sigmoid(I) into
-    b and, in sampled mode, draws b there against its uniforms: sampled mode
-    hands it to ``Rng.draw_blocks``, which feeds it blocks of
-    ``MPE_BLOCK_CHUNKS`` RNG chunks, so neither the whole draw nor P is ever
-    held; expectation mode hands it to ``map_ranges``, and b is P.
+    It writes five arrays: b, u_hat, h, u and o, with the dtypes
+    :class:`ParallelTrace` lists: a sampled pass writes 3.25 float64
+    arrays' worth (b and o are bool), an expectation pass 4.125.  They come
+    from ``scratch`` when given (training reuses them from one epoch to the
+    next), else they are fresh.  One estimate closure forms sigmoid(I) and
+    b (:func:`_estimate`): sampled mode hands it to ``Rng.draw_blocks``,
+    which feeds it blocks of ``MPE_BLOCK_CHUNKS`` RNG chunks, so neither the
+    whole draw nor P is ever held; expectation mode hands it to
+    ``map_ranges``, and b is P.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -206,7 +217,9 @@ def mpe_psn_forward(
     n = I.size
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
-    b, u_hat, h, u, o = (scratch(name, (n,)) for name in ("b", "u_hat", "h", "u", "o"))
+    b = scratch("b", (n,), bool if mode == "sampled" else np.float64)
+    u_hat, h, u = (scratch(name, (n,)) for name in ("u_hat", "h", "u"))
+    o = scratch("o", (n,), bool)
 
     def estimate(lo: int, hi: int, uniforms: Array | None = None) -> None:
         sl = slice(lo, hi)
@@ -236,12 +249,12 @@ def mpe_psn_spikes(I, params: NeuronParams) -> Array:
     """The spikes o of ``mpe_psn_forward(I, params, "expectation")``, and nothing else.
 
     The inference pass: it runs the same estimate and update helpers as
-    :func:`mpe_psn_forward`, so o is bit-identical to that pass's, but it
-    writes one [T, B, N] array instead of six.  Row t of that array takes
-    the estimate of row t - 1 (the last row's estimate, which nothing
-    reads, is never formed), then the pre-reset potential h formed from it
-    in place, then the spikes.  Predict calls it on one cache-sized block
-    of samples at a time.
+    :func:`mpe_psn_forward`, so o equals that pass's in value (as float64
+    0/1, not bool), but it writes one float64 [T, B, N] array instead of
+    five arrays.  Row t of that array takes the estimate of row t - 1 (the
+    last row's estimate, which nothing reads, is never formed), then the
+    pre-reset potential h formed from it in place, then the spikes.
+    Predict calls it on one cache-sized block of samples at a time.
     """
     I = _check_3d(I)
     o = np.empty_like(I)
@@ -257,7 +270,7 @@ def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Arra
 
     With the true history substituted, the parallel update reproduces the
     sequential oracle exactly at every time step; this isolates the error
-    contributed by the estimator alone.
+    contributed by the estimator alone.  Returns u (float64) and o (bool).
     """
     I = _check_3d(I)
     u_true = np.asarray(u_true, dtype=np.float64)
@@ -265,6 +278,6 @@ def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Arra
         raise ShapeMismatchError(
             f"oracle membrane shape {u_true.shape} does not match input {I.shape}"
         )
-    h, u, o = np.empty_like(I), np.empty_like(I), np.empty_like(I)
+    h, u, o = np.empty_like(I), np.empty_like(I), np.empty(I.shape, bool)
     _update(shift_time(u_true), I, params, h, o, u)
     return u, o

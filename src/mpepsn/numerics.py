@@ -137,8 +137,9 @@ def map_ranges(pool: WorkerPool | None, n: int, fn) -> None:
 
 
 class Scratch:
-    """Named float64 work arrays: the first request for a name allocates it,
-    later requests with the same shape return the same array.
+    """Named work arrays: the first request for a name allocates it, later
+    requests with the same shape and dtype (float64 unless given; spikes and
+    sampled draws are bool) return the same array.
 
     What a caller reads from a scratch array is overwritten by the next call
     that writes it, so one scratch serves a loop whose every pass is done
@@ -150,10 +151,10 @@ class Scratch:
     def __init__(self):
         self._arrays: dict[str, Array] = {}
 
-    def __call__(self, name: str, shape: tuple) -> Array:
+    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> Array:
         a = self._arrays.get(name)
-        if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
     def written(self, name: str, shape: tuple) -> Array:

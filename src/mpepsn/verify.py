@@ -92,7 +92,9 @@ def check_teacher_forced(trials: int = 1000, seed: int = 0) -> CheckResult:
 
 
 def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
-    """Fired positions reset to 0, silent ones keep h; spikes are binary."""
+    """Fired positions reset to 0, silent ones keep h; spikes are binary:
+    the spikes of the sampled parallel pass and of the oracle, and the
+    sampled draws, are stored as bool."""
     rng = Rng(seed, stream=103)
     res = CheckResult("reset_law_and_binary_spikes", trials, 0)
     for trial in range(trials):
@@ -100,11 +102,9 @@ def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
         tr = neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(20_000 + trial))
         u_seq, o_seq = neuron.lif_sequential(I, params)
         ok = (
-            np.all(np.isin(tr.o, (0.0, 1.0)))
-            and np.all(np.isin(tr.b, (0.0, 1.0)))
-            and np.all(tr.u[tr.o == 1.0] == 0.0)
-            and np.array_equal(tr.u[tr.o == 0.0], tr.h[tr.o == 0.0])
-            and np.all(np.isin(o_seq, (0.0, 1.0)))
+            tr.o.dtype == tr.b.dtype == o_seq.dtype == np.bool_
+            and np.all(tr.u[tr.o] == 0.0)
+            and np.array_equal(tr.u[~tr.o], tr.h[~tr.o])
         )
         if not ok:
             res.fail(f"trial {trial}: shape {I.shape}, seed {seed}")
@@ -377,7 +377,8 @@ def check_inference_vs_training_forward(trials: int = 1000, seed: int = 0) -> Ch
     :func:`_random_case` family, and over the first time step alone of each
     (T = 1, where the spikes-only pass forms no estimate),
     ``neuron.mpe_psn_spikes(I, p)`` equals
-    ``neuron.mpe_psn_forward(I, p, "expectation").o``.  Then on a small
+    ``neuron.mpe_psn_forward(I, p, "expectation").o`` in value (float64
+    0/1 against bool).  Then on a small
     fitted model of each neuron kind, with synaptic delay 0 and 1 and one or
     two hidden layers (threshold 0.5: at 1.0 a second layer stays silent,
     and every logit is 0), the logits of predict equal

@@ -14,13 +14,14 @@ from mpepsn.autograd import Var, as_var, log_spikes, mul, surrogate_grad, unbroa
 
 
 def lif_sequential(I, params):
-    """u and o of the hard-reset LIF recurrence, one fresh [B, N] array per op
-    and step, in the order ``neuron.lif_sequential`` applies the ops."""
-    u, o = np.empty_like(I), np.empty_like(I)
+    """u (float64) and o (bool) of the hard-reset LIF recurrence, one fresh
+    [B, N] array per op and step, in the order ``neuron.lif_sequential``
+    applies the ops."""
+    u, o = np.empty_like(I), np.empty(I.shape, bool)
     u_prev = np.zeros(I.shape[1:])
     for t in range(I.shape[0]):
         h = params.tau_m * u_prev + I[t]
-        o[t] = (h >= params.v_th).astype(np.float64)
+        o[t] = h >= params.v_th
         u[t] = h * (1.0 - o[t])
         u_prev = u[t]
     return u, o

@@ -74,6 +74,24 @@ class TestMatmul:
         backward(vsum(out))
         assert a.grad.shape == a.shape and w.grad.shape == w.shape
 
+    def test_bool_spikes_give_the_float_operand_s_bits(self):
+        # a Var keeps bool spikes as they are; the product and the weight
+        # gradient read them as 0/1
+        o = Rng(7).uniform_tensor((8, 5, 3), -1, 1) > 0.0
+        assert Var(o).value.dtype == np.bool_
+        assert Var([1, 0]).value.dtype == np.float64
+        f = o.astype(np.float64)
+        for op in (lambda x: x + x, lambda x: x - 2.0 * x, lambda x: x * x, lambda x: 1.0 - x):
+            assert op(Var(o)).value.tobytes() == op(Var(f)).value.tobytes()
+        g = Rng(8).uniform_tensor((8, 5, 4), -1, 1)
+        results = []
+        for a in (o, o.astype(np.float64)):
+            w = parameter(Rng(9).uniform_tensor((3, 4), -1, 1))
+            out = autograd.matmul(Var(a), w)
+            backward(vsum(out * g))
+            results.append((out.value.tobytes(), w.grad.tobytes()))
+        assert results[0] == results[1]
+
     def test_constant_input_skips_its_gradient(self):
         x = Rng(4).uniform_tensor((8, 5, 3), -1, 1)
         w0 = Rng(5).uniform_tensor((3, 4), -1, 1)

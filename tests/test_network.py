@@ -81,6 +81,16 @@ class TestTapeForward:
         assert network.TapeTrace._fields == ("u_hat", "u", "o")
         assert lif.u_hat is lif.u  # a LIF layer's u_hat is its u
 
+    def test_spikes_are_bool(self):
+        # every consumer reads them as 0/1; predict's bit-identity with the
+        # training forward (TestPooledPredict) shows that it does
+        I, v_th = Var(Rng(2).uniform_tensor((4, 2, 8), -2, 2)), Var(np.asarray(1.0))
+        for tr in (lif_tape_forward(I, v_th, 0.25, 1.0),
+                   mpe_psn_tape_forward(I, v_th, 0.25, 1.0, "sampled", Rng(3)),
+                   mpe_psn_tape_forward(I, v_th, 0.25, 1.0, "expectation", None)):
+            assert tr.o.value.dtype == np.bool_ and tr.o.value.any()
+            assert tr.u_hat.value.dtype == tr.u.value.dtype == np.float64
+
     def test_lif_matches_oracle(self):
         I = Rng(2).uniform_tensor((8, 2, 8), -2, 2)
         _, u, o = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0)
@@ -324,6 +334,24 @@ class TestSpikingClassifier:
         for name in a.registry_.names():
             np.testing.assert_array_equal(a.registry_[name].value, b.registry_[name].value)
 
+    def test_each_epoch_draws_its_own_uniforms(self, monkeypatch):
+        tr, _ = small_task()
+        keys = []
+        draw_blocks = Rng.draw_blocks
+
+        def spy(rng, *args, **kwargs):
+            keys.append((rng.seed, rng.stream, rng._calls))
+            return draw_blocks(rng, *args, **kwargs)
+
+        monkeypatch.setattr(Rng, "draw_blocks", spy)
+        logs = []
+        for _ in range(2):
+            m = small_model(hidden_sizes=(8, 8), epochs=4).fit(tr.x, tr.y)
+            logs.append("\n".join(d.csv_row() for d in m.history_))
+        assert len(keys) == 2 * 4 * 2
+        assert len(set(keys[:8])) == 8  # per epoch and layer, one (seed, stream, call)
+        assert keys[8:] == keys[:8] and logs[1] == logs[0]
+
     def test_seed_changes_training(self):
         tr, _ = small_task()
         a = small_model(epochs=3).fit(tr.x, tr.y)
@@ -483,8 +511,9 @@ class TestScratchScope:
             _, u, o = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
             backward(vsum(u) + vsum(o))
             grads.append((u.value, o.value, I.grad))
+        assert [a.dtype for a in grads[0]] == [np.float64, np.bool_, np.float64]
         for first, second in zip(*grads):
-            assert np.shares_memory(first, second)
+            assert first.dtype == second.dtype and np.shares_memory(first, second)
 
     def test_lif_trace_outside_fit_is_never_overwritten(self):
         tr, te = small_task()
@@ -580,7 +609,8 @@ class TestPooledPredict:
         one, *more = self.logits_per_worker_count(monkeypatch, m, x)
         for logits in more:
             assert logits.tobytes() == one.tobytes()
-        logits, _, _ = m.model_forward(x, "expectation")
+        logits, traces, _ = m.model_forward(x, "expectation")
+        assert all(t.o.value.dtype == np.bool_ for t in traces)
         assert one.tobytes() == logits.value.tobytes()
         assert np.any(one != 0.0)
         assert calls == [1, 2, 3]  # one per multi-block predict, whatever the kind

@@ -84,8 +84,9 @@ class TestLifSequential:
 
 class TestTiledLif:
     """The in-place, column-tiled recurrence against the loop that forms
-    fresh arrays at every step, byte for byte (the sign of zero included),
-    with tiles of 4 columns so that small shapes span several tiles."""
+    fresh arrays at every step, byte for byte (the sign of zero included)
+    and dtype for dtype (o is bool), with tiles of 4 columns so that small
+    shapes span several tiles."""
 
     @pytest.fixture(autouse=True)
     def small_tiles(self, monkeypatch):
@@ -96,8 +97,9 @@ class TestTiledLif:
         with np.errstate(invalid="ignore"):
             ref = elementwise_ops.lif_sequential(I, params)
             got = lif_sequential(I, params)
+        assert [a.dtype for a in got] == [np.float64, np.bool_]
         for a, b in zip(got, ref):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("shape", [(6, 1, 11), (5, 2, 4), (1, 3, 5), (1, 1, 1), (3, 11, 1)])
     @pytest.mark.parametrize("v_th", [1.0, 0.0, -0.5])
@@ -117,7 +119,7 @@ class TestTiledLif:
 
     def test_kept_potential_is_the_loop_s(self):
         I, p = Rng(33).uniform_tensor((6, 1, 11), -2.0, 2.0), NeuronParams()
-        u, o, h = np.empty(I.shape), np.empty(I.shape), np.empty(I.shape)
+        u, o, h = np.empty(I.shape), np.empty(I.shape, bool), np.empty(I.shape)
         neuron._lif_into(I, p, u, o, h)
         ref = p.tau_m * neuron.shift_time(u) + I
         assert h.tobytes() == ref.tobytes()
@@ -216,8 +218,8 @@ class TestParallelForward:
 
     def test_binary_spikes_and_draws(self):
         tr = mpe_psn_forward(random_case(4), NeuronParams(), "sampled", Rng(4))
-        assert set(np.unique(tr.o)) <= {0.0, 1.0}
-        assert set(np.unique(tr.b)) <= {0.0, 1.0}
+        assert tr.o.dtype == tr.b.dtype == np.bool_
+        assert tr.o.any() and tr.b.any() and not tr.b.all()
         np.testing.assert_array_equal(tr.u_hat, (1.0 - tr.b) * tr.I)
 
     def test_row_order_independence(self):
@@ -253,9 +255,11 @@ class TestParallelForward:
 
 def reference_sampled(I, params, rng):
     """The sampled pass formed the whole-array way: one ``Rng.uniforms``
-    draw of all [T, B, N] values, then the estimate and update helpers."""
+    draw of all [T, B, N] values, then the estimate and update helpers,
+    into a bool b and o."""
     U = rng.uniforms(I.size).reshape(I.shape)
-    b, u_hat, h, u, o = (np.empty_like(I) for _ in range(5))
+    b, o = np.empty(I.shape, bool), np.empty(I.shape, bool)
+    u_hat, h, u = (np.empty_like(I) for _ in range(3))
     neuron._estimate(I, b, u_hat, U)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
@@ -281,24 +285,42 @@ class TestSampledBlocks:
             for _ in range(2):  # a second pass draws the rng's next call
                 tr = mpe_psn_forward(I, p, "sampled", rng, pool if workers else None)
                 ref = reference_sampled(I, p, ref_rng)
+                assert [a.dtype for a in tr] == [a.dtype for a in ref]
                 assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
 
-    def test_holds_five_arrays_and_iterating_allocates_nothing(self):
+    @staticmethod
+    def traced_pass(mode):
+        """I, the trace of one pass, and the memory the pass holds and
+        peaks at; iterating the trace yields I and five arrays and
+        allocates nothing."""
         I = Rng(38).uniform_tensor((16, 2, 1 << 15), -2.0, 2.0)
         tracemalloc.start()
         try:
-            tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(38))
+            tr = mpe_psn_forward(I, NeuronParams(), mode, Rng(38))
             held, peak = tracemalloc.get_traced_memory()
             arrays = tuple(tr)
             held_after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert 5.0 <= held / I.nbytes < 5.1
-        assert peak / I.nbytes < 5.5
-        assert held_after - held < 0.01 * I.nbytes
         # I and the five arrays the pass wrote, and not one array more
         assert len(arrays) == 6 and arrays[0] is I
         assert all(a.shape == I.shape for a in arrays)
+        assert held_after - held < 0.01 * I.nbytes
+        return I, tr, held, peak
+
+    def test_holds_five_arrays_and_iterating_allocates_nothing(self):
+        # u_hat, h and u float64, b and o bool: 3 + 2/8 arrays of I's size
+        I, tr, held, peak = self.traced_pass("sampled")
+        assert (tr.b.dtype, tr.o.dtype) == (np.bool_, np.bool_)
+        assert 3.25 <= held / I.nbytes < 3.35
+        assert peak / I.nbytes < 3.75
+
+    def test_expectation_pass_holds_four_float_arrays_and_bool_spikes(self):
+        # b (P), u_hat, h and u float64, o bool: 4 + 1/8 arrays of I's size
+        I, tr, held, peak = self.traced_pass("expectation")
+        assert (tr.b.dtype, tr.o.dtype) == (np.float64, np.bool_)
+        assert 4.125 <= held / I.nbytes < 4.225
+        assert peak / I.nbytes < 4.625
 
     def test_sampled_scratch_has_no_P(self):
         I, s = random_case(39), Scratch()
@@ -309,6 +331,36 @@ class TestSampledBlocks:
         with pytest.raises(KeyError):
             s.written("P", (I.size,))
         np.testing.assert_array_equal(tr.b, sigmoid(I))  # expectation mode draws no b: b is P
+
+
+class TestSpikeDtypes:
+    """Spikes and sampled draws are bool, one byte a value; every float a
+    pass forms stays float64.  The spikes-only inference pass keeps its one
+    float64 work array."""
+
+    def test_parallel_pass(self):
+        I, p = random_case(40), NeuronParams()
+        for mode in MODES:
+            tr = mpe_psn_forward(I, p, mode, Rng(40))
+            assert tr.o.dtype == np.bool_
+            assert all(a.dtype == np.float64 for a in (tr.I, tr.u_hat, tr.h, tr.u))
+        assert mpe_psn_forward(I, p, "sampled", Rng(40)).b.dtype == np.bool_
+        b = mpe_psn_forward(I, p, "expectation").b  # b is P
+        assert b.dtype == np.float64 and b.tobytes() == sigmoid(I).tobytes()
+
+    def test_spikes_only_pass_is_float_0_1_with_the_trace_s_values(self):
+        I, p = random_case(41), NeuronParams()
+        o = neuron.mpe_psn_spikes(I, p)
+        tr_o = mpe_psn_forward(I, p, "expectation").o
+        assert o.dtype == np.float64 and set(np.unique(o)) == {0.0, 1.0}
+        np.testing.assert_array_equal(o, tr_o)
+
+    def test_oracles(self):
+        I, p = random_case(42), NeuronParams()
+        u, o = lif_sequential(I, p)
+        assert (u.dtype, o.dtype) == (np.float64, np.bool_)
+        u_tf, o_tf = teacher_forced_forward(I, u, p)
+        assert (u_tf.dtype, o_tf.dtype) == (np.float64, np.bool_)
 
 
 class TestTeacherForced:

@@ -38,6 +38,23 @@ class TestChecks:
     def test_reset_law(self):
         assert verify.check_reset_law(trials=50).passed
 
+    @pytest.mark.parametrize("forward, spikes", [("mpe_psn_forward", "o"),
+                                                 ("mpe_psn_forward", "b"),
+                                                 ("lif_sequential", 1)])
+    def test_reset_law_fault_detected(self, monkeypatch, forward, spikes):
+        # the same 0/1 values, returned as float64
+        orig = getattr(neuron, forward)
+
+        def float_spikes(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            if isinstance(spikes, str):
+                return out._replace(**{spikes: getattr(out, spikes).astype(np.float64)})
+            return (*out[:spikes], out[spikes].astype(np.float64), *out[spikes + 1:])
+
+        monkeypatch.setattr(neuron, forward, float_spikes)
+        res = verify.check_reset_law(trials=20)
+        assert res.failures == 20 and res.details
+
     def test_gradients(self):
         res = verify.check_gradients(graphs=25)
         assert res.passed
