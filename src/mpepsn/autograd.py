@@ -318,17 +318,30 @@ class ParamRegistry:
             p.grad = None
 
 
+# A central difference at step h of a loss f resolves a derivative only to
+# about eps * |f| / h, the rounding of f(w +- h).  finite_diff_check judges a
+# coordinate relative to no less than FD_FLOOR_RESOLUTIONS such units (nor
+# than 1e-8), so that this rounding alone reads a relative error of about
+# 1e-5 at most.  Over verify's gradient graphs of seeds 0-39 the difference
+# of a derivative below 1e-5 was never off by more than half a unit.
+FD_FLOOR_RESOLUTIONS = 1e5
+
+
 def finite_diff_check(fn, params, step: float = 1e-5):
     """Compare tape gradients of ``fn()`` against central finite differences.
 
     ``fn`` rebuilds the graph from the current parameter values and returns a
     scalar Var.  Coordinates where a perturbation flips any spike output are
-    skipped (the loss is discontinuous there) and reported.
+    skipped (the loss is discontinuous there) and reported.  A coordinate's
+    relative error is |fd - g| / max(|fd|, |g|, floor), the floor scaled
+    with the loss (:data:`FD_FLOOR_RESOLUTIONS`).
 
     Returns (max relative error, list of skipped (param, flat index)).
     """
     params = list(params)
     loss = fn()
+    resolution = np.finfo(np.float64).eps * abs(float(loss.value)) / step
+    floor = max(FD_FLOOR_RESOLUTIONS * resolution, 1e-8)
     for p in params:
         p.grad = None
     backward(loss)
@@ -359,6 +372,6 @@ def finite_diff_check(fn, params, step: float = 1e-5):
                 continue
             fd = (f_plus - f_minus) / (2.0 * step)
             g = float(tape_grads[pi].reshape(-1)[i])
-            denom = max(abs(fd), abs(g), 1e-8)
+            denom = max(abs(fd), abs(g), floor)
             max_rel = max(max_rel, abs(fd - g) / denom)
     return max_rel, skipped

@@ -1,8 +1,11 @@
 """Wall-clock comparison of the sequential and parallel forward passes.
 
 Each grid point feeds bit-identical random input to both kinds, times
-forward-only passes (sampled mode for the parallel kind), discards warmup
-repetitions, and reports medians.  Multi-core CPU threading stands in for
+forward-only passes, discards warmup repetitions, and reports medians.  The
+sequential arm is ``neuron.lif_sequential``; the parallel arm is the pooled
+sampled ``neuron.mpe_psn_forward``, a pass that no ``fit`` or ``predict``
+runs (``fit`` runs it without a pool, ``predict`` runs the spikes-only
+pass), so the ratio times neither training nor inference.  Multi-core CPU threading stands in for
 GPU parallelism, so only the growth trend of the seq/par ratio is
 meaningful, never absolute magnitudes.
 """

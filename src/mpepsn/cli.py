@@ -93,7 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, default=None, help="dataset CSV path")
     p.set_defaults(run=cmd_train)
 
-    p = sub.add_parser("bench", help="sequential vs parallel speed-ratio sweep")
+    p = sub.add_parser(
+        "bench", help="sequential vs parallel speed-ratio sweep",
+        description="Time lif_sequential against the pooled sampled mpe_psn_forward over "
+                    "a (T, N) grid.  No fit or predict runs that pooled pass: fit runs it "
+                    "without a pool, predict runs the spikes-only pass.")
     _add_common(p)
     p.add_argument("--workers", type=_int_list, default=None,
                    help="comma-separated worker counts (falls back to MPE_PSN_WORKERS, "

@@ -26,14 +26,27 @@ MODES = ("sampled", "expectation")
 # Columns of one tile of the LIF recurrence: a 512 KB float64 row, so a
 # tile's rows of h, I, u and o fit in L2 together.
 LIF_TILE_COLUMNS = 1 << 16
-# RNG chunks in one block of the sampled estimate: 2^16 values, a 512 KB
-# float64 block, so a block's uniforms and its rows of I, b and u_hat stay in
-# L2 from the draw to the last op that reads them.  A sampled pass at
-# (32, 1, 2^18) on 2 workers of a 2-vCPU VM, median of 24: 176 ms with one
-# whole-array draw; blocks of 1, 2, 4, 8 and 16 chunks 186, 156, 153, 151
-# and 157 ms.  One chunk is too short a call: the GIL changes hands around
-# each op.
+# RNG chunks in one block of the MPE-PSN pass: 2^16 values, a 512 KB float64
+# block, so a block's u_hat stays in L2 from its estimate to the update that
+# reads it.  Passes at (32, 1, 2^18) on 2 workers of a 2-vCPU VM, medians of
+# three rounds of ten: blocks of 1, 2, 4, 8 and 16 chunks took 97, 78, 75, 80
+# and 85 ms sampled, 87, 71, 66, 69 and 69 ms in expectation mode.  One
+# chunk is too short a call: the GIL changes hands around each op.
 MPE_BLOCK_CHUNKS = 4
+
+# LOGIT_TABLE[k] = logit((k + 1/2) / 2^16) for the 2^16 values of a 16-bit
+# draw k, increasing in k.  A sampled estimate draws b = (LOGIT_TABLE[k] < I),
+# which is Bernoulli(P') with P' = #{k : LOGIT_TABLE[k] < I} / 2^16: P' is
+# sigmoid(I) rounded to a multiple of 2^-16, within 2^-17 of it
+# (``verify.check_table_draw``).  Read-only: every pass shares it.
+def _logit_table() -> Array:
+    k = np.arange(1 << 16)
+    table = np.log((k + 0.5) / ((1 << 16) - k - 0.5))
+    table.flags.writeable = False
+    return table
+
+
+LOGIT_TABLE = _logit_table()
 
 
 @dataclass
@@ -78,22 +91,25 @@ def _check_3d(I: Array) -> Array:
     return I
 
 
-def _estimate(I: Array, b: Array, u_hat: Array, uniforms: Array | None) -> None:
-    """Write P = sigmoid(I), the estimated spike b and u_hat = (1 - b) * I,
-    in this op order.
+def _estimate(I: Array, b: Array, u_hat: Array, k: Array | None) -> None:
+    """Write the estimated spike b and u_hat = (1 - b) * I, in this op order.
 
-    ``uniforms`` None is expectation mode: P is formed in the float64 b, so
-    b is P.  Otherwise P is formed in u_hat's buffer, b = (uniforms < P) is
-    drawn into the bool b, and u_hat is then overwritten.  In expectation
-    mode the buffers may alias one another, since each op reads only what
-    the previous one wrote.
+    ``k`` None is expectation mode: b is the float64 spike probability
+    P = sigmoid(I), then u_hat = 1 - P, times I.  The buffers may alias one
+    another there, since each op reads only what the previous one wrote.
+    Otherwise ``k`` holds 16-bit draws and the bool b = (LOGIT_TABLE[k] < I)
+    is drawn: the table entries are gathered into u_hat's buffer, compared
+    with I, and u_hat is then overwritten.  No sigmoid is formed; b is
+    Bernoulli(P'), P' within 2^-17 of sigmoid(I) (see :data:`LOGIT_TABLE`),
+    and a NaN current draws b = 0.
     """
-    if uniforms is None:
+    if k is None:
         sigmoid(I, out=b)
         np.subtract(1.0, b, out=u_hat)
     else:
-        sigmoid(I, out=u_hat)
-        np.less(uniforms, u_hat, out=b)
+        # "clip" cannot clip a 16-bit k; the default "raise" buffers out=
+        np.take(LOGIT_TABLE, k, out=u_hat, mode="clip")
+        np.less(u_hat, I, out=b)
         np.logical_not(b, out=u_hat)  # 1 - b, without subtract's cast of a bool
     np.multiply(u_hat, I, out=u_hat)
 
@@ -190,24 +206,33 @@ def mpe_psn_forward(
 ) -> ParallelTrace:
     """Parallel forward pass over all T time steps at once.
 
-    Spike probability P = sigmoid(I); the estimate is u_hat = (1 - b) * I,
-    where b is a Bernoulli(P) draw (an estimated spike resets the potential
-    to zero); expectation mode substitutes b := P for a deterministic,
-    seed-free path.  The estimate for step t-1 feeds step t; step 0 consumes
-    no history (zero), so its output coincides with the sequential oracle
-    exactly.  Work is split into flat index ranges over ``pool`` (one range
-    without a pool); every range does the same elementwise arithmetic, so
-    the result is bit-identical for any worker count.
+    The estimate is u_hat = (1 - b) * I, where b is the estimated spike (an
+    estimated spike resets the potential to zero): in sampled mode a
+    Bernoulli draw of probability within 2^-17 of sigmoid(I) (a 16-bit draw
+    compared through :data:`LOGIT_TABLE`, no sigmoid formed); expectation
+    mode substitutes b := P = sigmoid(I) for a deterministic, seed-free
+    path.  The estimate for step t-1 feeds step t; step 0 consumes no
+    history (zero), so its output coincides with the sequential oracle
+    exactly.
 
     It writes five arrays: b, u_hat, h, u and o, with the dtypes
     :class:`ParallelTrace` lists: a sampled pass writes 3.25 float64
     arrays' worth (b and o are bool), an expectation pass 4.125.  They come
     from ``scratch`` when given (training reuses them from one epoch to the
-    next), else they are fresh.  One estimate closure forms sigmoid(I) and
-    b (:func:`_estimate`): sampled mode hands it to ``Rng.draw_blocks``,
-    which feeds it blocks of ``MPE_BLOCK_CHUNKS`` RNG chunks, so neither the
-    whole draw nor P is ever held; expectation mode hands it to
-    ``map_ranges``, and b is P.
+    next), else they are fresh.
+
+    One kernel walks the flat [T*B*N] values in blocks of
+    ``MPE_BLOCK_CHUNKS`` RNG chunks.  A block forms b and u_hat at its
+    positions [lo, hi) (:func:`_estimate`), then, while that u_hat is still
+    in cache, runs :func:`_update` at the positions one stride (B*N) ahead,
+    [lo + stride, hi + stride), whose history it is; its positions in row 0
+    are updated with the zero history.  So each position is updated by the
+    one block that holds its history, blocks never wait on one another and
+    no two write the same position.  Sampled mode takes its blocks from
+    ``Rng.draw_blocks``, expectation mode from ``map_ranges`` over blocks;
+    over ``pool`` each range walks its own blocks (one range without a
+    pool).  Every block does the same elementwise arithmetic, so the result
+    is bit-identical for any worker count and block size.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -215,33 +240,33 @@ def mpe_psn_forward(
     if mode == "sampled" and rng is None:
         raise ValueError("sampled mode requires an Rng")
     n = I.size
+    stride = I.shape[1] * I.shape[2]
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
     b = scratch("b", (n,), bool if mode == "sampled" else np.float64)
     u_hat, h, u = (scratch(name, (n,)) for name in ("u_hat", "h", "u"))
     o = scratch("o", (n,), bool)
 
-    def estimate(lo: int, hi: int, uniforms: Array | None = None) -> None:
-        sl = slice(lo, hi)
-        _estimate(flat_I[sl], b[sl], u_hat[sl], uniforms)
+    def block(lo: int, hi: int, k: Array | None = None) -> None:
+        _estimate(flat_I[lo:hi], b[lo:hi], u_hat[lo:hi], k)
+        if lo < stride:
+            row0 = slice(lo, min(hi, stride))
+            _update(None, flat_I[row0], params, h[row0], o[row0], u[row0])
+        if lo + stride < n:
+            ahead = slice(lo + stride, min(hi + stride, n))
+            _update(u_hat[lo:ahead.stop - stride], flat_I[ahead], params,
+                    h[ahead], o[ahead], u[ahead])
 
     if mode == "sampled":
-        rng.draw_blocks(n, MPE_BLOCK_CHUNKS, estimate, pool)
+        rng.draw_blocks(n, MPE_BLOCK_CHUNKS, block, pool)
     else:
-        map_ranges(pool, n, estimate)
+        size = MPE_BLOCK_CHUNKS * Rng.CHUNK
 
-    stride = I.shape[1] * I.shape[2]
+        def blocks(lo: int, hi: int) -> None:
+            for start in range(lo * size, min(hi * size, n), size):
+                block(start, min(start + size, n))
 
-    def update_range(lo: int, hi: int) -> None:
-        # row t >= 1 reads u_hat[t-1], one stride back; row 0 has a zero history
-        mid = min(max(lo, stride), hi)
-        if lo < mid:
-            _update(None, flat_I[lo:mid], params, h[lo:mid], o[lo:mid], u[lo:mid])
-        if mid < hi:
-            _update(u_hat[mid - stride:hi - stride], flat_I[mid:hi], params,
-                    h[mid:hi], o[mid:hi], u[mid:hi])
-
-    map_ranges(pool, n, update_range)
+        map_ranges(pool, -(-n // size), blocks)
     return ParallelTrace(I, *(a.reshape(I.shape) for a in (b, u_hat, h, u, o)))
 
 

@@ -180,6 +180,10 @@ class Rng:
     ``(seed, stream, c, i)``, never on thread scheduling: the flat output is
     generated in fixed-size chunks, each keyed by its chunk index, so a pool
     may fill chunks in any order (or in parallel) with identical results.
+    A draw is either n float64 uniforms (:meth:`uniforms`: data, weights,
+    bench inputs) or n 16-bit integers (:meth:`draw_blocks`: the sampled
+    MPE-PSN estimate, which compares a table entry per integer with the
+    current instead of forming a sigmoid).
     """
 
     CHUNK = 1 << 14
@@ -195,12 +199,14 @@ class Rng:
         """Independent child stream keyed by (this stream, child_id)."""
         return Rng(self.seed, _splitmix64(self.stream ^ _splitmix64(child_id + 1)))
 
-    # A chunk of CHUNK uniforms takes CHUNK // 2 Philox words, and Philox
-    # yields four words per step of its low counter word, so drawing a full
-    # chunk advances that word by CHUNK // 8; advancing by this wraps it back
-    # to 0 and carries one into the chunk index, where the next chunk's
-    # generator starts.
+    # A chunk of CHUNK values takes CHUNK // 2 Philox words as 32-bit
+    # uniforms, CHUNK // 4 as 16-bit integers, and Philox yields four words
+    # per step of its low counter word, so drawing a full chunk advances that
+    # word by CHUNK // 8 or CHUNK // 16; advancing by this wraps it back to 0
+    # and carries one into the chunk index, where the next chunk's generator
+    # starts.
     _NEXT_CHUNK = 2**64 - CHUNK // 8
+    _NEXT_CHUNK_16 = 2**64 - CHUNK // 16
 
     def _chunk_generator(self, call: int, chunk: int) -> np.random.Philox:
         counter = np.array([0, chunk, call, 0], dtype=np.uint64)
@@ -216,21 +222,29 @@ class Rng:
         """Write positions ``[lo * CHUNK, min(hi * CHUNK, n))`` of an n-value
         draw into ``out``, from ``bits`` standing at chunk ``lo``'s counter.
 
-        The one chunk filler behind :meth:`uniforms` and :meth:`draw_blocks`.
-        After each chunk ``bits`` is advanced to the next chunk's counter, so
-        one generator serves every chunk of a range: the same draws as a
-        generator built per chunk, built once.
+        The one chunk filler behind :meth:`uniforms` and :meth:`draw_blocks`;
+        ``out``'s dtype picks the draw.  A float64 ``out`` takes uniforms:
+        each word's two 32-bit halves times 2^-32.  A uint16 ``out`` takes
+        each word's four 16-bit quarters.  Either way a word's parts are
+        taken low first, on any byte order.  After each chunk ``bits`` is
+        advanced to the next chunk's counter, so one generator serves every
+        chunk of a range: the same draws as a generator built per chunk,
+        built once.
         """
+        quarters = out.dtype == np.uint16
+        part, step = ("<u2", self._NEXT_CHUNK_16) if quarters else ("<u4", self._NEXT_CHUNK)
+        per_word = 8 // np.dtype(part).itemsize
         base = lo * self.CHUNK
         for c in range(lo, hi):
             start = c * self.CHUNK
             stop = min(start + self.CHUNK, n)
-            words = bits.random_raw(-(-(stop - start) // 2))
-            # little-endian words viewed as 32-bit halves: low half first on
-            # any byte order
-            halves = words.astype("<u8", copy=False).view("<u4")
-            np.multiply(halves[:stop - start], 2.0**-32, out=out[start - base:stop - base])
-            bits.advance(self._NEXT_CHUNK)
+            words = bits.random_raw(-(-(stop - start) // per_word))
+            parts = words.astype("<u8", copy=False).view(part)[:stop - start]
+            if quarters:
+                out[start - base:stop - base] = parts
+            else:
+                np.multiply(parts, 2.0**-32, out=out[start - base:stop - base])
+            bits.advance(step)
 
     def uniforms(self, n: int) -> Array:
         """n doubles uniform on [0, 1), each a multiple of 2^-32.
@@ -248,20 +262,23 @@ class Rng:
         return out
 
     def draw_blocks(self, n: int, block_chunks: int, fn, pool: WorkerPool | None = None) -> None:
-        """Draw the n uniforms of one :meth:`uniforms` call, bit for bit, one
-        block of ``block_chunks`` chunks at a time, calling ``fn(lo, hi, u)``
-        with positions ``[lo, hi)`` of the draw in ``u``.
+        """Draw n 16-bit integers k, uniform on [0, 2^16), one block of
+        ``block_chunks`` chunks at a time, calling ``fn(lo, hi, k)`` with
+        positions ``[lo, hi)`` of the draw in the uint16 ``k``.
 
-        Each of ``pool``'s ranges of chunks (this is the one pooled draw)
-        draws its blocks in order into one block buffer of its own, which the
-        next block overwrites, so the whole draw is never held at once.
+        Each 64-bit Philox word gives four, its 16-bit quarters from the low
+        one up, and chunks are keyed as in :meth:`uniforms`, so position i
+        of the draw is the same for any block size and any pool.  Each of
+        ``pool``'s ranges of chunks (this is the one pooled draw) draws its
+        blocks in order into one block buffer of its own, which the next
+        block overwrites, so the whole draw is never held at once.
         """
         call = self._next_call()
 
         def work(lo: int, hi: int) -> None:
             bits = self._chunk_generator(call, lo)
             buf = np.empty(min((hi - lo) * self.CHUNK, block_chunks * self.CHUNK,
-                               n - lo * self.CHUNK))
+                               n - lo * self.CHUNK), np.uint16)
             for c in range(lo, hi, block_chunks):
                 c_hi = min(c + block_chunks, hi)
                 start, stop = c * self.CHUNK, min(c_hi * self.CHUNK, n)

@@ -2,11 +2,11 @@
 
 Each check runs many randomized trials against an independent oracle (the
 sequential recurrence, the fixed-order matmul, scipy's ``expit``, the
-binomial law, the training forward, or central finite differences) and
-reports failures with enough context to reproduce them.  The finite
-differences are taken of the training loss of small classifier-shaped
-chains, so the gradient checked is the one built from the fused layer and
-loss nodes that ``SpikingClassifier.fit`` runs.
+binomial law, the exact law of the table draw, the training forward, or
+central finite differences) and reports failures with enough context to
+reproduce them.  The finite differences are taken of the training loss of
+small classifier-shaped chains, so the gradient checked is the one built
+from the fused layer and loss nodes that ``SpikingClassifier.fit`` runs.
 """
 
 from __future__ import annotations
@@ -312,30 +312,33 @@ BERNOULLI_DRAWS = 1 << 20
 BERNOULLI_SIGMAS = 5.0
 
 
-def _blocked_uniforms(rng: Rng, n: int, pool) -> np.ndarray:
-    """The n uniforms of ``rng.draw_blocks`` over ``pool``, in one array."""
-    out = np.empty(n)
+def _blocked_draw(rng: Rng, n: int, block_chunks: int, pool) -> np.ndarray:
+    """The n 16-bit integers of ``rng.draw_blocks`` over ``pool``, in one array."""
+    out = np.empty(n, np.uint16)
 
-    def put(lo: int, hi: int, u: np.ndarray) -> None:
-        out[lo:hi] = u
+    def put(lo: int, hi: int, k: np.ndarray) -> None:
+        out[lo:hi] = k
 
-    rng.draw_blocks(n, neuron.MPE_BLOCK_CHUNKS, put, pool)
+    rng.draw_blocks(n, block_chunks, put, pool)
     return out
 
 
 def check_bernoulli_draws(seed: int = 0) -> CheckResult:
-    """``Rng.uniforms`` as the Bernoulli draw ``U < P``, within a stated tolerance.
+    """``Rng.uniforms`` as the Bernoulli draw ``U < P``, within a stated
+    tolerance, and the sampled pass's 16-bit draw, bit for bit.
 
     Contract, distributional: at each P of :data:`BERNOULLI_PROBABILITIES`,
     the frequency of U < P over 2^20 uniforms lies within 5 binomial
     standard deviations, sqrt(P (1 - P) / 2^20), of P, and every uniform
     is a multiple of 2^-32 in [0, 1).  Bitwise, across worker counts: at n
-    on and around the chunk edges, the uniforms of ``Rng.draw_blocks``, the
-    pooled draw, in blocks of ``neuron.MPE_BLOCK_CHUNKS`` chunks (5 * CHUNK
-    + 17 crosses a block edge) without a pool and over pools of 1, 2 and 3
-    workers equal ``uniforms(n)``, and the draws b of a sampled
-    ``neuron.mpe_psn_forward`` over n values are the same over those pools.
-    ``max_err`` is the worst frequency gap in standard deviations.
+    on and around the chunk edges, the 16-bit integers of
+    ``Rng.draw_blocks``, the pooled draw, in blocks of
+    ``neuron.MPE_BLOCK_CHUNKS`` chunks (5 * CHUNK + 17 crosses a block
+    edge) without a pool and over pools of 1, 2 and 3 workers equal one
+    whole-array draw (one block of every chunk, no pool), and the draws b
+    of a sampled ``neuron.mpe_psn_forward`` over n values are the same over
+    those pools.  ``max_err`` is the worst frequency gap in standard
+    deviations.
     """
     rng = Rng(seed, stream=108)
     C, n = Rng.CHUNK, BERNOULLI_DRAWS
@@ -356,16 +359,72 @@ def check_bernoulli_draws(seed: int = 0) -> CheckResult:
           numerics.WorkerPool(3) as p3):
         pools = (None, p1, p2, p3)
         for j, n in enumerate(sizes):
-            want = rng.spawn(100 + j).uniforms(n)
+            whole = _blocked_draw(rng.spawn(100 + j), n, -(-n // C), None)
             I = rng.spawn(200 + j).uniform_tensor((1, 1, n), -2.0, 2.0)
             b_want, *b_got = (neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(300 + j),
                                                      pool).b for pool in pools)
-            if not (all(np.array_equal(_blocked_uniforms(rng.spawn(100 + j), n, pool), want)
-                        for pool in pools)
+            blocked = (_blocked_draw(rng.spawn(100 + j), n, neuron.MPE_BLOCK_CHUNKS, pool)
+                       for pool in pools)
+            if not (all(np.array_equal(k, whole) for k in blocked)
                     and all(np.array_equal(b, b_want) for b in b_got)):
                 res.fail(f"n={n}: draws differ across no pool and 1, 2 and 3 workers "
-                         f"(draw_blocks against uniforms(n), or the sampled pass's b), "
-                         f"seed {seed}")
+                         f"(draw_blocks against one whole-array draw, or the sampled "
+                         f"pass's b), seed {seed}")
+    return res
+
+
+# |P' - expit| for the table draw: half a step of the 2^16-entry table, plus
+# 2^-50 for the rounding of the table's entries and of expit (the worst gap
+# measured over every entry and its neighbouring floats exceeds 2^-17 by
+# about 1.1e-16).
+TABLE_DRAW_BOUND = 2.0**-17 + 2.0**-50
+
+
+def _table_probability(I: np.ndarray) -> np.ndarray:
+    """P'(I) = #{k : LOGIT_TABLE[k] < I} / 2^16, exactly, for non-NaN I."""
+    return np.searchsorted(neuron.LOGIT_TABLE, I, side="left") / neuron.LOGIT_TABLE.size
+
+
+def check_table_draw(seed: int = 0) -> CheckResult:
+    """The sampled estimate's draw b = (LOGIT_TABLE[k] < I) against the
+    sigmoid, within a stated tolerance.
+
+    Contract, exact: the table increases, and P'(I) = #{k : LOGIT_TABLE[k]
+    < I} / 2^16, counted with ``np.searchsorted``, lies within
+    :data:`TABLE_DRAW_BOUND` of ``scipy.special.expit(I)`` over every table
+    entry, the floats on either side of each, 4096 currents uniform on
+    [-20, 20] and +-inf.  At NaN, +inf and -inf currents a sampled
+    ``neuron.mpe_psn_forward`` draws b = 0, 1 and 0.  Distributional: at
+    each P of :data:`BERNOULLI_PROBABILITIES`, a sampled pass over 2^20
+    values of the current logit(P) draws b = 1 with a frequency within 5
+    binomial standard deviations of P'.  ``max_err`` is the worst
+    |P' - expit|.
+    """
+    rng = Rng(seed, stream=109)
+    L = neuron.LOGIT_TABLE
+    res = CheckResult("table_draw", 2 + len(BERNOULLI_PROBABILITIES), 0)
+    grid = np.concatenate([L, np.nextafter(L, -np.inf), np.nextafter(L, np.inf),
+                           rng.spawn(0).uniform_tensor((4096,), -20.0, 20.0),
+                           [-np.inf, np.inf]])
+    gap = float(np.max(np.abs(_table_probability(grid) - expit(grid))))
+    res.max_err = gap
+    if not (np.all(np.diff(L) > 0.0) and gap <= TABLE_DRAW_BOUND):
+        res.fail(f"|P' - expit| = {gap:.6g} (bound {TABLE_DRAW_BOUND:.6g}), "
+                 f"or the table does not increase")
+    params = neuron.NeuronParams()
+    edges = np.tile([np.nan, np.inf, -np.inf], Rng.CHUNK).reshape(1, 1, -1)
+    with np.errstate(invalid="ignore"):  # u_hat = 0 * inf
+        b = neuron.mpe_psn_forward(edges, params, "sampled", rng.spawn(1)).b
+    if not np.array_equal(b, np.isposinf(edges)):
+        res.fail(f"NaN, +inf and -inf currents do not draw b = 0, 1 and 0, seed {seed}")
+    n = BERNOULLI_DRAWS
+    for i, p in enumerate(BERNOULLI_PROBABILITIES):
+        I = np.full((1, 1, n), math.log(p / (1.0 - p)))
+        want = float(_table_probability(I.flat[0]))
+        b = neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(10 + i)).b
+        sd = abs(np.count_nonzero(b) / n - want) / math.sqrt(want * (1.0 - want) / n)
+        if not sd <= BERNOULLI_SIGMAS:
+            res.fail(f"P={p!r}: frequency {sd:.3g} sd from P' = {want!r}, seed {seed}")
     return res
 
 
@@ -434,5 +493,6 @@ def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
         check_matmul_vs_fixed_order(trials, seed),
         check_sigmoid_vs_expit(trials, seed),
         check_bernoulli_draws(seed),
+        check_table_draw(seed),
         check_inference_vs_training_forward(trials, seed),
     ]

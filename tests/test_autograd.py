@@ -262,6 +262,23 @@ class TestFiniteDiff:
         assert max_rel < 1e-4
         assert skipped == []
 
+    def test_tiny_derivative_of_a_loss_near_1(self):
+        # d/dw (1 + c w) = c.  At c = 5e-8 the difference at step 1e-5
+        # resolves c only to about 1e-11, and judged against c itself it
+        # read rel 1.3e-4; the floor scaled with the loss takes that
+        # rounding as noise.  A gradient 0.1% off at c = 1e-3, well above
+        # the floor, still fails.
+        w = parameter(np.array([1.0]), name="w")
+
+        def fn(c, slope):
+            cw = Var(w.value * c, parents=(w,), backward=lambda g: (g * slope,))
+            return vsum(Var(np.asarray(1.0)) + cw)
+
+        max_rel, skipped = finite_diff_check(lambda: fn(5e-8, 5e-8), [w])
+        assert max_rel < 1e-4 and skipped == []
+        max_rel, _ = finite_diff_check(lambda: fn(1e-3, 1.001e-3), [w])
+        assert max_rel > 1e-4
+
     def test_crossing_skipped(self):
         p = parameter(np.array([1.0]), name="p")
 

@@ -85,11 +85,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "25", "--out", str(out_path))
         assert code == 0
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert all(l.startswith("PASS") for l in lines)
         csv = out_path.read_text().splitlines()
         assert csv[0] == "check,trials,failures,max_err,status"
-        assert len(csv) == 10
+        assert len(csv) == 11
 
     def test_injected_fault_fails(self, capsys, t0_fault):
         code, out, _ = run(capsys, "verify", "--trials", "25")

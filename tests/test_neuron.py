@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -253,17 +254,34 @@ class TestParallelForward:
                         np.testing.assert_array_equal(x, y)
 
 
-def reference_sampled(I, params, rng):
-    """The sampled pass formed the whole-array way: one ``Rng.uniforms``
-    draw of all [T, B, N] values, then the estimate and update helpers,
-    into a bool b and o."""
-    U = rng.uniforms(I.size).reshape(I.shape)
-    b, o = np.empty(I.shape, bool), np.empty(I.shape, bool)
+def whole_draw(rng, n):
+    """One 16-bit draw of n values in one block of every chunk, without a pool."""
+    k = np.empty(n, np.uint16)
+
+    def put(lo, hi, block):
+        k[lo:hi] = block
+
+    rng.draw_blocks(n, -(-n // Rng.CHUNK), put)
+    return k
+
+
+def reference_pass(I, params, mode, rng=None):
+    """The pass formed the whole-array way, in two phases: the estimate of
+    every value (from one whole-array draw in sampled mode), then the
+    update of every row, row 0 with the zero history."""
+    k = whole_draw(rng, I.size).reshape(I.shape) if mode == "sampled" else None
+    b = np.empty(I.shape, bool if mode == "sampled" else np.float64)
+    o = np.empty(I.shape, bool)
     u_hat, h, u = (np.empty_like(I) for _ in range(3))
-    neuron._estimate(I, b, u_hat, U)
+    neuron._estimate(I, b, u_hat, k)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
     return I, b, u_hat, h, u, o
+
+
+def assert_same_trace(tr, ref):
+    assert [a.dtype for a in tr] == [a.dtype for a in ref]
+    assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
 
 
 class TestSampledBlocks:
@@ -284,9 +302,23 @@ class TestSampledBlocks:
         with WorkerPool(workers or 1) as pool:
             for _ in range(2):  # a second pass draws the rng's next call
                 tr = mpe_psn_forward(I, p, "sampled", rng, pool if workers else None)
-                ref = reference_sampled(I, p, ref_rng)
-                assert [a.dtype for a in tr] == [a.dtype for a in ref]
-                assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
+                assert_same_trace(tr, reference_pass(I, p, "sampled", ref_rng))
+
+    def test_draw_compares_the_logit_table_with_the_current(self):
+        # b = (LOGIT_TABLE[k] < I) for the pass's own 16-bit draw k
+        I = Rng(43).uniform_tensor((3, 2, 1000), -3.0, 3.0)
+        tr = mpe_psn_forward(I, NeuronParams(), "sampled", Rng(44))
+        k = whole_draw(Rng(44), I.size).reshape(I.shape)
+        np.testing.assert_array_equal(tr.b, neuron.LOGIT_TABLE[k] < I)
+
+    def test_sampled_pass_forms_no_sigmoid(self, monkeypatch):
+        def no_sigmoid(*args, **kwargs):
+            raise AssertionError("the sampled pass formed a sigmoid")
+
+        monkeypatch.setattr(neuron, "sigmoid", no_sigmoid)
+        mpe_psn_forward(random_case(45), NeuronParams(), "sampled", Rng(45))
+        with pytest.raises(AssertionError, match="formed a sigmoid"):
+            mpe_psn_forward(random_case(45), NeuronParams(), "expectation")
 
     @staticmethod
     def traced_pass(mode):
@@ -331,6 +363,85 @@ class TestSampledBlocks:
         with pytest.raises(KeyError):
             s.written("P", (I.size,))
         np.testing.assert_array_equal(tr.b, sigmoid(I))  # expectation mode draws no b: b is P
+
+
+class TestStrideAhead:
+    """Each block updates the positions one stride (B*N) ahead of its
+    estimate, and the row-0 positions it holds with the zero history: the
+    trace must equal the two-phase pass's whatever the stride, the block
+    size and the pool."""
+
+    C = Rng.CHUNK
+    BLOCK = neuron.MPE_BLOCK_CHUNKS * C
+
+    @pytest.mark.parametrize("block_chunks", [neuron.MPE_BLOCK_CHUNKS, 1])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [
+        (7, 3, 1000),             # stride < block, several rows in one block
+        (2, 1, 13 * C + 1),       # stride > one range at 3 workers, in chunks and in blocks
+        (4, 2, C + 7),            # stride not a multiple of a chunk, rows straddle blocks
+        (1, 3, BLOCK + 5),        # T = 1: every position is row 0
+        (3, 1, 5),                # n below one chunk
+    ])
+    def test_trace_equals_the_two_phase_pass(self, monkeypatch, shape, mode, workers,
+                                             block_chunks):
+        monkeypatch.setattr(neuron, "MPE_BLOCK_CHUNKS", block_chunks)
+        I, p = Rng(46).uniform_tensor(shape, -2.0, 2.0), NeuronParams()
+        with WorkerPool(workers or 1) as pool:
+            tr = mpe_psn_forward(I, p, mode, Rng(47), pool if workers else None)
+        assert_same_trace(tr, reference_pass(I, p, mode, Rng(47)))
+
+    def test_every_position_is_updated_once(self, monkeypatch):
+        # h, u and o come from one _update call per position, row 0 from
+        # the zero history and every later row from the block one stride back
+        calls = []
+        update = neuron._update
+
+        def recorded(u_hist, I, params, h, o, u=None):
+            calls.append((u_hist is None, h.size))
+            update(u_hist, I, params, h, o, u)
+
+        monkeypatch.setattr(neuron, "_update", recorded)
+        shape = (3, 1, 2 * self.BLOCK + 9)
+        with WorkerPool(3) as pool:
+            mpe_psn_forward(Rng(48).uniform_tensor(shape, -2.0, 2.0), NeuronParams(),
+                            "sampled", Rng(48), pool)
+        stride = shape[1] * shape[2]
+        assert sum(size for zero, size in calls if zero) == stride
+        assert sum(size for zero, size in calls if not zero) == 2 * stride
+
+
+# SHA-256 of the expectation pass's five arrays (b, u_hat, h, u, o) and of
+# mpe_psn_spikes at golden_input(), recorded before the MPE-PSN pass became
+# one blocked kernel (numpy 2.4.6, x86-64).  The sigmoid goes through numpy's
+# exp, whose last bits may differ on another CPU or numpy build.
+EXPECTATION_TRACE_SHA256 = "6494bbdd4843bd17630961aecc54e31ff29e002d1e7155f8b4b781faf02e97c9"
+SPIKES_SHA256 = "ff6dc0e711f46939f4f3e779d87b928d1040616067f78253cc1ad71b21b5ab48"
+
+
+def golden_input():
+    C = Rng.CHUNK
+    I = Rng(41).uniform_tensor((6, 2, 3 * C + 11), -2.0, 2.0)
+    I.flat[[0, 7, 3 * C + 11, 2 * (3 * C + 11) + 5]] = [np.inf, -np.inf, np.nan, 1.0]
+    return I
+
+
+def sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_expectation_bits_equal_the_recorded_ones(workers):
+    I, p = golden_input(), NeuronParams()
+    with np.errstate(invalid="ignore"), WorkerPool(workers or 1) as pool:
+        tr = mpe_psn_forward(I, p, "expectation", None, pool if workers else None)
+        spikes = neuron.mpe_psn_spikes(I, p)
+    assert sha256(tr[1:]) == EXPECTATION_TRACE_SHA256
+    assert sha256([spikes]) == SPIKES_SHA256
 
 
 class TestSpikeDtypes:

@@ -150,28 +150,35 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(-1)
 
+    @staticmethod
+    def per_chunk(r, call, n, bits):
+        """Draw number ``call`` of ``r`` with a fresh generator for every
+        chunk, each word split into ``bits``-bit parts, low part first."""
+        C, out = Rng.CHUNK, np.empty(n, np.uint64)
+        for c in range(-(-n // C)):
+            chunk = out[c * C:(c + 1) * C]
+            words = r._chunk_generator(call, c).random_raw(-(-chunk.size * bits // 64))
+            parts = np.stack([words >> s & ((1 << bits) - 1) for s in range(0, 64, bits)], axis=1)
+            chunk[:] = parts.reshape(-1)[:chunk.size]
+        return out
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_advanced_generator_matches_one_per_chunk(self, workers):
-        # the reference builds a fresh generator for every chunk and splits
-        # each of its words into the low, then the high 32-bit half; the
-        # draw under test runs through the pool in blocks of two chunks
+        # the pooled draw, run in blocks of two chunks, gives 16-bit parts;
+        # uniforms gives 32-bit halves times 2^-32
         C = Rng.CHUNK
         r = Rng(7, stream=3)
         with WorkerPool(workers) as pool:
-            for call, n in enumerate((1, C - 1, C, C + 1, 2 * C, 5 * C + 17)):
-                got = np.empty(n)
+            for i, n in enumerate((1, C - 1, C, C + 1, 2 * C, 5 * C + 17)):
+                got = np.empty(n, np.uint16)
 
-                def put(lo, hi, u):
-                    got[lo:hi] = u
+                def put(lo, hi, k):
+                    got[lo:hi] = k
 
                 r.draw_blocks(n, 2, put, pool)
-                ref = np.empty(n)
-                for c in range(-(-n // C)):
-                    chunk = ref[c * C:(c + 1) * C]
-                    words = r._chunk_generator(call, c).random_raw(-(-chunk.size // 2))
-                    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)
-                    chunk[:] = halves[:chunk.size] * 2.0**-32
-                assert np.array_equal(got, ref), (workers, n)
+                assert np.array_equal(got, self.per_chunk(r, 2 * i, n, 16)), (workers, n)
+                u = r.uniforms(n)
+                assert np.array_equal(u, self.per_chunk(r, 2 * i + 1, n, 32) * 2.0**-32), n
 
 
 class TestWorkerPool:

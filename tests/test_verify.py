@@ -156,16 +156,16 @@ class TestChecks:
         uniforms = numerics.Rng.uniforms
         monkeypatch.setattr(numerics.Rng, "uniforms", lambda rng, n: uniforms(rng, n) * 2.0)
         res = verify.check_bernoulli_draws()
-        # every frequency trial fails, and so does every size of the bitwise
-        # half: the unscaled draw_blocks no longer equals uniforms(n)
-        assert res.failures == len(verify.BERNOULLI_PROBABILITIES) + 6
+        # every frequency trial fails; the bitwise half checks the 16-bit
+        # draw, which does not go through uniforms
+        assert res.failures == len(verify.BERNOULLI_PROBABILITIES)
         assert all(d.startswith("P=") for d in res.details)
 
     def test_bernoulli_check_detects_a_stale_chunk_step(self, monkeypatch):
-        # a chunk step for one uniform per Philox word (four per Philox step,
-        # not eight): a range of two or more chunks then leaves the chunk
-        # keying after its first
-        monkeypatch.setattr(numerics.Rng, "_NEXT_CHUNK", 2**64 - numerics.Rng.CHUNK // 4)
+        # the 16-bit draw stepping chunks as the 32-bit uniforms do (eight
+        # values per Philox step, not sixteen): a range of two or more
+        # chunks then leaves the chunk keying after its first
+        monkeypatch.setattr(numerics.Rng, "_NEXT_CHUNK_16", 2**64 - numerics.Rng.CHUNK // 8)
         res = verify.check_bernoulli_draws()
         assert res.failures == 3  # n = CHUNK + 1, 2 * CHUNK and 5 * CHUNK + 17
         assert all("differ across" in d for d in res.details)
@@ -181,9 +181,9 @@ class TestChecks:
             def work(lo, hi):
                 for c in range(lo, hi, block_chunks):
                     c_hi = min(c + block_chunks, hi)
-                    u = np.empty(min(c_hi * C, n) - c * C)
-                    rng._fill(rng._chunk_generator(call, lo), c, c_hi, n, u)
-                    fn(c * C, c * C + u.size, u)
+                    k = np.empty(min(c_hi * C, n) - c * C, np.uint16)
+                    rng._fill(rng._chunk_generator(call, lo), c, c_hi, n, k)
+                    fn(c * C, c * C + k.size, k)
 
             numerics.map_ranges(pool, -(-n // C), work)
 
@@ -191,6 +191,44 @@ class TestChecks:
         res = verify.check_bernoulli_draws()
         assert res.failures == 1  # n = 5 * CHUNK + 17, the one size of two blocks
         assert f"n={5 * C + 17}: draws differ across" in res.details[0]
+
+    def test_table_draw(self):
+        res = verify.check_table_draw()
+        assert res.passed
+        assert res.trials == 2 + len(verify.BERNOULLI_PROBABILITIES)
+        assert 2.0**-18 < res.max_err <= verify.TABLE_DRAW_BOUND
+
+    def test_table_check_detects_a_table_off_by_half_a_step(self, monkeypatch):
+        # logit(k / 2^16): P' is sigmoid rounded up, 2^-16 from it at worst
+        k = np.arange(1, 1 << 16)
+        table = np.concatenate([[-np.inf], np.log(k / ((1 << 16) - k))])
+        monkeypatch.setattr(neuron, "LOGIT_TABLE", table)
+        res = verify.check_table_draw()
+        assert res.failures == 1 and "|P' - expit|" in res.details[0]
+
+    def test_table_check_detects_nan_drawing_a_spike(self, monkeypatch):
+        # b = not (I <= table entry): the same at every number, 1 at NaN
+        def estimate(I, b, u_hat, k):
+            estimate_(I, b, u_hat, k)
+            if k is not None:
+                b |= np.isnan(I)
+
+        estimate_ = neuron._estimate
+        monkeypatch.setattr(neuron, "_estimate", estimate)
+        res = verify.check_table_draw()
+        assert res.failures == 1 and "NaN" in res.details[0]
+
+    def test_table_check_detects_a_draw_on_half_the_table(self, monkeypatch):
+        # k // 2 reaches only the lower half of the table: every frequency is off
+        draw_blocks = numerics.Rng.draw_blocks
+
+        def halved(rng, n, block_chunks, fn, pool=None):
+            draw_blocks(rng, n, block_chunks, lambda lo, hi, k: fn(lo, hi, k // 2), pool)
+
+        monkeypatch.setattr(numerics.Rng, "draw_blocks", halved)
+        res = verify.check_table_draw()
+        assert res.failures == len(verify.BERNOULLI_PROBABILITIES)
+        assert all(d.startswith("P=") for d in res.details)
 
     def test_inference_vs_training_forward(self):
         res = verify.check_inference_vs_training_forward(trials=50)
@@ -239,7 +277,7 @@ class TestChecks:
 class TestRunAll:
     def test_all_pass(self):
         results = verify.run_all(trials=25)
-        assert len(results) == 9
+        assert len(results) == 10
         assert all(r.passed for r in results)
 
     def test_trials_validated(self):
