@@ -295,10 +295,6 @@ class ParamRegistry:
     def names(self):
         return list(self._params)
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
     def sgd_step(self, lr: float, momentum: float = 0.0) -> None:
         """p <- p - lr * buffered grad; zero grads; clamp where configured."""
         if all(p.grad is None for p in self._params.values()):

@@ -166,8 +166,10 @@ def cmd_train(args) -> int:
         momentum=args.momentum,
         seed=args.seed,
     )
+    # a dataset of 2 samples or fewer leaves the held-out split empty
+    held_out = (test_batch.x, test_batch.y) if test_batch.batch_size else ()
     try:
-        history = model.fit(train_batch.x, train_batch.y, test_batch.x, test_batch.y).history_
+        history = model.fit(train_batch.x, train_batch.y, *held_out).history_
     except TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         history = err.history

@@ -101,6 +101,23 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     return Var(value, parents=(u_hat, u_target, kappa), backward=backward)
 
 
+def check_labels(y, n: int, name: str, n_classes: int | None = None) -> Array:
+    """``y`` as ``n`` int64 class labels, integers >= 0 and below ``n_classes``
+    if given, or an error naming it; an integral float such as 1.0 is cast."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ShapeMismatchError(f"{name} has shape {y.shape}, expected {n} labels, "
+                                 f"one per sample")
+    hi = np.inf if n_classes is None else n_classes
+    ok = np.zeros(n, bool)
+    if y.dtype.kind in "biuf":  # NaN fails the first test and Inf the last
+        ok = (y == np.round(y)) & (y >= 0) & (y < hi)
+    if not ok.all():
+        raise ValueError(f"{name} holds {y[~ok][0].item()!r}, "
+                         f"not an integer class label in [0, {hi})")
+    return y.astype(np.int64)
+
+
 def cls_loss(logits, labels) -> Var:
     """Cross-entropy at every time step, averaged over T (and the batch)."""
     logits = as_var(logits)
@@ -109,12 +126,7 @@ def cls_loss(logits, labels) -> Var:
     T, B, K = logits.shape
     if K < 2:
         raise ValueError(f"cls_loss: need at least 2 classes, got {K}")
-    labels = np.asarray(labels)
-    if labels.shape != (B,):
-        raise ShapeMismatchError(f"cls_loss: expected {B} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= K:
-        raise ValueError(f"cls_loss: labels must lie in [0, {K})")
-    labels = labels.astype(np.int64)
+    labels = check_labels(labels, B, "cls_loss labels", K)
 
     z = logits.value
     rows = np.arange(B)

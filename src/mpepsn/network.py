@@ -305,19 +305,25 @@ def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, s
 
 
 def check_input(x, name: str) -> Array:
-    """A [T, B, N] float tensor with only finite entries, or an error naming it."""
+    """A [T, B, N] float tensor with T, B >= 1 and only finite entries, or
+    an error naming it."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"{name}: expected [T, B, N] input, got shape {x.shape}")
+    if x.ndim != 3 or 0 in x.shape[:2]:
+        raise ShapeMismatchError(f"{name}: expected [T, B, N] input with T, B >= 1, "
+                                 f"got shape {x.shape}")
     if not _all_finite(x):
         bad = np.count_nonzero(~np.isfinite(x))
         raise ValueError(f"{name} has {bad} non-finite entries (NaN or Inf)")
     return x
 
 
+def classes(logits: Array) -> Array:
+    """The class of each sample: the argmax of its time-averaged logits."""
+    return np.argmax(np.mean(logits, axis=0), axis=1)
+
+
 def accuracy(logits: Array, labels) -> float:
-    preds = np.argmax(np.mean(logits, axis=0), axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return float(np.mean(classes(logits) == np.asarray(labels)))
 
 
 class SpikingClassifier:
@@ -394,12 +400,9 @@ class SpikingClassifier:
         )
         self.registry_ = ParamRegistry()
         self.n_classes_ = n_classes
-        self.n_in_ = n_in
         init_rng = Rng(self.seed).spawn(0)
         widths = [n_in, *self.hidden_sizes]
-        self.synapses_ = []
-        self.v_ths_ = []
-        self.kappas_ = []
+        self.synapses_, self.v_ths_, self.kappas_ = [], [], []
         for i, (np_, n) in enumerate(zip(widths[:-1], widths[1:])):
             bound = float(np.sqrt(1.0 / np_))
             W = Var(init_rng.spawn(2 * i + 1).uniform_tensor((np_, n), -bound, bound))
@@ -408,9 +411,10 @@ class SpikingClassifier:
             v_th = Var(np.asarray(float(self.v_th_init)))
             self.registry_.register(f"v_th_{i}", v_th)
             self.v_ths_.append(v_th)
-            kappa = Var(self.mem_cfg_.init_kappa(T, n))
-            self.registry_.register(f"kappa_{i}", kappa, clamp_min=0.0)
-            self.kappas_.append(kappa)
+            if self.neuron_kind == "mpe_psn":  # only the membrane loss reads kappa
+                kappa = Var(self.mem_cfg_.init_kappa(T, n))
+                self.registry_.register(f"kappa_{i}", kappa, clamp_min=0.0)
+                self.kappas_.append(kappa)
         bound = float(np.sqrt(1.0 / widths[-1]))
         W_out = Var(init_rng.spawn(999).uniform_tensor((widths[-1], n_classes), -bound, bound))
         self.readout_ = self.registry_.register("w_out", W_out)
@@ -450,22 +454,14 @@ class SpikingClassifier:
 
     def fit(self, x, y, x_test=None, y_test=None):
         x = check_input(x, "x")
+        y = losses.check_labels(y, x.shape[1], "y")
+        n_classes = max(int(y.max()) + 1, 2)
         if (x_test is None) != (y_test is None):
             given, missing = ("x_test", "y_test") if y_test is None else ("y_test", "x_test")
             raise ValueError(f"{given} was given without {missing}: a held-out set needs both")
         if x_test is not None:
-            n_test = check_input(x_test, "x_test").shape[1]
-            if np.shape(y_test)[:1] != (n_test,):
-                raise ValueError(f"y_test has shape {np.shape(y_test)}, "
-                                 f"expected one label per x_test sample ({n_test})")
-        y = np.asarray(y, dtype=np.int64)
-        n_classes = int(y.max()) + 1 if y.size else 2
-        n_classes = max(n_classes, 2)
-        if x_test is not None:
-            y_test = np.asarray(y_test)
-            if y_test.size and not (y_test.min() >= 0 and y_test.max() < n_classes):
-                raise ValueError(f"y_test labels must lie in [0, {n_classes}), "
-                                 f"the classes learnt from y")
+            x_test = check_input(x_test, "x_test")
+            y_test = losses.check_labels(y_test, x_test.shape[1], "y_test", n_classes)
         self._build(x.shape[0], x.shape[2], n_classes)
         sample_rng = Rng(self.seed).spawn(1)
         self.history_ = []
@@ -480,12 +476,11 @@ class SpikingClassifier:
             logits, traces, currents = self.model_forward(x, self.mode, epoch_rng,
                                                           scratch=scratch)
             l_cls = losses.cls_loss(logits, y)
-            mem_terms, sq_errors = [], None
-            if self.neuron_kind == "mpe_psn":
-                mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_, scratch=sc)
-                             for tr, kappa, sc in zip(traces, self.kappas_, scratch)]
-                sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
-                             for tr, sc in zip(traces, scratch)]
+            # a membrane loss term per layer with a kappa: every MPE-PSN layer, no LIF one
+            mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_, scratch=sc)
+                         for tr, kappa, sc in zip(traces, self.kappas_, scratch)]
+            sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
+                         for tr, sc in zip(traces, scratch)] if mem_terms else None
             l_mem = sum(mem_terms, Var(np.asarray(0.0)))
             loss = losses.total_loss(l_cls, l_mem, self.lam)
             # Checked before scoring: predict_logits would raise ValueError on
@@ -499,18 +494,10 @@ class SpikingClassifier:
                 logits.value, y, sq_errors,
             )
             test_acc = self.score(x_test, y_test) if x_test is not None else float("nan")
-            diag = EpochDiagnostics(
-                epoch=epoch,
-                loss_cls=float(l_cls.value),
-                loss_mem=float(l_mem.value),
-                loss_total=float(loss.value),
-                train_acc=train_acc,
-                test_acc=test_acc,
-                l2_norms=l2_norms,
-                spike_rates=rates,
-            )
-            self.history_.append(diag)
-            self.registry_.zero_grad()
+            self.history_.append(EpochDiagnostics(
+                epoch=epoch, loss_cls=float(l_cls.value), loss_mem=float(l_mem.value),
+                loss_total=float(loss.value), train_acc=train_acc, test_acc=test_acc,
+                l2_norms=l2_norms, spike_rates=rates))
             autograd.backward(loss)
             self.registry_.sgd_step(self.lr, self.momentum)
         return self
@@ -596,11 +583,12 @@ class SpikingClassifier:
         return None
 
     def predict(self, x) -> Array:
-        logits = self.predict_logits(x)
-        return np.argmax(np.mean(logits, axis=0), axis=1)
+        return classes(self.predict_logits(x))
 
     def score(self, x, y) -> float:
-        return float(np.mean(self.predict(x) == np.asarray(y)))
+        """Accuracy on ``x`` against ``y``, one learnt class label per sample."""
+        preds = self.predict(x)
+        return float(np.mean(preds == losses.check_labels(y, preds.size, "y", self.n_classes_)))
 
     def _check_fitted(self) -> None:
         if not hasattr(self, "registry_"):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import autograd, datagen, losses, network, neuron, numerics
 from .autograd import Var
@@ -287,6 +286,7 @@ def check_sigmoid_vs_expit(trials: int = 1000, seed: int = 0) -> CheckResult:
     forms differ most, and appends :data:`SIGMOID_EDGE_INPUTS`.  ``max_err``
     is the worst gap in ulp.
     """
+    from scipy.special import expit  # here, so that no other subcommand loads scipy
     rng = Rng(seed, stream=107)
     res = CheckResult("sigmoid_vs_expit", trials, 0)
     for trial in range(trials):
@@ -400,6 +400,7 @@ def check_table_draw(seed: int = 0) -> CheckResult:
     binomial standard deviations of P'.  ``max_err`` is the worst
     |P' - expit|.
     """
+    from scipy.special import expit
     rng = Rng(seed, stream=109)
     L = neuron.LOGIT_TABLE
     res = CheckResult("table_draw", 2 + len(BERNOULLI_PROBABILITIES), 0)

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,26 @@ class TestTrain:
         )
         assert code == 0
         assert "final epoch=3" in out
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_dataset_too_small_to_split_trains_without_held_out_set(
+            self, capsys, tmp_path, samples):
+        """The 20% held-out split of 2 samples or fewer is empty: the run
+        trains on every sample, scores no empty batch and logs test_acc nan."""
+        from mpepsn import datagen
+
+        train_b, _ = datagen.generate(datagen.DatasetSpec(samples_per_class=8))
+        path, log = tmp_path / "data.csv", tmp_path / "log.csv"
+        datagen.save(datagen.LabeledBatch(train_b.x[:, :samples], train_b.y[:samples]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "train", "--dataset", str(path), "--neurons", "8",
+                               "--epochs", "2", "--out", str(log))
+        assert code == 0
+        assert "test_acc=nan" in out
+        header, *rows = log.read_text().splitlines()
+        col = header.split(",").index("test_acc")
+        assert [r.split(",")[col] for r in rows] == ["nan", "nan"]
 
     def test_non_finite_dataset_exits_2(self, capsys, tmp_path):
         from mpepsn import datagen

@@ -189,9 +189,13 @@ class TestClsLoss:
             cls_loss(np.zeros((2, 3)), np.array([0]))
         with pytest.raises(ValueError):
             cls_loss(np.zeros((2, 1, 1)), np.array([0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cls_loss labels holds 3, not an integer class "
+                                             r"label in \[0, 3\)"):
             cls_loss(np.zeros((2, 1, 3)), np.array([3]))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="cls_loss labels holds 0.5, not an integer"):
+            cls_loss(np.zeros((2, 1, 3)), np.array([0.5]))
+        with pytest.raises(ShapeMismatchError, match=r"cls_loss labels has shape \(1,\), "
+                                                     r"expected 2 labels"):
             cls_loss(np.zeros((2, 2, 3)), np.array([0]))
 
 

@@ -317,7 +317,8 @@ class TestSpikingClassifier:
         tr, te = small_task()
         for y_test in (te.y + 5, te.y - 1):
             m = small_model(epochs=1)
-            with pytest.raises(ValueError, match=r"y_test labels must lie in \[0, 2\)"):
+            with pytest.raises(ValueError, match=r"y_test holds -?\d+, not an integer class "
+                                                 r"label in \[0, 2\)"):
                 m.fit(tr.x, tr.y, te.x, y_test)
             assert not hasattr(m, "history_")  # raised before the first epoch
 
@@ -448,6 +449,74 @@ class TestSpikingClassifier:
         d = m.history_[0]
         assert d.loss_total == d.loss_cls
         assert d.loss_mem > 0.0  # still reported for diagnostics
+
+
+class TestLabelledBatch:
+    """One rule for a labelled batch: x has T, B >= 1 and y one integer class
+    label per sample; fit, predict and score reject anything else, naming
+    the argument."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        tr, te = small_task()
+        return small_model(epochs=1).fit(tr.x, tr.y), te
+
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (8, 0, 3)])
+    def test_empty_batch_rejected(self, fitted, shape):
+        m, _ = fitted
+        x, y = np.zeros(shape), np.zeros(shape[1])
+        named = r"^x: expected \[T, B, N\] input with T, B >= 1, got shape"
+        for call in (m.predict, lambda x: m.score(x, y), lambda x: small_model().fit(x, y)):
+            with pytest.raises(ShapeMismatchError, match=named):
+                call(x)
+
+    @pytest.mark.parametrize("y, error, named", [
+        ("short", ShapeMismatchError, r"^y has shape \(25,\), expected 26 labels"),
+        ("column", ShapeMismatchError, r"^y has shape \(26, 1\), expected 26 labels"),
+        ("half", ValueError, r"^y holds 0\.5, not an integer class label in \[0, inf\)"),
+        ("nan", ValueError, r"^y holds nan, not an integer class label"),
+        ("negative", ValueError, r"^y holds -1, not an integer class label in \[0, inf\)"),
+    ])
+    def test_bad_labels_rejected_before_training(self, y, error, named):
+        tr, _ = small_task()
+        bad = {"short": tr.y[:-1], "column": tr.y[:, None],
+               "half": np.where(tr.y == 1, 0.5, 0.0), "nan": np.where(tr.y == 1, np.nan, 0.0),
+               "negative": tr.y - 1}[y]
+        m = small_model(epochs=1)
+        with pytest.raises(error, match=named):
+            m.fit(tr.x, bad)
+        assert not hasattr(m, "history_")
+
+    def test_held_out_column_of_labels_rejected(self):
+        tr, te = small_task()
+        m = small_model(epochs=1)
+        with pytest.raises(ShapeMismatchError, match=r"^y_test has shape \(6, 1\)"):
+            m.fit(tr.x, tr.y, te.x, te.y[:, None])
+        assert not hasattr(m, "history_")
+
+    def test_score_needs_one_learnt_class_per_sample(self, fitted):
+        m, te = fitted
+        for y, named in (([0], r"^y has shape \(1,\)"), (te.y[:, None], r"^y has shape \(6, 1\)"),
+                         (te.y + 2, r"^y holds \d+, not an integer class label in \[0, 2\)"),
+                         (te.y - 0.5, r"^y holds -?0\.5, not an integer class label")):
+            with pytest.raises(ValueError, match=named):
+                m.score(te.x, y)
+
+    def test_integral_float_labels_train_and_score(self):
+        tr, te = small_task()
+        a = small_model(epochs=3).fit(tr.x, tr.y, te.x, te.y)
+        b = small_model(epochs=3).fit(tr.x, tr.y.astype(float), te.x, te.y.astype(float))
+        assert [d.csv_row() for d in b.history_] == [d.csv_row() for d in a.history_]
+        assert b.score(te.x, te.y.astype(float)) == a.score(te.x, te.y)
+
+    @pytest.mark.parametrize("kind, names", [
+        ("mpe_psn", ["w_0", "v_th_0", "kappa_0", "w_out"]),
+        ("lif_sequential", ["w_0", "v_th_0", "w_out"]),
+    ])
+    def test_kappa_registered_only_where_the_membrane_loss_reads_it(self, kind, names):
+        tr, _ = small_task()
+        m = small_model(epochs=1, neuron_kind=kind).fit(tr.x, tr.y)
+        assert m.registry_.names() == names
 
 
 class TestScratchScope:
