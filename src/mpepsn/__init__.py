@@ -11,6 +11,7 @@ from .datagen import DatasetSpec, LabeledBatch, generate
 from .losses import MemLossConfig, cls_loss, mem_loss, total_loss
 from .network import EpochDiagnostics, SpikingClassifier
 from .neuron import (
+    ExpectationTrace,
     NeuronParams,
     ParallelTrace,
     lif_sequential,
@@ -25,7 +26,7 @@ __all__ = [
     "DatasetSpec", "LabeledBatch", "generate",
     "MemLossConfig", "cls_loss", "mem_loss", "total_loss",
     "EpochDiagnostics", "SpikingClassifier",
-    "NeuronParams", "ParallelTrace",
+    "ExpectationTrace", "NeuronParams", "ParallelTrace",
     "lif_sequential", "mpe_psn_forward", "mpe_psn_spikes", "teacher_forced_forward",
     "Rng", "WorkerPool", "l2_norm", "matmul",
 ]

@@ -224,17 +224,17 @@ def cmd_estimate(args) -> int:
     if args.input:
         I = network.check_input(numerics.load_tensor(args.input), args.input)
     else:
-        I = Rng(args.seed, stream=7).uniform_tensor(
+        I = network.check_input(Rng(args.seed, stream=7).uniform_tensor(
             (args.time_steps, args.batch, args.neurons), -2.0, 2.0
-        )
+        ), "input of --time-steps, --batch and --neurons")
     rng = Rng(args.seed, stream=3) if args.mode == "sampled" else None
     tr = neuron.mpe_psn_forward(I, params, args.mode, rng)
-    P, b, u_hat = numerics.sigmoid(I), tr.b, tr.u_hat
+    P, u_hat = numerics.sigmoid(I), tr.u_hat
     u_seq, _ = neuron.lif_sequential(I, params)
     print(f"input shape: {I.shape}, mode: {args.mode}")
     print(f"P: min={P.min():.6f} mean={P.mean():.6f} max={P.max():.6f}")
     if args.mode == "sampled":
-        print(f"sampled spike fraction: {b.mean():.6f}")
+        print(f"sampled spike fraction: {tr.b.mean():.6f}")
     else:
         print(f"expected spike fraction: {P.mean():.6f}")
     print("per-time-step l2_norm(u_hat - u_oracle):")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -122,7 +123,8 @@ def mpe_psn_tape_forward(
 
     Sampled mode treats the Bernoulli draw as a constant (straight-through:
     u_hat passes gradient (1 - b) to I); expectation mode is fully
-    differentiable through the spike probability.  Gradient terms are added
+    differentiable through the spike probability P = sigmoid(I), which the
+    backward forms, since the forward holds no P.  Gradient terms are added
     in the order of the elementwise tape they replace (sigmoid, (1 - b) * I,
     shift, spike, reset), so the gradients match it bit for bit whenever
     each output has at most one consumer outside the layer.  The forward's
@@ -153,16 +155,16 @@ def mpe_psn_tape_forward(
             if mode == "sampled":
                 np.logical_not(tr.b, out=through_b)  # 1 - b, for the bool draw
             else:
-                np.subtract(1.0, tr.b, out=through_b)
+                # in expectation mode b is P, which the forward does not hold
+                P = numerics.sigmoid(tr.I, out=scratch("grad.P", shape))
+                np.subtract(1.0, P, out=through_b)
             np.multiply(g_u_hat, through_b, out=through_b)
             g_I = through_b if g_I is None else np.add(g_I, through_b, out=g_I)
             if mode == "expectation":
-                # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...);
-                # in expectation mode b is P
-                through_P = np.multiply(g_u_hat, tr.I, out=scratch("grad.P", shape))
-                np.multiply(through_P, tr.b, out=through_P)
-                np.multiply(through_P, np.subtract(1.0, tr.b, out=scratch("grad.P2", shape)),
-                            out=through_P)
+                # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...)
+                through_P = np.multiply(g_u_hat, tr.I, out=scratch("grad.P2", shape))
+                np.multiply(through_P, P, out=through_P)
+                np.multiply(through_P, np.subtract(1.0, P, out=P), out=through_P)
                 np.subtract(g_I, through_P, out=g_I)
         return g_I, g_v_th
 
@@ -305,11 +307,11 @@ def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, s
 
 
 def check_input(x, name: str) -> Array:
-    """A [T, B, N] float tensor with T, B >= 1 and only finite entries, or
-    an error naming it."""
+    """A [T, B, N] float tensor with T, B, N >= 1 and only finite entries,
+    or an error naming it."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or 0 in x.shape[:2]:
-        raise ShapeMismatchError(f"{name}: expected [T, B, N] input with T, B >= 1, "
+    if x.ndim != 3 or 0 in x.shape:
+        raise ShapeMismatchError(f"{name}: expected [T, B, N] input with T, B, N >= 1, "
                                  f"got shape {x.shape}")
     if not _all_finite(x):
         bad = np.count_nonzero(~np.isfinite(x))
@@ -394,6 +396,11 @@ class SpikingClassifier:
     def _build(self, T: int, n_in: int, n_classes: int) -> None:
         if self.neuron_kind not in NEURON_KINDS:
             raise ValueError(f"neuron_kind must be one of {NEURON_KINDS}")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes must hold positive integers, got {self.hidden_sizes}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         neuron.NeuronParams(tau_m=self.tau_m, v_th=self.v_th_init, alpha=self.alpha)
         self.mem_cfg_ = MemLossConfig(
             lam=self.lam, kappa_axis=self.kappa_axis, kappa_init=self.kappa_init

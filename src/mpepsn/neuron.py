@@ -18,9 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# sigmoid is bound by name: _estimate runs on pool threads, which must not
-# enter a wrapper put on the numerics.sigmoid attribute (as a tracer does)
-from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges, sigmoid
+from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges
 
 MODES = ("sampled", "expectation")
 # Columns of one tile of the LIF recurrence: a 512 KB float64 row, so a
@@ -30,8 +28,9 @@ LIF_TILE_COLUMNS = 1 << 16
 # block, so a block's u_hat stays in L2 from its estimate to the update that
 # reads it.  Passes at (32, 1, 2^18) on 2 workers of a 2-vCPU VM, medians of
 # three rounds of ten: blocks of 1, 2, 4, 8 and 16 chunks took 97, 78, 75, 80
-# and 85 ms sampled, 87, 71, 66, 69 and 69 ms in expectation mode.  One
-# chunk is too short a call: the GIL changes hands around each op.
+# and 85 ms sampled, and 81, 66, 62, 64 and 66 ms in expectation mode with
+# the three-pass estimate I / (1 + exp(I)).  One chunk is too short a call:
+# the GIL changes hands around each op.
 MPE_BLOCK_CHUNKS = 4
 
 # LOGIT_TABLE[k] = logit((k + 1/2) / 2^16) for the 2^16 values of a 16-bit
@@ -65,17 +64,29 @@ class NeuronParams:
 
 
 class ParallelTrace(NamedTuple):
-    """I and the five arrays one parallel forward pass writes, [T, B, N] each.
+    """I and the five arrays a sampled parallel forward pass writes, [T, B, N]
+    each.
 
     I (the input current), u_hat (the estimated history), h (the pre-reset
-    potential) and u (the post-reset potential) are float64; the spikes o
-    are bool.  b is the estimated spike: in sampled mode a Bernoulli draw,
-    bool; in expectation mode the spike probability P = sigmoid(I) itself,
-    float64, so there b is P.  A sampled pass never holds P.
+    potential) and u (the post-reset potential) are float64; the estimated
+    spike b (the Bernoulli draw) and the spikes o are bool.  No pass holds
+    the spike probability P = sigmoid(I).
     """
 
     I: Array
     b: Array
+    u_hat: Array
+    h: Array
+    u: Array
+    o: Array
+
+
+class ExpectationTrace(NamedTuple):
+    """I and the four arrays an expectation-mode parallel forward pass
+    writes: those of :class:`ParallelTrace` less b, since this pass draws no
+    spike and forms u_hat from I alone."""
+
+    I: Array
     u_hat: Array
     h: Array
     u: Array
@@ -91,27 +102,33 @@ def _check_3d(I: Array) -> Array:
     return I
 
 
-def _estimate(I: Array, b: Array, u_hat: Array, k: Array | None) -> None:
-    """Write the estimated spike b and u_hat = (1 - b) * I, in this op order.
+def _estimate(I: Array, u_hat: Array, k: Array | None = None, b: Array | None = None) -> None:
+    """Write the estimated history u_hat = (1 - b) * I, in this op order.
 
-    ``k`` None is expectation mode: b is the float64 spike probability
-    P = sigmoid(I), then u_hat = 1 - P, times I.  The buffers may alias one
-    another there, since each op reads only what the previous one wrote.
-    Otherwise ``k`` holds 16-bit draws and the bool b = (LOGIT_TABLE[k] < I)
-    is drawn: the table entries are gathered into u_hat's buffer, compared
-    with I, and u_hat is then overwritten.  No sigmoid is formed; b is
-    Bernoulli(P'), P' within 2^-17 of sigmoid(I) (see :data:`LOGIT_TABLE`),
-    and a NaN current draws b = 0.
+    ``k`` None is expectation mode, where the estimated spike is its
+    probability P = sigmoid(I), and u_hat = (1 - P) * I is formed as
+    I / (1 + exp(I)): exp, add 1, divide.  No P is formed, and this form
+    loses no bits to the cancellation in 1 - P; it lies within a few ulp of
+    I * expit(-I) (``verify.check_expectation_estimate``).  Where exp(I)
+    overflows (I above about 709.78) u_hat is 0 without a warning, on any
+    thread.  Otherwise ``k`` holds 16-bit draws and the bool ``b`` =
+    (LOGIT_TABLE[k] < I) is drawn: the table entries are gathered into
+    u_hat's buffer, compared with I, and u_hat is then overwritten.  No
+    sigmoid is formed; b is Bernoulli(P'), P' within 2^-17 of sigmoid(I)
+    (see :data:`LOGIT_TABLE`), and a NaN current draws b = 0.
     """
     if k is None:
-        sigmoid(I, out=b)
-        np.subtract(1.0, b, out=u_hat)
+        # np.errstate is per thread: a pool thread does not inherit the caller's
+        with np.errstate(over="ignore"):
+            np.exp(I, out=u_hat)
+        np.add(u_hat, 1.0, out=u_hat)
+        np.divide(I, u_hat, out=u_hat)
     else:
         # "clip" cannot clip a 16-bit k; the default "raise" buffers out=
         np.take(LOGIT_TABLE, k, out=u_hat, mode="clip")
         np.less(u_hat, I, out=b)
         np.logical_not(b, out=u_hat)  # 1 - b, without subtract's cast of a bool
-    np.multiply(u_hat, I, out=u_hat)
+        np.multiply(u_hat, I, out=u_hat)
 
 
 def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: Array,
@@ -203,7 +220,7 @@ def mpe_psn_forward(
     pool: WorkerPool | None = None,
     *,
     scratch: Scratch | None = None,
-) -> ParallelTrace:
+) -> ParallelTrace | ExpectationTrace:
     """Parallel forward pass over all T time steps at once.
 
     The estimate is u_hat = (1 - b) * I, where b is the estimated spike (an
@@ -211,28 +228,31 @@ def mpe_psn_forward(
     Bernoulli draw of probability within 2^-17 of sigmoid(I) (a 16-bit draw
     compared through :data:`LOGIT_TABLE`, no sigmoid formed); expectation
     mode substitutes b := P = sigmoid(I) for a deterministic, seed-free
-    path.  The estimate for step t-1 feeds step t; step 0 consumes no
-    history (zero), so its output coincides with the sequential oracle
-    exactly.
+    path, and forms u_hat = I / (1 + exp(I)) without forming P
+    (:func:`_estimate`).  The estimate for step t-1 feeds step t; step 0
+    consumes no history (zero), so its output coincides with the sequential
+    oracle exactly.
 
-    It writes five arrays: b, u_hat, h, u and o, with the dtypes
-    :class:`ParallelTrace` lists: a sampled pass writes 3.25 float64
-    arrays' worth (b and o are bool), an expectation pass 4.125.  They come
-    from ``scratch`` when given (training reuses them from one epoch to the
+    A sampled pass writes five arrays, b, u_hat, h, u and o, and returns a
+    :class:`ParallelTrace`: 3.25 float64 arrays' worth, since b and o are
+    bool.  An expectation pass writes four, u_hat, h, u and o, and returns
+    an :class:`ExpectationTrace`: 3.125 arrays' worth.  They come from
+    ``scratch`` when given (training reuses them from one epoch to the
     next), else they are fresh.
 
     One kernel walks the flat [T*B*N] values in blocks of
-    ``MPE_BLOCK_CHUNKS`` RNG chunks.  A block forms b and u_hat at its
-    positions [lo, hi) (:func:`_estimate`), then, while that u_hat is still
-    in cache, runs :func:`_update` at the positions one stride (B*N) ahead,
-    [lo + stride, hi + stride), whose history it is; its positions in row 0
-    are updated with the zero history.  So each position is updated by the
-    one block that holds its history, blocks never wait on one another and
-    no two write the same position.  Sampled mode takes its blocks from
-    ``Rng.draw_blocks``, expectation mode from ``map_ranges`` over blocks;
-    over ``pool`` each range walks its own blocks (one range without a
-    pool).  Every block does the same elementwise arithmetic, so the result
-    is bit-identical for any worker count and block size.
+    ``MPE_BLOCK_CHUNKS`` RNG chunks.  A block forms u_hat (and, sampled, b)
+    at its positions [lo, hi) (:func:`_estimate`), then, while that u_hat
+    is still in cache, runs :func:`_update` at the positions one stride
+    (B*N) ahead, [lo + stride, hi + stride), whose history it is; its
+    positions in row 0 are updated with the zero history.  So each
+    position is updated by the one block that holds its history, blocks
+    never wait on one another and no two write the same position.  Sampled
+    mode takes its blocks from ``Rng.draw_blocks``, expectation mode from
+    ``map_ranges`` over blocks; over ``pool`` each range walks its own
+    blocks (one range without a pool).  Every block does the same
+    elementwise arithmetic, so the result is bit-identical for any worker
+    count and block size.
     """
     I = _check_3d(I)
     if mode not in MODES:
@@ -243,12 +263,12 @@ def mpe_psn_forward(
     stride = I.shape[1] * I.shape[2]
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
-    b = scratch("b", (n,), bool if mode == "sampled" else np.float64)
+    b = scratch("b", (n,), bool) if mode == "sampled" else None
     u_hat, h, u = (scratch(name, (n,)) for name in ("u_hat", "h", "u"))
     o = scratch("o", (n,), bool)
 
     def block(lo: int, hi: int, k: Array | None = None) -> None:
-        _estimate(flat_I[lo:hi], b[lo:hi], u_hat[lo:hi], k)
+        _estimate(flat_I[lo:hi], u_hat[lo:hi], k, None if k is None else b[lo:hi])
         if lo < stride:
             row0 = slice(lo, min(hi, stride))
             _update(None, flat_I[row0], params, h[row0], o[row0], u[row0])
@@ -267,7 +287,10 @@ def mpe_psn_forward(
                 block(start, min(start + size, n))
 
         map_ranges(pool, -(-n // size), blocks)
-    return ParallelTrace(I, *(a.reshape(I.shape) for a in (b, u_hat, h, u, o)))
+    written = (a.reshape(I.shape) for a in (u_hat, h, u, o))
+    if mode == "sampled":
+        return ParallelTrace(I, b.reshape(I.shape), *written)
+    return ExpectationTrace(I, *written)
 
 
 def mpe_psn_spikes(I, params: NeuronParams) -> Array:
@@ -276,15 +299,16 @@ def mpe_psn_spikes(I, params: NeuronParams) -> Array:
     The inference pass: it runs the same estimate and update helpers as
     :func:`mpe_psn_forward`, so o equals that pass's in value (as float64
     0/1, not bool), but it writes one float64 [T, B, N] array instead of
-    five arrays.  Row t of that array takes the estimate of row t - 1 (the
-    last row's estimate, which nothing reads, is never formed), then the
-    pre-reset potential h formed from it in place, then the spikes.
-    Predict calls it on one cache-sized block of samples at a time.
+    four arrays.  Row t of that array takes the estimate u_hat = I / (1 +
+    exp(I)) of row t - 1 (the last row's estimate, which nothing reads, is
+    never formed), then the pre-reset potential h formed from it in place,
+    then the spikes.  Predict calls it on one cache-sized block of samples
+    at a time.
     """
     I = _check_3d(I)
     o = np.empty_like(I)
     if I.shape[0] > 1:
-        _estimate(I[:-1], o[1:], o[1:], None)
+        _estimate(I[:-1], o[1:])
         _update(o[1:], I[1:], params, o[1:], o[1:])
     _update(None, I[0], params, o[0], o[0])
     return o

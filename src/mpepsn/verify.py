@@ -305,6 +305,52 @@ def check_sigmoid_vs_expit(trials: int = 1000, seed: int = 0) -> CheckResult:
     return res
 
 
+# The largest gap between the expectation estimate I / (1 + exp(I)) and
+# I * expit(-I), measured over 8e6 inputs uniform on [-750, 750] and
+# [-40, 40] (numpy 2.4.6, scipy 1.17.1, x86-64), in units in the last place
+# of the reference.  The old form (1 - sigmoid(I)) * I cancels in 1 - P: it
+# lay up to 12 ulp off over 4e6 inputs on [-2, 2] and gives 0 from I = 37.
+ESTIMATE_ULP_BOUND = 4.0
+ESTIMATE_EDGE_INPUTS = (-np.inf, -746.0, -0.0, 0.0, 709.8, 710.0, np.inf, np.nan)
+
+
+def check_expectation_estimate(trials: int = 1000, seed: int = 0) -> CheckResult:
+    """The expectation-mode estimate u_hat = (1 - P) * I, P = sigmoid(I), of
+    ``neuron.mpe_psn_forward`` against the oracle I * ``scipy.special.expit``(-I),
+    within a stated tolerance.
+
+    Contract, elementwise: |u_hat - I * expit(-I)| <= 4 * |spacing(I *
+    expit(-I))| (equal values, infinities included, count as 0 ulp), and
+    NaN where the reference is NaN, nowhere else.  Each trial draws 1024
+    inputs uniform on [-750, 750], where exp(I) overflows above about
+    709.78 and both forms give 0, and 1024 on [-40, 40], and appends
+    :data:`ESTIMATE_EDGE_INPUTS`, as one [1, 1, n] current: the pass forms
+    the estimate of every value, and its trace holds it.  ``max_err`` is
+    the worst gap in ulp.
+    """
+    from scipy.special import expit  # here, so that no other subcommand loads scipy
+    rng = Rng(seed, stream=110)
+    res = CheckResult("expectation_estimate_vs_expit", trials, 0)
+    params = neuron.NeuronParams()
+    for trial in range(trials):
+        r = rng.spawn(trial)
+        x = np.concatenate([r.spawn(1).uniform_tensor((1024,), -750.0, 750.0),
+                            r.spawn(2).uniform_tensor((1024,), -40.0, 40.0),
+                            ESTIMATE_EDGE_INPUTS])
+        with np.errstate(invalid="ignore"):  # inf / inf and inf * 0 are NaN
+            want = x * expit(-x)
+            got = neuron.mpe_psn_forward(x.reshape(1, 1, -1), params, "expectation").u_hat
+            got = got.reshape(-1)
+            ulps = np.where(got == want, 0.0, np.abs(got - want) / np.abs(np.spacing(want)))
+        worst = float(np.nanmax(ulps))
+        res.max_err = max(res.max_err, worst)
+        if not (worst <= ESTIMATE_ULP_BOUND
+                and np.array_equal(np.isnan(got), np.isnan(want))):
+            res.fail(f"trial {trial}: {worst:.3g} ulp from I * expit(-I) "
+                     f"(bound {ESTIMATE_ULP_BOUND:g}) or NaN mismatch, seed {seed}")
+    return res
+
+
 # The probabilities at which the draw's frequency is checked: both ends of
 # the range, where a coarse or misplaced grid shows first, and the middle.
 BERNOULLI_PROBABILITIES = (2.0**-10, 0.25, 0.5, 0.75, 1.0 - 2.0**-10)
@@ -493,6 +539,7 @@ def run_all(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
         check_surrogate_chain(),
         check_matmul_vs_fixed_order(trials, seed),
         check_sigmoid_vs_expit(trials, seed),
+        check_expectation_estimate(trials, seed),
         check_bernoulli_draws(seed),
         check_table_draw(seed),
         check_inference_vs_training_forward(trials, seed),

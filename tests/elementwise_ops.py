@@ -35,6 +35,18 @@ def sigmoid(x) -> Var:
     return Var(y, parents=(x,), backward=lambda g: (g * y * (1.0 - y),))
 
 
+def expectation_estimate(x) -> Var:
+    """u_hat = (1 - sigmoid(x)) * x: its value formed as the parallel pass
+    forms it, x / (1 + exp(x)), and its gradient by the tape of the
+    elementwise ops (1 - sigmoid(x)) * x, to which it passes its own
+    gradient unchanged."""
+    x = as_var(x)
+    composed = (1.0 - sigmoid(x)) * x
+    with np.errstate(over="ignore"):
+        value = x.value / (1.0 + np.exp(x.value))
+    return Var(value, parents=(composed,), backward=lambda g: (g,))
+
+
 def spike(h, v_th, alpha: float) -> Var:
     """Heaviside(h - v_th) forward; triangular surrogate backward.
 

@@ -86,11 +86,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "25", "--out", str(out_path))
         assert code == 0
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 10
+        assert len(lines) == 11
         assert all(l.startswith("PASS") for l in lines)
         csv = out_path.read_text().splitlines()
         assert csv[0] == "check,trials,failures,max_err,status"
-        assert len(csv) == 11
+        assert len(csv) == 12
 
     def test_injected_fault_fails(self, capsys, t0_fault):
         code, out, _ = run(capsys, "verify", "--trials", "25")
@@ -260,6 +260,18 @@ class TestTrain:
         assert code == 2
         assert "x has 1 non-finite" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--epochs", "0"), "epochs must be >= 1, got 0"),
+        (("--epochs", "-1"), "epochs must be >= 1, got -1"),
+        (("--neurons", "0"), "hidden_sizes must hold positive integers, got (0,)"),
+    ])
+    def test_empty_run_or_layer_exits_2(self, capsys, tmp_path, flags, named):
+        log = tmp_path / "log.csv"
+        code, out, err = run(capsys, *TRAIN_SMALL, *flags, "--out", str(log))
+        assert code == 2
+        assert err == f"error: {named}\n"
+        assert out == "" and not log.exists()
+
     def test_lif_kind(self, capsys):
         code, out, _ = run(capsys, *TRAIN_SMALL, "--neuron-kind", "lif_sequential", "--epochs", "3")
         assert code == 0
@@ -332,6 +344,14 @@ class TestEstimate:
         )
         assert code == 0
         assert "sampled spike fraction" in out
+
+    @pytest.mark.parametrize("flag", ["--time-steps", "--batch", "--neurons"])
+    def test_empty_generated_input_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "estimate", flag, "0")
+        assert code == 2
+        assert "expected [T, B, N] input with T, B, N >= 1, got shape" in err
+        assert "input of --time-steps, --batch and --neurons" in err
+        assert out == ""
 
     def test_bad_rank_input_usage_error(self, capsys, tmp_path):
         path = tmp_path / "in.csv"

@@ -20,7 +20,7 @@ from mpepsn.network import (
 )
 from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
-from elementwise_ops import sigmoid, spike
+from elementwise_ops import expectation_estimate, spike
 
 
 def small_task(seed=42):
@@ -161,9 +161,13 @@ class TestFusedMatchesElementwiseTape:
                                           for k in (1, 2, 3))
 
     def test_input_separates_the_sigmoid_forms(self):
-        # so the expectation cases compare the package's sigmoid bit for bit,
-        # at a row whose estimate feeds the next row's history
-        assert np.any(expit(self.I[:-1]) != numerics.sigmoid(self.I[:-1]))
+        # so the expectation cases compare the package's sigmoid (which the
+        # backward forms) and its estimate I / (1 + exp(I)) (which the forward
+        # forms, not (1 - sigmoid(I)) * I) bit for bit, at a row whose
+        # estimate feeds the next row's history
+        x = self.I[:-1]
+        assert np.any(expit(x) != numerics.sigmoid(x))
+        assert np.any(x / (1.0 + np.exp(x)) != (1.0 - numerics.sigmoid(x)) * x)
 
     def mpe_psn_grads(self, fused, mode, read):
         """Gradients of I and v_th for a loss over the outputs named in ``read``."""
@@ -176,7 +180,7 @@ class TestFusedMatchesElementwiseTape:
                 b = neuron.mpe_psn_forward(self.I, neuron.NeuronParams(), mode, Rng(9)).b
                 u_hat = Var(1.0 - b) * I
             else:
-                u_hat = (1.0 - sigmoid(I)) * I
+                u_hat = expectation_estimate(I)
             h = 0.25 * autograd.shift_time(u_hat) + I
             o = spike(h, v_th, 1.0)
             u = h * (1.0 - o)
@@ -437,6 +441,20 @@ class TestSpikingClassifier:
         with pytest.raises(ValueError):
             small_model(neuron_kind="izhikevich").fit(tr.x, tr.y)
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"epochs": 0}, r"^epochs must be >= 1, got 0$"),
+        ({"epochs": -1}, r"^epochs must be >= 1, got -1$"),
+        ({"hidden_sizes": (0,)}, r"^hidden_sizes must hold positive integers, got \(0,\)$"),
+        ({"hidden_sizes": (8, -2)}, r"^hidden_sizes must hold positive integers"),
+        ({"hidden_sizes": (8.5,)}, r"^hidden_sizes must hold positive integers"),
+    ])
+    def test_empty_run_or_layer_rejected_before_training(self, overrides, named):
+        tr, _ = small_task()
+        m = small_model(**overrides)
+        with pytest.raises(ValueError, match=named):
+            m.fit(tr.x, tr.y)
+        assert not hasattr(m, "history_")
+
     def test_synaptic_delay_changes_dynamics(self):
         tr, _ = small_task()
         a = small_model(epochs=1).fit(tr.x, tr.y)
@@ -452,7 +470,7 @@ class TestSpikingClassifier:
 
 
 class TestLabelledBatch:
-    """One rule for a labelled batch: x has T, B >= 1 and y one integer class
+    """One rule for a labelled batch: x has T, B, N >= 1 and y one integer class
     label per sample; fit, predict and score reject anything else, naming
     the argument."""
 
@@ -461,11 +479,11 @@ class TestLabelledBatch:
         tr, te = small_task()
         return small_model(epochs=1).fit(tr.x, tr.y), te
 
-    @pytest.mark.parametrize("shape", [(0, 4, 3), (8, 0, 3)])
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (8, 0, 3), (8, 4, 0)])
     def test_empty_batch_rejected(self, fitted, shape):
         m, _ = fitted
         x, y = np.zeros(shape), np.zeros(shape[1])
-        named = r"^x: expected \[T, B, N\] input with T, B >= 1, got shape"
+        named = r"^x: expected \[T, B, N\] input with T, B, N >= 1, got shape"
         for call in (m.predict, lambda x: m.score(x, y), lambda x: small_model().fit(x, y)):
             with pytest.raises(ShapeMismatchError, match=named):
                 call(x)

@@ -1,11 +1,12 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from mpepsn import neuron
+from mpepsn import neuron, numerics
 from mpepsn.neuron import (
     MODES,
     NeuronParams,
@@ -141,8 +142,9 @@ def test_lif_sequential_takes_one_tile_row_beside_its_outputs():
 
 class TestEstimator:
     def test_zero_input_expectation(self):
+        # P = 1/2 everywhere, which the pass does not hold: u_hat = 0 / 2
         tr = mpe_psn_forward(np.zeros((2, 1, 3)), NeuronParams(), "expectation")
-        np.testing.assert_array_equal(tr.b, np.full_like(tr.b, 0.5))  # b is P
+        assert "b" not in tr._fields
         np.testing.assert_array_equal(tr.u_hat, np.zeros_like(tr.u_hat))
 
     def test_negative_saturation(self):
@@ -181,8 +183,7 @@ class TestParallelForward:
         # expectation mode: u_hat[0] = (1 - sigmoid(0.6)) * 0.6 feeds step 1
         I = as3d([0.6, 0.6])
         tr = mpe_psn_forward(I, NeuronParams(), "expectation")
-        sig = 1.0 / (1.0 + math.exp(-0.6))
-        u_hat0 = (1.0 - sig) * 0.6
+        u_hat0 = 0.6 / (1.0 + math.exp(0.6))
         h1 = 0.25 * u_hat0 + 0.6
         assert abs(tr.u_hat[0].item() - u_hat0) < 1e-15
         assert abs(tr.h[1].item() - h1) < 1e-15
@@ -266,17 +267,19 @@ def whole_draw(rng, n):
 
 
 def reference_pass(I, params, mode, rng=None):
-    """The pass formed the whole-array way, in two phases: the estimate of
-    every value (from one whole-array draw in sampled mode), then the
-    update of every row, row 0 with the zero history."""
-    k = whole_draw(rng, I.size).reshape(I.shape) if mode == "sampled" else None
-    b = np.empty(I.shape, bool if mode == "sampled" else np.float64)
+    """The trace formed the whole-array way, in two phases: the estimate of
+    every value (from one whole-array draw in sampled mode, which alone
+    has b), then the update of every row, row 0 with the zero history."""
     o = np.empty(I.shape, bool)
     u_hat, h, u = (np.empty_like(I) for _ in range(3))
-    neuron._estimate(I, b, u_hat, k)
+    if mode == "sampled":
+        b = np.empty(I.shape, bool)
+        neuron._estimate(I, u_hat, whole_draw(rng, I.size).reshape(I.shape), b)
+    else:
+        neuron._estimate(I, u_hat)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
-    return I, b, u_hat, h, u, o
+    return (I, b, u_hat, h, u, o) if mode == "sampled" else (I, u_hat, h, u, o)
 
 
 def assert_same_trace(tr, ref):
@@ -312,19 +315,23 @@ class TestSampledBlocks:
         np.testing.assert_array_equal(tr.b, neuron.LOGIT_TABLE[k] < I)
 
     def test_sampled_pass_forms_no_sigmoid(self, monkeypatch):
+        # nor does any other pass: the sampled estimate compares a table
+        # entry with I, the expectation estimate divides I by 1 + exp(I)
         def no_sigmoid(*args, **kwargs):
-            raise AssertionError("the sampled pass formed a sigmoid")
+            raise AssertionError("a pass formed a sigmoid")
 
-        monkeypatch.setattr(neuron, "sigmoid", no_sigmoid)
-        mpe_psn_forward(random_case(45), NeuronParams(), "sampled", Rng(45))
-        with pytest.raises(AssertionError, match="formed a sigmoid"):
-            mpe_psn_forward(random_case(45), NeuronParams(), "expectation")
+        monkeypatch.setattr(numerics, "sigmoid", no_sigmoid)
+        assert not hasattr(neuron, "sigmoid")
+        I, p = random_case(45), NeuronParams()
+        for mode in MODES:
+            mpe_psn_forward(I, p, mode, Rng(45))
+        neuron.mpe_psn_spikes(I, p)
 
     @staticmethod
-    def traced_pass(mode):
+    def traced_pass(mode, written):
         """I, the trace of one pass, and the memory the pass holds and
-        peaks at; iterating the trace yields I and five arrays and
-        allocates nothing."""
+        peaks at; iterating the trace yields I and the ``written`` arrays
+        and allocates nothing."""
         I = Rng(38).uniform_tensor((16, 2, 1 << 15), -2.0, 2.0)
         tracemalloc.start()
         try:
@@ -334,35 +341,36 @@ class TestSampledBlocks:
             held_after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # I and the five arrays the pass wrote, and not one array more
-        assert len(arrays) == 6 and arrays[0] is I
+        # I and the arrays the pass wrote, and not one array more
+        assert tr._fields == ("I", *written) and arrays[0] is I
         assert all(a.shape == I.shape for a in arrays)
         assert held_after - held < 0.01 * I.nbytes
         return I, tr, held, peak
 
     def test_holds_five_arrays_and_iterating_allocates_nothing(self):
         # u_hat, h and u float64, b and o bool: 3 + 2/8 arrays of I's size
-        I, tr, held, peak = self.traced_pass("sampled")
+        I, tr, held, peak = self.traced_pass("sampled", ("b", "u_hat", "h", "u", "o"))
         assert (tr.b.dtype, tr.o.dtype) == (np.bool_, np.bool_)
         assert 3.25 <= held / I.nbytes < 3.35
         assert peak / I.nbytes < 3.75
 
-    def test_expectation_pass_holds_four_float_arrays_and_bool_spikes(self):
-        # b (P), u_hat, h and u float64, o bool: 4 + 1/8 arrays of I's size
-        I, tr, held, peak = self.traced_pass("expectation")
-        assert (tr.b.dtype, tr.o.dtype) == (np.float64, np.bool_)
-        assert 4.125 <= held / I.nbytes < 4.225
-        assert peak / I.nbytes < 4.625
+    def test_expectation_pass_holds_four_arrays_and_iterating_allocates_nothing(self):
+        # u_hat, h and u float64, o bool: 3 + 1/8 arrays of I's size, and no P
+        I, tr, held, peak = self.traced_pass("expectation", ("u_hat", "h", "u", "o"))
+        assert tr.o.dtype == np.bool_
+        assert 3.125 <= held / I.nbytes < 3.225
+        assert peak / I.nbytes < 3.625
 
     def test_sampled_scratch_has_no_P(self):
         I, s = random_case(39), Scratch()
         mpe_psn_forward(I, NeuronParams(), "sampled", Rng(39), scratch=s)
         with pytest.raises(KeyError):
             s.written("P", (I.size,))
-        tr = mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
-        with pytest.raises(KeyError):
-            s.written("P", (I.size,))
-        np.testing.assert_array_equal(tr.b, sigmoid(I))  # expectation mode draws no b: b is P
+        s = Scratch()
+        mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
+        for name in ("P", "b"):  # expectation mode draws no b, and b would be P
+            with pytest.raises(KeyError):
+                s.written(name, (I.size,))
 
 
 class TestStrideAhead:
@@ -412,11 +420,13 @@ class TestStrideAhead:
         assert sum(size for zero, size in calls if not zero) == 2 * stride
 
 
-# SHA-256 of the expectation pass's five arrays (b, u_hat, h, u, o) and of
-# mpe_psn_spikes at golden_input(), recorded before the MPE-PSN pass became
-# one blocked kernel (numpy 2.4.6, x86-64).  The sigmoid goes through numpy's
-# exp, whose last bits may differ on another CPU or numpy build.
-EXPECTATION_TRACE_SHA256 = "6494bbdd4843bd17630961aecc54e31ff29e002d1e7155f8b4b781faf02e97c9"
+# SHA-256 of the expectation pass's four arrays (u_hat, h, u, o) and of
+# mpe_psn_spikes at golden_input(), recorded once the estimate became
+# I / (1 + exp(I)), whose contract ``verify.check_expectation_estimate``
+# checks (numpy 2.4.6, x86-64).  The spikes kept the bits they had under the
+# old form (1 - sigmoid(I)) * I.  The estimate goes through numpy's exp,
+# whose last bits may differ on another CPU or numpy build.
+EXPECTATION_TRACE_SHA256 = "dc995e6ad5a1901dfe830b2119bdf4889e4388497f59e138969d6b5da95da5d8"
 SPIKES_SHA256 = "ff6dc0e711f46939f4f3e779d87b928d1040616067f78253cc1ad71b21b5ab48"
 
 
@@ -444,6 +454,33 @@ def test_expectation_bits_equal_the_recorded_ones(workers):
     assert sha256([spikes]) == SPIKES_SHA256
 
 
+class TestExpectationEdges:
+    """exp(I) overflows above about 709.78.  The expectation estimate is
+    then 0 without an overflow warning on any thread, pool threads (which
+    do not inherit the caller's ``np.errstate``) included, and saturated and
+    infinite currents give the values (1 - sigmoid(I)) * I gave."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_saturated_currents_give_the_old_values(self, workers):
+        # four blocks, so that a 2-worker pool runs two on its thread; the
+        # cycle of 5 puts each value after every other one in time
+        I = np.resize([800.0, -800.0, np.inf, -np.inf, 0.5], (4, 2, 1 << 15))
+        p = NeuronParams()
+        with warnings.catch_warnings(record=True) as caught, WorkerPool(workers or 1) as pool:
+            warnings.simplefilter("always")
+            tr = mpe_psn_forward(I, p, "expectation", None, pool if workers else None)
+            spikes = neuron.mpe_psn_spikes(I, p)
+        # inf / inf, and the update's inf - inf and 0 * inf, warn as before
+        assert not [w for w in caught if "overflow" in str(w.message)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_hat = (1.0 - sigmoid(I)) * I
+            _, o = teacher_forced_forward(I, u_hat, p)  # the update on that history
+        np.testing.assert_array_equal(tr.u_hat, u_hat)
+        np.testing.assert_array_equal(tr.o, o)
+        np.testing.assert_array_equal(spikes, o)
+        assert o.any() and not o.all()
+
+
 class TestSpikeDtypes:
     """Spikes and sampled draws are bool, one byte a value; every float a
     pass forms stays float64.  The spikes-only inference pass keeps its one
@@ -456,8 +493,6 @@ class TestSpikeDtypes:
             assert tr.o.dtype == np.bool_
             assert all(a.dtype == np.float64 for a in (tr.I, tr.u_hat, tr.h, tr.u))
         assert mpe_psn_forward(I, p, "sampled", Rng(40)).b.dtype == np.bool_
-        b = mpe_psn_forward(I, p, "expectation").b  # b is P
-        assert b.dtype == np.float64 and b.tobytes() == sigmoid(I).tobytes()
 
     def test_spikes_only_pass_is_float_0_1_with_the_trace_s_values(self):
         I, p = random_case(41), NeuronParams()

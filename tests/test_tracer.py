@@ -83,11 +83,11 @@ def test_predict_runs_no_training_forward():
     assert ("test", "neuron.mpe_psn_forward.bytes_out") not in tracer.counts
 
 
-def test_bytes_out_counts_I_and_the_five_arrays_of_each_pass():
-    """A traced pass counts I and the five arrays it writes: not P, which
-    a sampled pass never holds and an expectation pass holds as b.  A
-    sampled pass's b and o are bool, one byte a value, so it counts 4.25
-    float64 arrays' worth with I; an expectation pass's o is bool, 5.125."""
+def test_bytes_out_counts_I_and_the_arrays_each_pass_writes():
+    """A traced pass counts I and the arrays it writes: five in sampled
+    mode, four in expectation mode, which holds no b, and neither holds P.
+    A sampled pass's b and o are bool, one byte a value, so it counts 4.25
+    float64 arrays' worth with I; an expectation pass's o is bool, 4.125."""
     I = numerics.Rng(3).uniform_tensor((4, 2, 8), -2.0, 2.0)
     tracer = layer_tracer()
     counted = []
@@ -98,4 +98,4 @@ def test_bytes_out_counts_I_and_the_five_arrays_of_each_pass():
             counted.append(tracer.counts[("test", "neuron.mpe_psn_forward.bytes_out")])
     finally:
         tracer.uninstall()
-    assert counted == [4.25 * I.nbytes, (4.25 + 5.125) * I.nbytes]
+    assert counted == [4.25 * I.nbytes, (4.25 + 4.125) * I.nbytes]

@@ -146,6 +146,46 @@ class TestChecks:
                             lambda x, out=None: np.nan_to_num(sigmoid(x, out)))
         assert verify.check_sigmoid_vs_expit(trials=10).failures == 10
 
+    def test_expectation_estimate_vs_expit(self):
+        res = verify.check_expectation_estimate(trials=50)
+        assert res.passed
+        assert 0.0 < res.max_err <= verify.ESTIMATE_ULP_BOUND
+
+    @staticmethod
+    def plant_expectation_estimate(monkeypatch, form):
+        """Make the passes form their expectation estimate by ``form(I, u_hat)``."""
+        estimate = neuron._estimate
+
+        def planted(I, u_hat, k=None, b=None):
+            if k is None:
+                form(I, u_hat)
+            else:
+                estimate(I, u_hat, k, b)
+
+        monkeypatch.setattr(neuron, "_estimate", planted)
+
+    def test_expectation_check_detects_the_cancelling_form(self, monkeypatch):
+        # (1 - P) * I: 1 - P rounds to 0 for I above about 37, where the
+        # true estimate is about 1e-15
+        def one_minus_sigmoid(I, u_hat):
+            numerics.sigmoid(I, out=u_hat)
+            np.subtract(1.0, u_hat, out=u_hat)
+            np.multiply(u_hat, I, out=u_hat)
+
+        self.plant_expectation_estimate(monkeypatch, one_minus_sigmoid)
+        res = verify.check_expectation_estimate(trials=10)
+        assert res.failures == res.trials
+        assert res.max_err > 1e6 and res.details
+
+    def test_expectation_check_requires_nan_to_propagate(self, monkeypatch):
+        def nan_to_zero(I, u_hat):
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_hat[...] = np.nan_to_num(I / (1.0 + np.exp(I)), nan=0.0, posinf=np.inf,
+                                           neginf=-np.inf)
+
+        self.plant_expectation_estimate(monkeypatch, nan_to_zero)
+        assert verify.check_expectation_estimate(trials=10).failures == 10
+
     def test_bernoulli_draws(self):
         res = verify.check_bernoulli_draws()
         assert res.passed
@@ -208,8 +248,8 @@ class TestChecks:
 
     def test_table_check_detects_nan_drawing_a_spike(self, monkeypatch):
         # b = not (I <= table entry): the same at every number, 1 at NaN
-        def estimate(I, b, u_hat, k):
-            estimate_(I, b, u_hat, k)
+        def estimate(I, u_hat, k=None, b=None):
+            estimate_(I, u_hat, k, b)
             if k is not None:
                 b |= np.isnan(I)
 
@@ -277,7 +317,7 @@ class TestChecks:
 class TestRunAll:
     def test_all_pass(self):
         results = verify.run_all(trials=25)
-        assert len(results) == 10
+        assert len(results) == 11
         assert all(r.passed for r in results)
 
     def test_trials_validated(self):
