@@ -65,6 +65,19 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+def _extent(text: str) -> int:
+    """An int >= 0, for an extent of the generated input.  0 passes, so
+    the shape check rejects it with the whole shape; a negative extent is
+    rejected here, before numpy sees a negative dimension."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mpepsn")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -113,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="inspect the membrane-potential estimator")
     _add_common(p)
     _add_neuron(p)
-    p.add_argument("--time-steps", type=int, default=8)
-    p.add_argument("--neurons", type=int, default=64)
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--time-steps", type=_extent, default=8)
+    p.add_argument("--neurons", type=_extent, default=64)
+    p.add_argument("--batch", type=_extent, default=4)
     p.add_argument("--input", type=str, default=None, help="tensor CSV path")
     p.set_defaults(run=cmd_estimate)
 

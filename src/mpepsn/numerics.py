@@ -173,17 +173,35 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# Each thread's bit generators, one per class.  Every draw sets the whole
+# state of the one it uses before drawing, so no draw sees another's.  A
+# generator is built once per thread from the fixed seed 0: building one
+# without a seed (as ``Philox(counter=, key=)`` does) reads OS entropy.
+_thread_bits = threading.local()
+
+
+def _thread_generator(cls):
+    """This thread's generator of class ``cls``; its caller sets its state."""
+    bits = getattr(_thread_bits, cls.__name__, None)
+    if bits is None:
+        bits = cls(0)
+        setattr(_thread_bits, cls.__name__, bits)
+    return bits
+
+
 class Rng:
-    """Counter-based random stream built on Philox.
+    """Keyed random streams: Philox uniforms and PCG64DXSM 16-bit draws.
 
     Output position ``i`` of draw number ``c`` depends only on
-    ``(seed, stream, c, i)``, never on thread scheduling: the flat output is
-    generated in fixed-size chunks, each keyed by its chunk index, so a pool
-    may fill chunks in any order (or in parallel) with identical results.
-    A draw is either n float64 uniforms (:meth:`uniforms`: data, weights,
-    bench inputs) or n 16-bit integers (:meth:`draw_blocks`: the sampled
-    MPE-PSN estimate, which compares a table entry per integer with the
-    current instead of forming a sigmoid).
+    ``(seed, stream, c, i)``, never on thread scheduling, so a pool may
+    fill a draw's parts in any order (or in parallel) with identical
+    results.  A draw is either n float64 uniforms (:meth:`uniforms`: data,
+    weights, bench inputs), generated in fixed-size chunks, each keyed by
+    its chunk index on a Philox counter, or n 16-bit integers
+    (:meth:`draw_blocks`: the sampled MPE-PSN estimate, which compares a
+    table entry per integer with the current instead of forming a
+    sigmoid), taken from one PCG64DXSM stream per draw, which each range
+    of chunks jumps ahead into.
     """
 
     CHUNK = 1 << 14
@@ -199,52 +217,60 @@ class Rng:
         """Independent child stream keyed by (this stream, child_id)."""
         return Rng(self.seed, _splitmix64(self.stream ^ _splitmix64(child_id + 1)))
 
-    # A chunk of CHUNK values takes CHUNK // 2 Philox words as 32-bit
-    # uniforms, CHUNK // 4 as 16-bit integers, and Philox yields four words
-    # per step of its low counter word, so drawing a full chunk advances that
-    # word by CHUNK // 8 or CHUNK // 16; advancing by this wraps it back to 0
-    # and carries one into the chunk index, where the next chunk's generator
-    # starts.
+    # A chunk of CHUNK uniforms takes CHUNK // 2 Philox words, and Philox
+    # yields four words per step of its low counter word, so drawing a full
+    # chunk advances that word by CHUNK // 8; advancing by this wraps it back
+    # to 0 and carries one into the chunk index, where the next chunk's
+    # counter starts.
     _NEXT_CHUNK = 2**64 - CHUNK // 8
-    _NEXT_CHUNK_16 = 2**64 - CHUNK // 16
 
-    def _chunk_generator(self, call: int, chunk: int) -> np.random.Philox:
-        counter = np.array([0, chunk, call, 0], dtype=np.uint64)
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Philox(counter=counter, key=key)
+    def _philox(self, call: int) -> np.random.Philox:
+        """This thread's Philox, set to chunk 0 of draw ``call``: counter
+        (0, chunk 0, call, 0), key (seed, stream)."""
+        bits = _thread_generator(np.random.Philox)
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, call, 0], dtype=np.uint64),
+                      "key": np.array([self.seed, self.stream], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return bits
+
+    def _pcg_state(self, call: int) -> dict:
+        """The PCG64DXSM state at word 0 of draw ``call``'s stream: a 128-bit
+        state and an odd 128-bit increment, four SplitMix64 words keyed by
+        (seed, stream, call)."""
+        h = _splitmix64(_splitmix64(_splitmix64(self.seed) ^ self.stream) ^ call)
+        words = []
+        for _ in range(4):
+            h = _splitmix64(h)
+            words.append(h)
+        return {"bit_generator": "PCG64DXSM",
+                "state": {"state": words[0] << 64 | words[1],
+                          "inc": words[2] << 64 | words[3] | 1},
+                "has_uint32": 0, "uinteger": 0}
 
     def _next_call(self) -> int:
         call = self._calls
         self._calls += 1
         return call
 
-    def _fill(self, bits: np.random.Philox, lo: int, hi: int, n: int, out: Array) -> None:
-        """Write positions ``[lo * CHUNK, min(hi * CHUNK, n))`` of an n-value
-        draw into ``out``, from ``bits`` standing at chunk ``lo``'s counter.
+    def _fill(self, bits: np.random.Philox, n: int, out: Array) -> None:
+        """Write an n-value uniforms draw into the float64 ``out``, from
+        ``bits`` standing at chunk 0's counter.
 
-        The one chunk filler behind :meth:`uniforms` and :meth:`draw_blocks`;
-        ``out``'s dtype picks the draw.  A float64 ``out`` takes uniforms:
-        each word's two 32-bit halves times 2^-32.  A uint16 ``out`` takes
-        each word's four 16-bit quarters.  Either way a word's parts are
-        taken low first, on any byte order.  After each chunk ``bits`` is
-        advanced to the next chunk's counter, so one generator serves every
-        chunk of a range: the same draws as a generator built per chunk,
-        built once.
+        Each word's two 32-bit halves, low first on any byte order, times
+        2^-32.  After each chunk ``bits`` is advanced to the next chunk's
+        counter, so one generator serves every chunk: the same draws as a
+        generator built per chunk, built once.
         """
-        quarters = out.dtype == np.uint16
-        part, step = ("<u2", self._NEXT_CHUNK_16) if quarters else ("<u4", self._NEXT_CHUNK)
-        per_word = 8 // np.dtype(part).itemsize
-        base = lo * self.CHUNK
-        for c in range(lo, hi):
-            start = c * self.CHUNK
+        for start in range(0, n, self.CHUNK):
             stop = min(start + self.CHUNK, n)
-            words = bits.random_raw(-(-(stop - start) // per_word))
-            parts = words.astype("<u8", copy=False).view(part)[:stop - start]
-            if quarters:
-                out[start - base:stop - base] = parts
-            else:
-                np.multiply(parts, 2.0**-32, out=out[start - base:stop - base])
-            bits.advance(step)
+            words = bits.random_raw(-(-(stop - start) // 2))
+            halves = words.astype("<u8", copy=False).view("<u4")[:stop - start]
+            np.multiply(halves, 2.0**-32, out=out[start:stop])
+            bits.advance(self._NEXT_CHUNK)
 
     def uniforms(self, n: int) -> Array:
         """n doubles uniform on [0, 1), each a multiple of 2^-32.
@@ -257,8 +283,7 @@ class Rng:
         thread: :meth:`draw_blocks` is the draw a pool splits.
         """
         out = np.empty(n, dtype=np.float64)
-        call = self._next_call()
-        self._fill(self._chunk_generator(call, 0), 0, -(-n // self.CHUNK), n, out)
+        self._fill(self._philox(self._next_call()), n, out)
         return out
 
     def draw_blocks(self, n: int, block_chunks: int, fn, pool: WorkerPool | None = None) -> None:
@@ -266,24 +291,26 @@ class Rng:
         ``block_chunks`` chunks at a time, calling ``fn(lo, hi, k)`` with
         positions ``[lo, hi)`` of the draw in the uint16 ``k``.
 
-        Each 64-bit Philox word gives four, its 16-bit quarters from the low
-        one up, and chunks are keyed as in :meth:`uniforms`, so position i
-        of the draw is the same for any block size and any pool.  Each of
-        ``pool``'s ranges of chunks (this is the one pooled draw) draws its
-        blocks in order into one block buffer of its own, which the next
-        block overwrites, so the whole draw is never held at once.
+        Position i of the draw is 16-bit quarter i % 4 of word i // 4 of
+        the draw's PCG64DXSM stream (:meth:`_pcg_state`), low quarter first
+        on any byte order, so it is the same for any block size and any
+        pool.  Each of ``pool``'s ranges of chunks (this is the one pooled
+        draw) sets its thread's generator to the stream, advances it once
+        to the range's first word, and takes each block as one
+        ``random_raw`` call, whose words ``k`` views.  ``fn`` must not
+        itself call ``draw_blocks``: its thread's generator is in use.
         """
-        call = self._next_call()
+        state = self._pcg_state(self._next_call())
 
         def work(lo: int, hi: int) -> None:
-            bits = self._chunk_generator(call, lo)
-            buf = np.empty(min((hi - lo) * self.CHUNK, block_chunks * self.CHUNK,
-                               n - lo * self.CHUNK), np.uint16)
+            bits = _thread_generator(np.random.PCG64DXSM)
+            bits.state = state
+            bits.advance(lo * self.CHUNK // 4)
             for c in range(lo, hi, block_chunks):
-                c_hi = min(c + block_chunks, hi)
-                start, stop = c * self.CHUNK, min(c_hi * self.CHUNK, n)
-                self._fill(bits, c, c_hi, n, buf)
-                fn(start, stop, buf[:stop - start])
+                start = c * self.CHUNK
+                stop = min(start + block_chunks * self.CHUNK, hi * self.CHUNK, n)
+                words = bits.random_raw(-(-(stop - start) // 4))
+                fn(start, stop, words.astype("<u8", copy=False).view("<u2")[:stop - start])
 
         map_ranges(pool, -(-n // self.CHUNK), work)
 

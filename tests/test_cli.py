@@ -353,6 +353,17 @@ class TestEstimate:
         assert "input of --time-steps, --batch and --neurons" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--time-steps", "--batch", "--neurons"])
+    @pytest.mark.parametrize("value", ["-1", "-7", "two"])
+    def test_negative_extent_usage_error_names_the_flag(self, capsys, flag, value):
+        # rejected while parsing, before numpy sees a negative dimension
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 0, got '{value}'" in err
+        assert "negative dimensions" not in err
+
     def test_bad_rank_input_usage_error(self, capsys, tmp_path):
         path = tmp_path / "in.csv"
         save_tensor(np.zeros((3, 4)), path)

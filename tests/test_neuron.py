@@ -428,6 +428,12 @@ class TestStrideAhead:
 # whose last bits may differ on another CPU or numpy build.
 EXPECTATION_TRACE_SHA256 = "dc995e6ad5a1901dfe830b2119bdf4889e4388497f59e138969d6b5da95da5d8"
 SPIKES_SHA256 = "ff6dc0e711f46939f4f3e779d87b928d1040616067f78253cc1ad71b21b5ab48"
+# SHA-256 of a sampled pass's five arrays (b, u_hat, h, u, o) at
+# golden_input() with Rng(43, stream=2), recorded once the 16-bit draw came
+# from one PCG64DXSM stream per call, so that a change to the draw's bits
+# is deliberate.  The draw compares with LOGIT_TABLE, formed by numpy's log,
+# whose last bits may differ on another CPU or numpy build.
+SAMPLED_TRACE_SHA256 = "e8bdb141b3708975ae146893133ebe92bb767f8046a7219f0bc50d4983b5745a"
 
 
 def golden_input():
@@ -452,6 +458,14 @@ def test_expectation_bits_equal_the_recorded_ones(workers):
         spikes = neuron.mpe_psn_spikes(I, p)
     assert sha256(tr[1:]) == EXPECTATION_TRACE_SHA256
     assert sha256([spikes]) == SPIKES_SHA256
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_sampled_bits_equal_the_recorded_ones(workers):
+    with np.errstate(invalid="ignore"), WorkerPool(workers or 1) as pool:
+        tr = mpe_psn_forward(golden_input(), NeuronParams(), "sampled", Rng(43, stream=2),
+                             pool if workers else None)
+    assert sha256(tr[1:]) == SAMPLED_TRACE_SHA256
 
 
 class TestExpectationEdges:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpepsn import numerics
+from mpepsn import neuron, numerics, verify
+from mpepsn.network import SpikingClassifier
 from mpepsn.numerics import (
     Rng,
     ShapeMismatchError,
@@ -151,21 +152,39 @@ class TestRng:
             Rng(-1)
 
     @staticmethod
-    def per_chunk(r, call, n, bits):
-        """Draw number ``call`` of ``r`` with a fresh generator for every
-        chunk, each word split into ``bits``-bit parts, low part first."""
+    def philox_chunks(r, call, n):
+        """Uniforms draw number ``call`` of ``r`` with a Philox built per
+        chunk, at counter (0, chunk, call, 0) and key (seed, stream), each
+        word split into its 32-bit halves, low half first."""
         C, out = Rng.CHUNK, np.empty(n, np.uint64)
         for c in range(-(-n // C)):
             chunk = out[c * C:(c + 1) * C]
-            words = r._chunk_generator(call, c).random_raw(-(-chunk.size * bits // 64))
-            parts = np.stack([words >> s & ((1 << bits) - 1) for s in range(0, 64, bits)], axis=1)
+            bits = np.random.Philox(counter=np.array([0, c, call, 0], np.uint64),
+                                    key=np.array([r.seed, r.stream], np.uint64))
+            words = bits.random_raw(-(-chunk.size // 2))
+            chunk[:] = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[:chunk.size]
+        return out
+
+    @staticmethod
+    def stream_chunks(r, call, n):
+        """16-bit draw number ``call`` of ``r`` with a generator per chunk,
+        set to the draw's stream and advanced to the chunk's first word,
+        each word split into its 16-bit quarters, low quarter first."""
+        C, out = Rng.CHUNK, np.empty(n, np.uint64)
+        for c in range(-(-n // C)):
+            chunk = out[c * C:(c + 1) * C]
+            bits = np.random.PCG64DXSM()
+            bits.state = r._pcg_state(call)
+            bits.advance(c * C // 4)
+            words = bits.random_raw(-(-chunk.size // 4))
+            parts = np.stack([words >> s & 0xFFFF for s in range(0, 64, 16)], axis=1)
             chunk[:] = parts.reshape(-1)[:chunk.size]
         return out
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_advanced_generator_matches_one_per_chunk(self, workers):
-        # the pooled draw, run in blocks of two chunks, gives 16-bit parts;
-        # uniforms gives 32-bit halves times 2^-32
+    def test_blocked_draw_matches_one_generator_per_chunk(self, workers):
+        # the pooled draw, run in blocks of two chunks, gives 16-bit quarters
+        # of the draw's stream; uniforms gives 32-bit halves times 2^-32
         C = Rng.CHUNK
         r = Rng(7, stream=3)
         with WorkerPool(workers) as pool:
@@ -176,9 +195,54 @@ class TestRng:
                     got[lo:hi] = k
 
                 r.draw_blocks(n, 2, put, pool)
-                assert np.array_equal(got, self.per_chunk(r, 2 * i, n, 16)), (workers, n)
+                assert np.array_equal(got, self.stream_chunks(r, 2 * i, n)), (workers, n)
                 u = r.uniforms(n)
-                assert np.array_equal(u, self.per_chunk(r, 2 * i + 1, n, 32) * 2.0**-32), n
+                assert np.array_equal(u, self.philox_chunks(r, 2 * i + 1, n) * 2.0**-32), n
+
+    def test_draws_keyed_by_seed_stream_and_call(self):
+        # a 16-bit draw differs when any of its keys does
+        def draw(r):
+            return verify._blocked_draw(r, 1000, 1, None)
+
+        first = draw(Rng(7, stream=3))
+        for other in (Rng(8, stream=3), Rng(7, stream=4), Rng(7, stream=3).spawn(0)):
+            assert not np.array_equal(draw(other), first)
+        again = Rng(7, stream=3)
+        assert np.array_equal(draw(again), first)
+        assert not np.array_equal(draw(again), first)
+
+    def test_pooled_draw_with_ranges_sharing_threads(self):
+        # more ranges than threads, so each thread resets its generator for
+        # range after range, and a short switch interval interleaves them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            n = 7 * Rng.CHUNK + 5
+            want = verify._blocked_draw(Rng(3), n, 1, None)
+            with WorkerPool(8) as pool:
+                for _ in range(3):
+                    assert np.array_equal(verify._blocked_draw(Rng(3), n, 1, pool), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_os_entropy_read(self, monkeypatch):
+        # every generator is set from its keys: none is seeded from the OS
+        reads = []
+        randbits = np.random.bit_generator.randbits
+        monkeypatch.setattr(np.random.bit_generator, "randbits",
+                            lambda k: reads.append(k) or randbits(k))
+        x = Rng(5).uniform_tensor((4, 24, 3), -1.0, 1.0)
+        y = np.repeat(np.arange(3), 8)
+        model = SpikingClassifier(hidden_sizes=(8,), epochs=1, seed=3).fit(x, y)
+        assert len(model.history_) == 1
+        with WorkerPool(2) as pool:
+            tr = neuron.mpe_psn_forward(Rng(6).uniform_tensor((2, 1, 3 * Rng.CHUNK), -2.0, 2.0),
+                                        neuron.NeuronParams(), "sampled", Rng(7), pool)
+        assert tr.b.any()
+        Rng(8).uniforms(3 * Rng.CHUNK)
+        assert reads == []
+        np.random.Philox(counter=np.zeros(4, np.uint64), key=np.zeros(2, np.uint64))
+        assert len(reads) == 1  # the counting patch sees a read where there is one
 
 
 class TestWorkerPool:

@@ -201,33 +201,50 @@ class TestChecks:
         assert res.failures == len(verify.BERNOULLI_PROBABILITIES)
         assert all(d.startswith("P=") for d in res.details)
 
-    def test_bernoulli_check_detects_a_stale_chunk_step(self, monkeypatch):
-        # the 16-bit draw stepping chunks as the 32-bit uniforms do (eight
-        # values per Philox step, not sixteen): a range of two or more
-        # chunks then leaves the chunk keying after its first
-        monkeypatch.setattr(numerics.Rng, "_NEXT_CHUNK_16", 2**64 - numerics.Rng.CHUNK // 8)
+    @staticmethod
+    def plant_draw_blocks(monkeypatch, first_word):
+        """Draw blocks with the block at chunk c of the range from chunk lo
+        starting at word ``first_word(lo, c)`` of the draw's stream, where
+        the draw starts it at word c * CHUNK // 4."""
+        C = numerics.Rng.CHUNK
+
+        def draw_blocks(rng, n, block_chunks, fn, pool=None):
+            state = rng._pcg_state(rng._next_call())
+
+            def work(lo, hi):
+                bits = np.random.PCG64DXSM(0)
+                for c in range(lo, hi, block_chunks):
+                    bits.state = state
+                    bits.advance(first_word(lo, c))
+                    start = c * C
+                    stop = min(start + block_chunks * C, hi * C, n)
+                    words = bits.random_raw(-(-(stop - start) // 4))
+                    fn(start, stop, words.astype("<u8", copy=False).view("<u2")[:stop - start])
+
+            numerics.map_ranges(pool, -(-n // C), work)
+
+        monkeypatch.setattr(numerics.Rng, "draw_blocks", draw_blocks)
+
+    def test_planted_draw_blocks_without_a_fault_passes(self, monkeypatch):
+        # the stand-in draws as draw_blocks does when its blocks start right
+        C = numerics.Rng.CHUNK
+        self.plant_draw_blocks(monkeypatch, lambda lo, c: c * C // 4)
+        assert verify.check_bernoulli_draws().passed
+
+    def test_bernoulli_check_detects_a_range_advancing_to_the_wrong_word(self, monkeypatch):
+        # each range advances to word lo * CHUNK // 8, half the words its
+        # first chunk lies past: a range after the first then repeats draws
+        C = numerics.Rng.CHUNK
+        self.plant_draw_blocks(monkeypatch, lambda lo, c: lo * C // 8 + (c - lo) * C // 4)
         res = verify.check_bernoulli_draws()
         assert res.failures == 3  # n = CHUNK + 1, 2 * CHUNK and 5 * CHUNK + 17
         assert all("differ across" in d for d in res.details)
 
     def test_bernoulli_check_detects_blocks_restarting_their_range(self, monkeypatch):
-        # each block rebuilds the generator at its range's first chunk, so
-        # the second block of a range repeats the first block's uniforms
+        # each block starts at its range's first word, so the second block
+        # of a range repeats the first block's draws
         C = numerics.Rng.CHUNK
-
-        def draw_blocks(rng, n, block_chunks, fn, pool=None):
-            call = rng._next_call()
-
-            def work(lo, hi):
-                for c in range(lo, hi, block_chunks):
-                    c_hi = min(c + block_chunks, hi)
-                    k = np.empty(min(c_hi * C, n) - c * C, np.uint16)
-                    rng._fill(rng._chunk_generator(call, lo), c, c_hi, n, k)
-                    fn(c * C, c * C + k.size, k)
-
-            numerics.map_ranges(pool, -(-n // C), work)
-
-        monkeypatch.setattr(numerics.Rng, "draw_blocks", draw_blocks)
+        self.plant_draw_blocks(monkeypatch, lambda lo, c: lo * C // 4)
         res = verify.check_bernoulli_draws()
         assert res.failures == 1  # n = 5 * CHUNK + 17, the one size of two blocks
         assert f"n={5 * C + 17}: draws differ across" in res.details[0]
