@@ -5,7 +5,11 @@ forward-only passes, discards warmup repetitions, and reports medians.  The
 sequential arm is ``neuron.lif_sequential``; the parallel arm is the pooled
 sampled ``neuron.mpe_psn_forward``, a pass that no ``fit`` or ``predict``
 runs (``fit`` runs it without a pool, ``predict`` runs the spikes-only
-pass), so the ratio times neither training nor inference.  Multi-core CPU threading stands in for
+pass), so the ratio times neither training nor inference.  Both arms
+allocate their outputs alike, through ``numerics.empty``: each timed rep
+writes into the memory of the previous rep's dead arrays, and the
+discarded warm-up rep pays the kernel's first-touch page faults, so the
+ratio compares compute with compute.  Multi-core CPU threading stands in for
 GPU parallelism, so only the growth trend of the seq/par ratio is
 meaningful, never absolute magnitudes.
 """

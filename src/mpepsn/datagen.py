@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array
+from .numerics import Array, set_philox
 
 PATTERN_KINDS = ("rate-coded", "phase-coded")
 
@@ -74,7 +74,7 @@ def _clean_signal(spec: DatasetSpec) -> Array:
 def generate(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     """Build the train/test batches (80/20 split, shuffled per seed)."""
     K, T, N = spec.n_classes, spec.time_steps, spec.n_features
-    gen = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64)))
+    gen = np.random.Generator(set_philox(np.random.Philox(0), [0, 0, 0, 0], [spec.seed, 0]))
     B = K * spec.samples_per_class
     y = np.arange(B, dtype=np.int64) % K
     x = _clean_signal(spec)[y]  # [B, T, N]: sample i is of class i % K

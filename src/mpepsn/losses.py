@@ -68,7 +68,7 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
     and added to itself as the tape's two factors were.  With ``scratch``,
     the difference d, its square (read back by :func:`mem_loss_sq_error`)
     and the two [T, B, N] gradients live in its arrays; without, they are
-    fresh.
+    fresh or recycled (:func:`numerics.empty`).
     """
     u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
     if u_hat.shape != u_target.shape:

@@ -129,7 +129,8 @@ def mpe_psn_tape_forward(
     shift, spike, reset), so the gradients match it bit for bit whenever
     each output has at most one consumer outside the layer.  The forward's
     arrays and the backward's work arrays (which it returns as gradients)
-    come from ``scratch`` when given, else they are fresh.
+    come from ``scratch`` when given, else they are fresh, or recycled from
+    a dead pass (:func:`numerics.empty`).
     """
     scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
@@ -182,8 +183,8 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
     Returns ``TapeTrace(u, u, o)``, o bool.  The forward keeps the pre-reset
     potential h, which the backward reads.  u, o, h and the backward's
     surrogate and input gradient (which it returns) come from ``scratch``
-    when given, else they are fresh; the reverse walk works in two row
-    buffers.
+    when given, else they are fresh or recycled (:func:`numerics.empty`);
+    the reverse walk works in two row buffers.
     """
     scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
@@ -435,7 +436,8 @@ class SpikingClassifier:
 
         ``scratch`` holds one :class:`numerics.Scratch` per spiking layer for
         that layer's arrays; ``fit`` passes its own, so the arrays of a trace
-        returned to any other caller are fresh and stay as they are.
+        returned to any other caller are its own (fresh, or recycled from a
+        dead pass) and stay as they are.
         """
         x = autograd.as_var(np.asarray(x, dtype=np.float64))
         mode = self.mode if mode is None else mode

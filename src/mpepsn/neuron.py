@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, map_ranges
+from .numerics import Array, Rng, Scratch, ShapeMismatchError, WorkerPool, empty, map_ranges
 
 MODES = ("sampled", "expectation")
 # Columns of one tile of the LIF recurrence: a 512 KB float64 row, so a
@@ -161,11 +161,12 @@ def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
 
     u_t = (tau_m * u_{t-1} + I_t) * (1 - spike_t), with u_{-1} = 0 and
     spike_t = 1 where tau_m * u_{t-1} + I_t >= v_th (ties fire), else 0.
-    Returns fresh u (float64) and o (bool); the only other memory it takes
-    is one tile row (:func:`_lif_into`).
+    Returns u (float64) and o (bool), fresh or recycled from a dead pass
+    (:func:`numerics.empty`: arrays of at least 1 MiB); the only other
+    memory it takes is one tile row (:func:`_lif_into`).
     """
     I = _check_3d(I)
-    u, o = np.empty(I.shape), np.empty(I.shape, bool)
+    u, o = empty(I.shape), empty(I.shape, bool)
     _lif_into(I, params, u, o)
     return u, o
 
@@ -206,8 +207,9 @@ def _lif_into(I: Array, params: NeuronParams, u: Array, o: Array, h: Array | Non
 
 
 def shift_time(x: Array) -> Array:
-    """Delay by one step along T: out[0] = 0, out[t] = x[t-1]."""
-    out = np.zeros_like(x)
+    """Delay by one step along T: out[0] = 0, out[t] = x[t-1], in x's dtype."""
+    out = empty(x.shape, x.dtype)
+    out[:1] = 0
     out[1:] = x[:-1]
     return out
 
@@ -238,7 +240,10 @@ def mpe_psn_forward(
     bool.  An expectation pass writes four, u_hat, h, u and o, and returns
     an :class:`ExpectationTrace`: 3.125 arrays' worth.  They come from
     ``scratch`` when given (training reuses them from one epoch to the
-    next), else they are fresh.
+    next), else they are fresh, or recycled from a dead pass: each array of
+    at least 1 MiB reuses the memory of a dead one of its byte size, if
+    any (:func:`numerics.empty`, which also bounds the idle memory).  The
+    pass writes every position, so recycled memory gives the same bits.
 
     One kernel walks the flat [T*B*N] values in blocks of
     ``MPE_BLOCK_CHUNKS`` RNG chunks.  A block forms u_hat (and, sampled, b)
@@ -306,7 +311,7 @@ def mpe_psn_spikes(I, params: NeuronParams) -> Array:
     at a time.
     """
     I = _check_3d(I)
-    o = np.empty_like(I)
+    o = empty(I.shape)
     if I.shape[0] > 1:
         _estimate(I[:-1], o[1:])
         _update(o[1:], I[1:], params, o[1:], o[1:])
@@ -327,6 +332,6 @@ def teacher_forced_forward(I, u_true, params: NeuronParams) -> tuple[Array, Arra
         raise ShapeMismatchError(
             f"oracle membrane shape {u_true.shape} does not match input {I.shape}"
         )
-    h, u, o = np.empty_like(I), np.empty_like(I), np.empty(I.shape, bool)
+    h, u, o = empty(I.shape), empty(I.shape), empty(I.shape, bool)
     _update(shift_time(u_true), I, params, h, o, u)
     return u, o

@@ -12,8 +12,10 @@ the operations in this module.  Two contracts matter throughout:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -136,6 +138,55 @@ def map_ranges(pool: WorkerPool | None, n: int, fn) -> None:
         pool.map_ranges(n, fn)
 
 
+# Arrays of at least this many bytes come from recycled buffers (:func:`empty`).
+EMPTY_RECYCLE_BYTES = 1 << 20
+
+# Idle raw uint8 buffers by byte size: each was the memory of an array that
+# has died.  The lock is reentrant because a buffer is put back from a
+# finalizer, which runs on whichever thread drops the last view, and can
+# run inside :func:`empty` itself when a garbage collection starts there.
+_idle: dict[int, list[Array]] = {}
+_idle_lock = threading.RLock()
+
+
+def _recycle(raw: Array) -> None:
+    with _idle_lock:
+        _idle.setdefault(raw.nbytes, []).append(raw)
+
+
+def empty(shape: tuple, dtype=np.float64) -> Array:
+    """Uninitialised C-ordered array of ``shape`` and ``dtype``, like
+    ``np.empty``: fresh memory, or memory recycled from a dead pass.
+
+    A wide pass writing into fresh memory pays the kernel to zero every page
+    on first touch, a large share of a pass over [T, B, N].  So a request of
+    at least ``EMPTY_RECYCLE_BYTES`` is a view of a raw buffer of its byte
+    size that a dead array left idle, when there is one.  The buffer goes
+    back to the idle buffers only when the last view of it dies (every
+    reshape and slice of the array keeps its root alive), on whichever
+    thread drops it.  A request that finds no idle buffer of its size
+    releases every idle buffer, all of other sizes, before it allocates, so
+    idle memory never exceeds what was once in use at one time and a loop
+    over shapes cannot pile buffers up; it stays resident until such a
+    request.  Smaller requests are ``np.empty``.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < EMPTY_RECYCLE_BYTES:
+        return np.empty(shape, dtype)
+    with _idle_lock:
+        same = _idle.get(nbytes)
+        raw = same.pop() if same else None
+        if raw is None:
+            _idle.clear()
+    if raw is None:
+        raw = np.empty(nbytes, np.uint8)
+    # through a memoryview, so that the root, not raw, is every view's base
+    root = np.frombuffer(memoryview(raw), dtype)
+    weakref.finalize(root, _recycle, raw).atexit = False
+    return root.reshape(shape)
+
+
 class Scratch:
     """Named work arrays: the first request for a name allocates it, later
     requests with the same shape and dtype (float64 unless given; spikes and
@@ -145,7 +196,8 @@ class Scratch:
     that writes it, so one scratch serves a loop whose every pass is done
     with the previous pass's arrays before it writes them again: the epochs
     of one ``fit``, each of which discards its tape before the next
-    forward.  A fresh ``Scratch()`` per call allocates like ``np.empty``.
+    forward.  A fresh ``Scratch()`` per call allocates through
+    :func:`empty`: fresh memory, or recycled from a dead pass.
     """
 
     def __init__(self):
@@ -154,7 +206,7 @@ class Scratch:
     def __call__(self, name: str, shape: tuple, dtype=np.float64) -> Array:
         a = self._arrays.get(name)
         if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
+            a = self._arrays[name] = empty(shape, dtype)
         return a
 
     def written(self, name: str, shape: tuple) -> Array:
@@ -171,6 +223,20 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def set_philox(bits: np.random.Philox, counter, key) -> np.random.Philox:
+    """Set ``bits`` to the state of ``Philox(counter=counter, key=key)`` and
+    return it.  That constructor takes no seed, so it reads OS entropy for
+    one that the key then overrides; setting the state reads none."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array(counter, dtype=np.uint64),
+                  "key": np.array(key, dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return bits
 
 
 # Each thread's bit generators, one per class.  Every draw sets the whole
@@ -227,15 +293,8 @@ class Rng:
     def _philox(self, call: int) -> np.random.Philox:
         """This thread's Philox, set to chunk 0 of draw ``call``: counter
         (0, chunk 0, call, 0), key (seed, stream)."""
-        bits = _thread_generator(np.random.Philox)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, call, 0], dtype=np.uint64),
-                      "key": np.array([self.seed, self.stream], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return bits
+        return set_philox(_thread_generator(np.random.Philox), [0, 0, call, 0],
+                          [self.seed, self.stream])
 
     def _pcg_state(self, call: int) -> dict:
         """The PCG64DXSM state at word 0 of draw ``call``'s stream: a 128-bit

@@ -1,6 +1,14 @@
 import pytest
 
-from mpepsn import neuron
+from mpepsn import neuron, numerics
+
+
+@pytest.fixture
+def no_idle_buffers():
+    """Start with no idle recycled buffers, so that every array of at least
+    ``numerics.EMPTY_RECYCLE_BYTES`` the test allocates is fresh memory."""
+    with numerics._idle_lock:
+        numerics._idle.clear()
 
 
 @pytest.fixture

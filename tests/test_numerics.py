@@ -1,14 +1,17 @@
 import collections
+import contextlib
+import hashlib
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpepsn import neuron, numerics, verify
+from mpepsn import autograd, datagen, neuron, numerics, verify
 from mpepsn.network import SpikingClassifier
 from mpepsn.numerics import (
     Rng,
@@ -240,9 +243,191 @@ class TestRng:
                                         neuron.NeuronParams(), "sampled", Rng(7), pool)
         assert tr.b.any()
         Rng(8).uniforms(3 * Rng.CHUNK)
+        h = hashlib.sha256()
+        for spec in (datagen.DatasetSpec(),
+                     datagen.DatasetSpec(n_classes=3, time_steps=5, n_features=7,
+                                         samples_per_class=11, pattern="phase-coded", seed=9)):
+            for batch in datagen.generate(spec):
+                h.update(batch.x.tobytes())
+                h.update(batch.y.tobytes())
         assert reads == []
+        # the datasets a Philox built with the key alone generated
+        assert h.hexdigest() == "ef5b51a98d43437b7cb768e9ff2cfe7e169bd8875f2c26b8baa89ee55762981a"
         np.random.Philox(counter=np.zeros(4, np.uint64), key=np.zeros(2, np.uint64))
         assert len(reads) == 1  # the counting patch sees a read where there is one
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.usefixtures("no_idle_buffers")
+class TestEmpty:
+    # a float64 array of this shape is 8 MiB, a bool one 1 MiB: both recycled
+    SHAPE = (4, 1, 1 << 18)
+    PARAMS = neuron.NeuronParams()
+
+    def test_below_the_floor_is_plain_np_empty(self):
+        n = numerics.EMPTY_RECYCLE_BYTES // 8
+        assert numerics.empty((n - 1,)).flags.owndata
+        a = numerics.empty((2, 4 * n), bool)
+        assert not a.flags.owndata and a.flags.c_contiguous and a.flags.writeable
+        assert (a.shape, a.dtype) == ((2, 4 * n), np.bool_)
+
+    @pytest.mark.parametrize("keep", [
+        lambda a: a.reshape(-1),
+        lambda a: a[1:, :, 7:],
+        lambda a: autograd.Var(a).value,
+    ], ids=["reshape", "slice", "Var"])
+    def test_handed_out_again_only_after_the_last_view_dies(self, keep):
+        a = numerics.empty(self.SHAPE)
+        addr, view = address(a), keep(a)
+        del a
+        b = numerics.empty(self.SHAPE)
+        assert not np.shares_memory(b, view)
+        del view, b
+        again = [numerics.empty(self.SHAPE) for _ in range(2)]
+        assert addr in {address(c) for c in again}
+
+    @pytest.mark.parametrize("field", ["b", "u_hat", "h", "u", "o"])
+    @pytest.mark.parametrize("hold", ["tuple", "Var"])
+    def test_a_held_trace_field_keeps_its_buffer(self, field, hold):
+        I = Rng(3).uniform_tensor(self.SHAPE, -2.0, 2.0)
+        tr = neuron.mpe_psn_forward(I, self.PARAMS, "sampled", Rng(4))
+        kept = tuple(tr)[tr._fields.index(field)] if hold == "tuple" else autograd.Var(
+            getattr(tr, field))
+        first = tr[1:]
+        del tr
+        second = neuron.mpe_psn_forward(I, self.PARAMS, "sampled", Rng(4))
+        value = kept if hold == "tuple" else kept.value
+        assert not any(np.shares_memory(a, value) for a in second[1:])
+        # every buffer of the field's dtype comes back once its arrays die
+        dtype = value.dtype
+        buffers = {address(a) for a in (*first, *second[1:]) if a.dtype == dtype}
+        del first, second, kept, value
+        again = [numerics.empty(self.SHAPE, dtype) for _ in buffers]
+        assert {address(a) for a in again} == buffers
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("mode", neuron.MODES)
+    def test_a_pass_on_poisoned_buffers_gives_the_bits_of_fresh_memory(self, mode, workers):
+        I = Rng(5).uniform_tensor(self.SHAPE, -2.0, 2.0)
+
+        def run():
+            with contextlib.nullcontext() if workers is None else WorkerPool(workers) as pool:
+                rng = Rng(6) if mode == "sampled" else None
+                return neuron.mpe_psn_forward(I, self.PARAMS, mode, rng, pool)[1:]
+
+        fresh = run()
+        want, buffers = digest(fresh), {address(a) for a in fresh}
+        for a in fresh:
+            a[...] = True if a.dtype == np.bool_ else np.nan
+        del a, fresh
+        recycled = run()
+        assert {address(a) for a in recycled} == buffers
+        assert digest(recycled) == want
+
+    def test_the_other_wide_passes_on_poisoned_buffers(self):
+        I = Rng(7).uniform_tensor(self.SHAPE, -2.0, 2.0)
+
+        def run():
+            u, o = neuron.lif_sequential(I, self.PARAMS)
+            return (u, o, *neuron.teacher_forced_forward(I, u, self.PARAMS),
+                    neuron.mpe_psn_spikes(I, self.PARAMS), neuron.shift_time(u))
+
+        want = digest(run())
+        poisoned = [numerics.empty(self.SHAPE, dtype) for dtype in (float,) * 8 + (bool,) * 4]
+        for a in poisoned:
+            a[...] = True if a.dtype == np.bool_ else np.nan
+        buffers = {address(a) for a in poisoned}
+        del a, poisoned
+        recycled = run()
+        assert {address(a) for a in recycled} <= buffers
+        assert digest(recycled) == want
+
+    def test_a_trace_dropped_on_a_pool_thread_returns_its_buffers(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_usable_cores", lambda: 2)  # so a pool thread runs
+        I = Rng(8).uniform_tensor(self.SHAPE, -2.0, 2.0)
+        held = [neuron.mpe_psn_forward(I, self.PARAMS, "expectation")]
+        buffers = {address(a) for a in held[0][1:]}
+        caller, dropped_on = threading.get_ident(), []
+
+        def drop(lo, hi):
+            if threading.get_ident() != caller:
+                dropped_on.append(threading.get_ident())
+                held.pop()  # the trace's last reference
+
+        with WorkerPool(2) as pool:
+            pool.map_ranges(2, drop)
+        assert dropped_on and not held
+        again = neuron.mpe_psn_forward(I, self.PARAMS, "expectation")
+        assert {address(a) for a in again[1:]} == buffers
+
+    def test_a_miss_releases_the_idle_buffers_of_other_sizes(self):
+        def raw(a):
+            return weakref.ref(a.base.base.obj)  # root array, memoryview, raw buffer
+
+        small, large = numerics.empty(self.SHAPE, bool), numerics.empty(self.SHAPE)
+        small_raw, large_raw = raw(small), raw(large)
+        del small, large
+        assert small_raw() is not None and large_raw() is not None  # idle
+        hit = numerics.empty(self.SHAPE, bool)  # takes the idle buffer of its size
+        assert raw(hit)() is small_raw() and large_raw() is not None
+        del hit
+        numerics.empty((3, *self.SHAPE[1:]))  # a miss: no idle buffer of 6 MiB
+        assert small_raw() is None and large_raw() is None
+
+    def test_threads_never_share_a_live_buffer(self):
+        # more threads than cores, a short switch interval, and every thread
+        # taking and dropping arrays of two sizes: a buffer handed out twice
+        # would let another thread overwrite an array its holder still reads
+        n = numerics.EMPTY_RECYCLE_BYTES // 8
+        errors = []
+
+        def churn(mark):
+            try:
+                held = []
+                for i in range(60):
+                    a = numerics.empty((n * (1 + i % 2),))
+                    a[...] = mark
+                    held.append(a)
+                    if len(held) == 3:
+                        first = held.pop(0)
+                        assert (first == mark).all()
+            except AssertionError as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(mark,)) for mark in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
+    def test_a_second_pass_takes_almost_no_page_faults(self):
+        import resource
+
+        I = Rng(9).uniform_tensor((8, 1, 1 << 18), -2.0, 2.0)
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            tr = neuron.mpe_psn_forward(I, self.PARAMS, "sampled", Rng(10))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            del tr
+        assert faults[1] < 0.1 * faults[0], faults
 
 
 class TestWorkerPool:
