@@ -12,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, set_philox
+from .numerics import Array, Rng
 
 PATTERN_KINDS = ("rate-coded", "phase-coded")
+
+# The Rng stream datasets draw from, one that no other draw of the package
+# uses (stream 0's first call, for one, is ``Rng(seed).uniforms``'s).
+DATA_STREAM = 100
 
 
 @dataclass
@@ -34,10 +38,14 @@ class DatasetSpec:
             raise ValueError("need at least 2 time steps")
         if self.n_features < 2:
             raise ValueError("need at least 2 features")
+        if self.samples_per_class < 1:
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
         if self.pattern not in PATTERN_KINDS:
             raise ValueError(f"pattern must be one of {PATTERN_KINDS}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass
@@ -74,7 +82,7 @@ def _clean_signal(spec: DatasetSpec) -> Array:
 def generate(spec: DatasetSpec) -> tuple[LabeledBatch, LabeledBatch]:
     """Build the train/test batches (80/20 split, shuffled per seed)."""
     K, T, N = spec.n_classes, spec.time_steps, spec.n_features
-    gen = np.random.Generator(set_philox(np.random.Philox(0), [0, 0, 0, 0], [spec.seed, 0]))
+    gen = Rng(spec.seed, DATA_STREAM).generator()
     B = K * spec.samples_per_class
     y = np.arange(B, dtype=np.int64) % K
     x = _clean_signal(spec)[y]  # [B, T, N]: sample i is of class i % K

@@ -509,6 +509,10 @@ class SpikingClassifier:
                 l2_norms=l2_norms, spike_rates=rates))
             autograd.backward(loss)
             self.registry_.sgd_step(self.lr, self.momentum)
+        # the last epoch's graph and the work arrays die here, so the idle
+        # buffers hold all their memory, and a fit keeps none once it returns
+        del logits, traces, currents, mem_terms, sq_errors, l_cls, l_mem, loss, scratch
+        numerics.release_idle()
         return self
 
     # -- inference ----------------------------------------------------------

@@ -63,9 +63,9 @@ class WorkerPool:
     elements, of columns or of RNG chunks, as the caller's ``fn`` reads them.
 
     Splitting is purely a performance measure: every operation routed
-    through the pool gives each range's elements the same arithmetic (RNG
-    draws are chunk-keyed), so results are bit-identical for any worker
-    count.  numpy ufuncs release the GIL on large blocks, which is where the
+    through the pool gives each range's elements the same arithmetic (an
+    RNG draw's values are keyed by position), so results are bit-identical
+    for any worker count.  numpy ufuncs release the GIL on large blocks, which is where the
     concurrency comes from.  The pool starts at most
     ``min(workers, usable cores) - 1`` threads, since more would only take
     turns on the same cores; ``workers`` still sets the number of ranges.
@@ -154,6 +154,12 @@ def _recycle(raw: Array) -> None:
         _idle.setdefault(raw.nbytes, []).append(raw)
 
 
+def release_idle() -> None:
+    """Release every idle buffer (each is freed once nothing else holds it)."""
+    with _idle_lock:
+        _idle.clear()
+
+
 def empty(shape: tuple, dtype=np.float64) -> Array:
     """Uninitialised C-ordered array of ``shape`` and ``dtype``, like
     ``np.empty``: fresh memory, or memory recycled from a dead pass.
@@ -168,7 +174,7 @@ def empty(shape: tuple, dtype=np.float64) -> Array:
     releases every idle buffer, all of other sizes, before it allocates, so
     idle memory never exceeds what was once in use at one time and a loop
     over shapes cannot pile buffers up; it stays resident until such a
-    request.  Smaller requests are ``np.empty``.
+    request or :func:`release_idle`.  Smaller requests are ``np.empty``.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
@@ -225,49 +231,32 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def set_philox(bits: np.random.Philox, counter, key) -> np.random.Philox:
-    """Set ``bits`` to the state of ``Philox(counter=counter, key=key)`` and
-    return it.  That constructor takes no seed, so it reads OS entropy for
-    one that the key then overrides; setting the state reads none."""
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array(counter, dtype=np.uint64),
-                  "key": np.array(key, dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return bits
+class _ThreadBits(threading.local):
+    """Each thread's PCG64DXSM, ``pcg``.  Every draw sets its whole state
+    before drawing, so no draw sees another's.  It is built once per thread
+    from the fixed seed 0: building one without a seed reads OS entropy."""
+
+    def __init__(self):
+        self.pcg = np.random.PCG64DXSM(0)
 
 
-# Each thread's bit generators, one per class.  Every draw sets the whole
-# state of the one it uses before drawing, so no draw sees another's.  A
-# generator is built once per thread from the fixed seed 0: building one
-# without a seed (as ``Philox(counter=, key=)`` does) reads OS entropy.
-_thread_bits = threading.local()
-
-
-def _thread_generator(cls):
-    """This thread's generator of class ``cls``; its caller sets its state."""
-    bits = getattr(_thread_bits, cls.__name__, None)
-    if bits is None:
-        bits = cls(0)
-        setattr(_thread_bits, cls.__name__, bits)
-    return bits
+_thread_bits = _ThreadBits()
 
 
 class Rng:
-    """Keyed random streams: Philox uniforms and PCG64DXSM 16-bit draws.
+    """Keyed random streams: one PCG64DXSM stream per draw.
 
-    Output position ``i`` of draw number ``c`` depends only on
-    ``(seed, stream, c, i)``, never on thread scheduling, so a pool may
-    fill a draw's parts in any order (or in parallel) with identical
-    results.  A draw is either n float64 uniforms (:meth:`uniforms`: data,
-    weights, bench inputs), generated in fixed-size chunks, each keyed by
-    its chunk index on a Philox counter, or n 16-bit integers
+    Draw number ``c`` of an ``Rng`` reads the PCG64DXSM stream keyed by
+    ``(seed, stream, c)`` (:meth:`_pcg_state`), so output position ``i``
+    depends only on ``(seed, stream, c, i)``, never on thread scheduling,
+    and a pool may fill a draw's parts in any order (or in parallel) with
+    identical results.  A draw is n float64 uniforms (:meth:`uniforms`:
+    weights, verify and bench inputs), n 16-bit integers
     (:meth:`draw_blocks`: the sampled MPE-PSN estimate, which compares a
-    table entry per integer with the current instead of forming a
-    sigmoid), taken from one PCG64DXSM stream per draw, which each range
-    of chunks jumps ahead into.
+    table entry per integer with the current instead of forming a sigmoid;
+    each of a pool's ranges jumps ahead into the stream), or a numpy
+    ``Generator`` on the stream (:meth:`generator`: datasets).  No draw
+    reads OS entropy.
     """
 
     CHUNK = 1 << 14
@@ -282,19 +271,6 @@ class Rng:
     def spawn(self, child_id: int) -> "Rng":
         """Independent child stream keyed by (this stream, child_id)."""
         return Rng(self.seed, _splitmix64(self.stream ^ _splitmix64(child_id + 1)))
-
-    # A chunk of CHUNK uniforms takes CHUNK // 2 Philox words, and Philox
-    # yields four words per step of its low counter word, so drawing a full
-    # chunk advances that word by CHUNK // 8; advancing by this wraps it back
-    # to 0 and carries one into the chunk index, where the next chunk's
-    # counter starts.
-    _NEXT_CHUNK = 2**64 - CHUNK // 8
-
-    def _philox(self, call: int) -> np.random.Philox:
-        """This thread's Philox, set to chunk 0 of draw ``call``: counter
-        (0, chunk 0, call, 0), key (seed, stream)."""
-        return set_philox(_thread_generator(np.random.Philox), [0, 0, call, 0],
-                          [self.seed, self.stream])
 
     def _pcg_state(self, call: int) -> dict:
         """The PCG64DXSM state at word 0 of draw ``call``'s stream: a 128-bit
@@ -315,35 +291,29 @@ class Rng:
         self._calls += 1
         return call
 
-    def _fill(self, bits: np.random.Philox, n: int, out: Array) -> None:
-        """Write an n-value uniforms draw into the float64 ``out``, from
-        ``bits`` standing at chunk 0's counter.
-
-        Each word's two 32-bit halves, low first on any byte order, times
-        2^-32.  After each chunk ``bits`` is advanced to the next chunk's
-        counter, so one generator serves every chunk: the same draws as a
-        generator built per chunk, built once.
-        """
-        for start in range(0, n, self.CHUNK):
-            stop = min(start + self.CHUNK, n)
-            words = bits.random_raw(-(-(stop - start) // 2))
-            halves = words.astype("<u8", copy=False).view("<u4")[:stop - start]
-            np.multiply(halves, 2.0**-32, out=out[start:stop])
-            bits.advance(self._NEXT_CHUNK)
-
     def uniforms(self, n: int) -> Array:
         """n doubles uniform on [0, 1), each a multiple of 2^-32.
 
-        Each 64-bit Philox word gives two uniforms, its low 32-bit half and
-        then its high half, scaled by 2^-32 (exactly: a 32-bit integer times
-        a power of two is a double).  The draw ``U < P`` is thus Bernoulli(P)
-        to within 2^-32 of P, a distributional contract checked by
-        ``verify.check_bernoulli_draws``.  One range, filled on the calling
-        thread: :meth:`draw_blocks` is the draw a pool splits.
+        Position i is 32-bit half i % 2 of word i // 2 of the draw's
+        PCG64DXSM stream, low half first on any byte order, times 2^-32
+        (exactly: a 32-bit integer times a power of two is a double).  The
+        draw ``U < P`` is thus Bernoulli(P) to within 2^-32 of P, a
+        distributional contract checked by ``verify.check_bernoulli_draws``.
+        One ``random_raw`` call on the calling thread's generator:
+        :meth:`draw_blocks` is the draw a pool splits.
         """
-        out = np.empty(n, dtype=np.float64)
-        self._fill(self._philox(self._next_call()), n, out)
-        return out
+        bits = _thread_bits.pcg
+        bits.state = self._pcg_state(self._next_call())
+        halves = bits.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")
+        return halves[:n] * 2.0**-32
+
+    def generator(self) -> np.random.Generator:
+        """A numpy ``Generator`` on the stream of this ``Rng``'s next draw:
+        a fresh ``PCG64DXSM(0)`` whose state is set to the stream, so no OS
+        entropy is read."""
+        bits = np.random.PCG64DXSM(0)
+        bits.state = self._pcg_state(self._next_call())
+        return np.random.Generator(bits)
 
     def draw_blocks(self, n: int, block_chunks: int, fn, pool: WorkerPool | None = None) -> None:
         """Draw n 16-bit integers k, uniform on [0, 2^16), one block of
@@ -357,12 +327,13 @@ class Rng:
         draw) sets its thread's generator to the stream, advances it once
         to the range's first word, and takes each block as one
         ``random_raw`` call, whose words ``k`` views.  ``fn`` must not
-        itself call ``draw_blocks``: its thread's generator is in use.
+        itself call ``uniforms`` or ``draw_blocks``: its thread's generator
+        is in use.
         """
         state = self._pcg_state(self._next_call())
 
         def work(lo: int, hi: int) -> None:
-            bits = _thread_generator(np.random.PCG64DXSM)
+            bits = _thread_bits.pcg
             bits.state = state
             bits.advance(lo * self.CHUNK // 4)
             for c in range(lo, hi, block_chunks):

@@ -371,7 +371,9 @@ def _blocked_draw(rng: Rng, n: int, block_chunks: int, pool) -> np.ndarray:
 
 def check_bernoulli_draws(seed: int = 0) -> CheckResult:
     """``Rng.uniforms`` as the Bernoulli draw ``U < P``, within a stated
-    tolerance, and the sampled pass's 16-bit draw, bit for bit.
+    tolerance, and the sampled pass's 16-bit draw, bit for bit.  Both take
+    their words from the draw's keyed PCG64DXSM stream: the uniforms its
+    32-bit halves times 2^-32, the sampled pass its 16-bit quarters.
 
     Contract, distributional: at each P of :data:`BERNOULLI_PROBABILITIES`,
     the frequency of U < P over 2^20 uniforms lies within 5 binomial

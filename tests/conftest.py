@@ -7,8 +7,7 @@ from mpepsn import neuron, numerics
 def no_idle_buffers():
     """Start with no idle recycled buffers, so that every array of at least
     ``numerics.EMPTY_RECYCLE_BYTES`` the test allocates is fresh memory."""
-    with numerics._idle_lock:
-        numerics._idle.clear()
+    numerics.release_idle()
 
 
 @pytest.fixture

@@ -602,6 +602,14 @@ class TestScratchScope:
         for first, second in zip(*grads):
             assert first.dtype == second.dtype and np.shares_memory(first, second)
 
+    @pytest.mark.parametrize("kind", ["mpe_psn", "lif_sequential"])
+    def test_a_fit_leaves_no_idle_buffers(self, kind):
+        # each [8, 128, 128] float64 work array is 1 MiB, so it is recycled
+        x = Rng(1).uniform_tensor((8, 128, 4), -0.5, 1.5)
+        SpikingClassifier(hidden_sizes=(128,), epochs=2, neuron_kind=kind).fit(
+            x, np.arange(128) % 2)
+        assert not any(numerics._idle.values())
+
     def test_lif_trace_outside_fit_is_never_overwritten(self):
         tr, te = small_task()
         m = small_model(neuron_kind="lif_sequential", epochs=2).fit(tr.x, tr.y)

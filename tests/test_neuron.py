@@ -441,19 +441,19 @@ class TestStrideAhead:
 
 
 # SHA-256 of the expectation pass's four arrays (u_hat, h, u, o) and of
-# mpe_psn_spikes at golden_input(), recorded once the estimate became
-# I / (1 + exp(I)), whose contract ``verify.check_expectation_estimate``
-# checks (numpy 2.4.6, x86-64).  The spikes kept the bits they had under the
-# old form (1 - sigmoid(I)) * I.  The estimate goes through numpy's exp,
-# whose last bits may differ on another CPU or numpy build.
-EXPECTATION_TRACE_SHA256 = "dc995e6ad5a1901dfe830b2119bdf4889e4388497f59e138969d6b5da95da5d8"
-SPIKES_SHA256 = "ff6dc0e711f46939f4f3e779d87b928d1040616067f78253cc1ad71b21b5ab48"
+# mpe_psn_spikes at golden_input(), recorded once the input's uniforms came
+# from the draw's PCG64DXSM stream, with the estimate I / (1 + exp(I)),
+# whose contract ``verify.check_expectation_estimate`` checks (numpy 2.4.6,
+# x86-64).  The estimate goes through numpy's exp, whose last bits may
+# differ on another CPU or numpy build.
+EXPECTATION_TRACE_SHA256 = "9652cc3adb75650d82c1b43d13c4d9a1a62e782f36235bd72cbb8ee83373a44b"
+SPIKES_SHA256 = "cc1192c14ddfda179eb16484e0731a090fdafcaef57b0c3123f104d591b6228b"
 # SHA-256 of a sampled pass's five arrays (b, u_hat, h, u, o) at
-# golden_input() with Rng(43, stream=2), recorded once the 16-bit draw came
-# from one PCG64DXSM stream per call, so that a change to the draw's bits
-# is deliberate.  The draw compares with LOGIT_TABLE, formed by numpy's log,
-# whose last bits may differ on another CPU or numpy build.
-SAMPLED_TRACE_SHA256 = "e8bdb141b3708975ae146893133ebe92bb767f8046a7219f0bc50d4983b5745a"
+# golden_input() with Rng(43, stream=2), recorded at the same change, so
+# that a change to the draw's bits is deliberate.  The draw compares with
+# LOGIT_TABLE, formed by numpy's log, whose last bits may differ on another
+# CPU or numpy build.
+SAMPLED_TRACE_SHA256 = "b62639bb5e829f03291c9b199cb41d5d8e6899b9f29ba445f6179e5933c1bcfa"
 
 
 def golden_input():

@@ -155,18 +155,14 @@ class TestRng:
             Rng(-1)
 
     @staticmethod
-    def philox_chunks(r, call, n):
-        """Uniforms draw number ``call`` of ``r`` with a Philox built per
-        chunk, at counter (0, chunk, call, 0) and key (seed, stream), each
-        word split into its 32-bit halves, low half first."""
-        C, out = Rng.CHUNK, np.empty(n, np.uint64)
-        for c in range(-(-n // C)):
-            chunk = out[c * C:(c + 1) * C]
-            bits = np.random.Philox(counter=np.array([0, c, call, 0], np.uint64),
-                                    key=np.array([r.seed, r.stream], np.uint64))
-            words = bits.random_raw(-(-chunk.size // 2))
-            chunk[:] = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[:chunk.size]
-        return out
+    def stream_halves(r, call, n):
+        """Uniforms draw number ``call`` of ``r`` as integers: a generator
+        set to the draw's stream, each word split into its 32-bit halves,
+        low half first."""
+        bits = np.random.PCG64DXSM()
+        bits.state = r._pcg_state(call)
+        words = bits.random_raw(-(-n // 2))
+        return np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[:n]
 
     @staticmethod
     def stream_chunks(r, call, n):
@@ -200,7 +196,14 @@ class TestRng:
                 r.draw_blocks(n, 2, put, pool)
                 assert np.array_equal(got, self.stream_chunks(r, 2 * i, n)), (workers, n)
                 u = r.uniforms(n)
-                assert np.array_equal(u, self.philox_chunks(r, 2 * i + 1, n) * 2.0**-32), n
+                assert np.array_equal(u, self.stream_halves(r, 2 * i + 1, n) * 2.0**-32), n
+
+    def test_a_shorter_uniforms_draw_is_a_prefix_of_a_longer_one(self):
+        n = 3 * Rng.CHUNK + 5
+        for m in (0, 1, 2, Rng.CHUNK - 1, Rng.CHUNK, n - 1):
+            a, b = Rng(7, stream=3), Rng(7, stream=3)
+            a.uniforms(5), b.uniforms(9)  # the same call of each, not its first
+            assert np.array_equal(a.uniforms(n)[:m], b.uniforms(m)), m
 
     def test_draws_keyed_by_seed_stream_and_call(self):
         # a 16-bit draw differs when any of its keys does
@@ -251,9 +254,8 @@ class TestRng:
                 h.update(batch.x.tobytes())
                 h.update(batch.y.tobytes())
         assert reads == []
-        # the datasets a Philox built with the key alone generated
-        assert h.hexdigest() == "ef5b51a98d43437b7cb768e9ff2cfe7e169bd8875f2c26b8baa89ee55762981a"
-        np.random.Philox(counter=np.zeros(4, np.uint64), key=np.zeros(2, np.uint64))
+        assert h.hexdigest() == "fada0627b3280865c6bd58e1c156e167606bfc6a69f4169b0b6be80ab600fcfa"
+        np.random.PCG64DXSM()
         assert len(reads) == 1  # the counting patch sees a read where there is one
 
 
@@ -420,7 +422,13 @@ class TestEmpty:
     def test_a_second_pass_takes_almost_no_page_faults(self):
         import resource
 
-        I = Rng(9).uniform_tensor((8, 1, 1 << 18), -2.0, 2.0)
+        # The first pass is the reference, so its float64 arrays must be
+        # fresh memory whatever earlier tests freed: at 64 MiB each they
+        # are above the largest size glibc's malloc serves from its heap
+        # (its mmap threshold rises to at most 32 MiB, and it trims a free
+        # top of the heap above twice that), so each is a new mapping.  An
+        # array of 16 MiB could come from heap pages left resident.
+        I = Rng(9).uniform_tensor((32, 1, 1 << 18), -2.0, 2.0)
         faults = []
         for _ in range(2):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
