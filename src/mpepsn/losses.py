@@ -32,6 +32,8 @@ class MemLossConfig:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.kappa_axis not in KAPPA_AXES:
             raise ValueError(f"kappa_axis must be one of {KAPPA_AXES}")
+        if not 0.0 <= self.kappa_init < np.inf:  # NaN fails the test as well
+            raise ValueError(f"kappa_init must be finite and >= 0, got {self.kappa_init}")
 
     def kappa_length(self, T: int, N: int) -> int:
         return T if self.kappa_axis == "time" else N
@@ -40,64 +42,61 @@ class MemLossConfig:
         return np.full(self.kappa_length(T, N), float(self.kappa_init))
 
 
-_SQ_ERROR = "mem_loss.d2"
-
-
-def mem_loss_sq_error(scratch: Scratch, shape: tuple) -> Array:
-    """(u_hat - u_target) squared, as the last :func:`mem_loss` given
-    ``scratch`` formed it for inputs of ``shape``; KeyError if none did."""
-    return scratch.written(_SQ_ERROR, shape)
-
-
-def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig, *,
-             scratch: Scratch | None = None) -> Var:
+def mem_term(u_hat: Array, u_target: Array, kappa: Array, cfg: MemLossConfig,
+             scratch: Scratch):
     """Kappa-weighted MSE between estimated and corrected membrane potential.
 
     The MSE is a mean over every axis not indexed by kappa, so the magnitude
     is insensitive to batch size and width; kappa then weights and sums.
-    Gradient flows into both arguments: through the estimate directly, and
-    through the corrected potential via the reset product's surrogate (a
-    frozen target would chase its own tail, since moving the estimate moves
-    the corrected value with it).
-
-    One tape node with parents (u_hat, u_target, kappa).  Its value and
-    gradients are bit-identical to the elementwise tape of
+    Returns the value, ``l2_norm(u_hat - u_target)`` (the square root of the
+    summed squares the value is formed from) and ``backward(g)``, which gives
+    the gradients of u_hat, u_target and kappa for the value's gradient g.
+    Ops and their order are those of the elementwise tape of
     ``sum(kappa * mean((u_hat - u_target) * (u_hat - u_target), axes))``
-    (the tests keep it as the oracle):
-    the same ops in the same order, the square's gradient d*G formed once
-    and added to itself as the tape's two factors were.  With ``scratch``,
-    the difference d, its square (read back by :func:`mem_loss_sq_error`)
-    and the two [T, B, N] gradients live in its arrays; without, they are
-    fresh or recycled (:func:`numerics.empty`).
+    (the tests keep it as the oracle), the square's gradient d*G formed once
+    and added to itself as the tape's two factors were, so value and
+    gradients match it bit for bit.  The difference d, its square and the
+    two [T, B, N] gradients live in ``scratch``'s arrays.
     """
-    u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
     if u_hat.shape != u_target.shape:
         raise ShapeMismatchError(
             f"mem_loss: shapes {u_hat.shape} and {u_target.shape} differ"
         )
-    T, _, N = u_hat.shape
+    T, _, N = shape = u_hat.shape
     expected = cfg.kappa_length(T, N)
     if kappa.shape != (expected,):
         raise ShapeMismatchError(
             f"mem_loss: kappa length {kappa.shape} does not match "
             f"{cfg.kappa_axis} extent {expected}"
         )
-    scratch = Scratch() if scratch is None else scratch
-    shape = u_hat.shape
     mse_axes = (1, 2) if cfg.kappa_axis == "time" else (0, 1)
     scale = 1.0 / (shape[mse_axes[0]] * shape[mse_axes[1]])
-    d = np.subtract(u_hat.value, u_target.value, out=scratch("mem_loss.d", shape))
-    d2 = np.multiply(d, d, out=scratch(_SQ_ERROR, shape))
+    d = np.subtract(u_hat, u_target, out=scratch("mem.d", shape))
+    d2 = np.multiply(d, d, out=scratch("mem.d2", shape))
     per_index = np.sum(d2, axis=mse_axes) * scale
-    value = np.sum(kappa.value * per_index)
+    value = np.sum(kappa * per_index)
 
     def backward(g):
-        weight = np.expand_dims(g * kappa.value * scale, mse_axes)
-        g_u_hat = np.multiply(weight, d, out=scratch("mem_loss.g_u_hat", shape))
+        weight = np.expand_dims(g * kappa * scale, mse_axes)
+        g_u_hat = np.multiply(weight, d, out=scratch("mem.g_u_hat", shape))
         np.add(g_u_hat, g_u_hat, out=g_u_hat)
-        g_u_target = np.negative(g_u_hat, out=scratch("mem_loss.g_u_target", shape))
+        g_u_target = np.negative(g_u_hat, out=scratch("mem.g_u_target", shape))
         return g_u_hat, g_u_target, g * per_index
 
+    return value, float(np.sqrt(np.sum(d2))), backward
+
+
+def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig) -> Var:
+    """:func:`mem_term` as one tape node with parents (u_hat, u_target, kappa).
+
+    Gradient flows into both arguments: through the estimate directly, and
+    through the corrected potential via the reset product's surrogate (a
+    frozen target would chase its own tail, since moving the estimate moves
+    the corrected value with it).  Training forms the term inside each
+    MPE-PSN layer's node instead; the tests compare that node with this one.
+    """
+    u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
+    value, _, backward = mem_term(u_hat.value, u_target.value, kappa.value, cfg, Scratch())
     return Var(value, parents=(u_hat, u_target, kappa), backward=backward)
 
 

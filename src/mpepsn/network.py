@@ -74,11 +74,16 @@ def _presynaptic(o_prev, W, delay: int, shift_time):
 
 
 class TapeTrace(NamedTuple):
-    """Tape outputs of one spiking layer; a LIF layer's u_hat is its u."""
+    """Tape outputs of one spiking layer; a LIF layer's u_hat is its u.  ``mem``
+    and ``l2`` are an MPE-PSN layer's membrane term and ``l2_norm(u_hat - u)``
+    when its node is given kappa (else None); LIF has no term, and its ``l2``
+    is that norm, 0.0 for a finite u, formed without the difference."""
 
     u_hat: Var
     u: Var
     o: Var
+    mem: Var | None = None
+    l2: float | None = None
 
 
 def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Array):
@@ -116,10 +121,16 @@ def _threshold_grad(weighted, v_th: Var):
 
 def mpe_psn_tape_forward(
     I: Var, v_th: Var, tau_m: float, alpha: float, mode: str, rng: Rng | None,
-    *, scratch: Scratch | None = None,
+    kappa=None, mem_cfg: MemLossConfig | None = None, *, scratch: Scratch | None = None,
 ) -> TapeTrace:
     """Differentiable parallel forward pass: one tape node over
     :func:`neuron.mpe_psn_forward`, with a closed-form backward.
+
+    Given ``kappa`` and ``mem_cfg``, the node also forms the layer's
+    membrane term (:func:`losses.mem_term`) as a fourth output, and its
+    ``l2_norm(u_hat - u)``; the backward adds the term's gradients into
+    u_hat's and u's before the reset and history terms, bit for bit as a
+    separate ``losses.mem_loss`` node would.
 
     Sampled mode treats the Bernoulli draw as a constant (straight-through:
     u_hat passes gradient (1 - b) to I); expectation mode is fully
@@ -138,9 +149,19 @@ def mpe_psn_tape_forward(
     autograd.log_spikes(tr.o)
     if mode == "sampled":
         autograd.log_spikes(tr.b)  # a flipped draw is a discontinuity as well
+    values, parents, l2 = (tr.u_hat, tr.u, tr.o), (I, v_th), None
+    if kappa is not None:
+        kappa = autograd.as_var(kappa)
+        mem, l2, mem_backward = losses.mem_term(tr.u_hat, tr.u, kappa.value, mem_cfg, scratch)
+        values, parents = (*values, mem), (*parents, kappa)
 
-    def backward(g_u_hat, g_u, g_o):
+    def backward(g_u_hat, g_u, g_o, g_mem=None):
         shape = tr.h.shape
+        g_kappa = None
+        if g_mem is not None:
+            mem_u_hat, mem_u, g_kappa = mem_backward(g_mem)
+            g_u_hat = mem_u_hat if g_u_hat is None else np.add(g_u_hat, mem_u_hat, out=mem_u_hat)
+            g_u = mem_u if g_u is None else np.add(g_u, mem_u, out=mem_u)
         sg = autograd.surrogate_grad(tr.h, params.v_th, alpha, out=scratch("grad.sg", shape))
         g_h, weighted = _reset_backward(g_u, g_o, tr.h, tr.o, sg, scratch("grad.h", shape),
                                         scratch("grad.tmp", shape))
@@ -167,9 +188,9 @@ def mpe_psn_tape_forward(
                 np.multiply(through_P, P, out=through_P)
                 np.multiply(through_P, np.subtract(1.0, P, out=P), out=through_P)
                 np.subtract(g_I, through_P, out=g_I)
-        return g_I, g_v_th
+        return (g_I, g_v_th, g_kappa)[:len(parents)]
 
-    return TapeTrace(*autograd.multi_output((tr.u_hat, tr.u, tr.o), (I, v_th), backward))
+    return TapeTrace(*autograd.multi_output(values, parents, backward), l2=l2)
 
 
 def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
@@ -215,7 +236,8 @@ def lif_tape_forward(I: Var, v_th: Var, tau_m: float, alpha: float,
         return g_I, g_v_th
 
     u_var, o_var = autograd.multi_output((u, o), (I, v_th), backward)
-    return TapeTrace(u_var, u_var, o_var)
+    l2 = 0.0 if _all_finite(u) else float(numerics.l2_norm(u - u))
+    return TapeTrace(u_var, u_var, o_var, l2=l2)
 
 
 @dataclass
@@ -244,42 +266,16 @@ class EpochDiagnostics:
         return ",".join([str(self.epoch)] + [format(v, ".17g") for v in vals])
 
 
-class LayerValues(NamedTuple):
-    """The arrays of one spiking layer that :func:`diagnostics` reads (a
-    ``neuron.ParallelTrace`` carries the same names)."""
+def diagnostics(spikes, logits: Array, labels) -> tuple[list[float], float]:
+    """Per-layer spike rate (%) of each layer's spikes in ``spikes``, and
+    accuracy.
 
-    u_hat: Array
-    u: Array
-    o: Array
-
-
-def diagnostics(layers, logits: Array, labels,
-                sq_errors=None) -> tuple[list[float], list[float], float]:
-    """Per-layer estimation L2 norm, per-layer spike rate (%), and accuracy.
-
-    ``layers`` holds each spiking layer's u_hat, u and o as attributes.  The
-    L2 norm is over all elements of (u_hat - u), summed from
-    ``sq_errors[i]`` when given: (u_hat - u) squared, as the membrane loss
-    forms it, which gives the bits of ``l2_norm(u_hat - u)``.  The spike
-    rate is 100 * mean(o); accuracy comes from the argmax of time-averaged
-    logits.
+    The spike rate is 100 * mean(o); accuracy comes from the argmax of
+    time-averaged logits.
     """
-    if sq_errors is None:
-        l2_norms = [_estimate_l2(layer.u_hat, layer.u) for layer in layers]
-    else:
-        l2_norms = [float(np.sqrt(np.sum(sq))) for sq in sq_errors]
     # mean(o) of 0/1 spikes, bit for bit: the count is an exact sum
-    rates = [100.0 * (np.count_nonzero(layer.o) / layer.o.size) for layer in layers]
-    acc = accuracy(logits, labels)
-    return l2_norms, rates, acc
-
-
-def _estimate_l2(u_hat: Array, u: Array) -> float:
-    """``l2_norm(u_hat - u)``; a LIF layer's u_hat is its u, and for a finite
-    u that norm is 0.0 without forming the difference."""
-    if u_hat is u and _all_finite(u):
-        return 0.0
-    return float(numerics.l2_norm(u_hat - u))
+    rates = [100.0 * (np.count_nonzero(o) / o.size) for o in spikes]
+    return rates, accuracy(logits, labels)
 
 
 def _all_finite(x: Array) -> bool:
@@ -287,20 +283,19 @@ def _all_finite(x: Array) -> bool:
     return bool(np.isfinite(x).all())
 
 
-def _first_non_finite(currents, traces, mem_terms, l_cls) -> tuple[int | None, str]:
+def _first_non_finite(currents, traces, l_cls) -> tuple[int | None, str]:
     """(layer, quantity) of the first non-finite value in forward order.
 
     Within a layer: its current I, then u_hat, then its membrane loss term
-    from ``mem_terms`` (empty for LIF, which has no such term).  With every
-    layer finite, the classification loss or, failing that, the blended
-    total.  Called only once the loss or a current is non-finite, so
-    training never pays for the search.
+    (LIF has no such term).  With every layer finite, the classification
+    loss or, failing that, the blended total.  Called only once the loss or
+    a current is non-finite, so training never pays for the search.
     """
     for i, (I, tr) in enumerate(zip(currents, traces)):
         for name, value in (("current I", I.value), ("u_hat", tr.u_hat.value)):
             if not _all_finite(value):
                 return i, name
-        if i < len(mem_terms) and not np.isfinite(mem_terms[i].value):
+        if tr.mem is not None and not np.isfinite(tr.mem.value):
             return i, "membrane loss term"
     if not np.isfinite(l_cls.value):
         return None, "classification loss"
@@ -402,6 +397,14 @@ class SpikingClassifier:
                 f"hidden_sizes must hold positive integers, got {self.hidden_sizes}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.mode not in neuron.MODES:  # checked for LIF too, which ignores it
+            raise ValueError(f"mode must be one of {neuron.MODES}, got {self.mode!r}")
+        if not 0.0 < self.lr < np.inf:  # NaN fails each of these tests as well
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not -np.inf < self.v_th_init < np.inf:
+            raise ValueError(f"v_th_init must be finite, got {self.v_th_init}")
         neuron.NeuronParams(tau_m=self.tau_m, v_th=self.v_th_init, alpha=self.alpha)
         self.mem_cfg_ = MemLossConfig(
             lam=self.lam, kappa_axis=self.kappa_axis, kappa_init=self.kappa_init
@@ -430,14 +433,16 @@ class SpikingClassifier:
     # -- forward ------------------------------------------------------------
 
     def model_forward(self, x, mode: str | None = None, rng: Rng | None = None,
-                      *, scratch: list[Scratch] | None = None):
+                      *, scratch: list[Scratch] | None = None, membrane: bool = False):
         """Logits Var [T, B, K], the tape trace of every spiking layer and
         every layer's input current.
 
         ``scratch`` holds one :class:`numerics.Scratch` per spiking layer for
         that layer's arrays; ``fit`` passes its own, so the arrays of a trace
         returned to any other caller are its own (fresh, or recycled from a
-        dead pass) and stay as they are.
+        dead pass) and stay as they are.  With ``membrane`` (``fit`` sets
+        it), each MPE-PSN layer's node also forms its membrane loss term and
+        ``l2_norm(u_hat - u)`` (``TapeTrace.mem`` and ``l2``).
         """
         x = autograd.as_var(np.asarray(x, dtype=np.float64))
         mode = self.mode if mode is None else mode
@@ -450,8 +455,9 @@ class SpikingClassifier:
             sc = None if scratch is None else scratch[i]
             if self.neuron_kind == "mpe_psn":
                 layer_rng = rng.spawn(i) if rng is not None else None
+                kappa = self.kappas_[i] if membrane else None
                 tr = mpe_psn_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha, mode,
-                                          layer_rng, scratch=sc)
+                                          layer_rng, kappa, self.mem_cfg_, scratch=sc)
             else:
                 tr = lif_tape_forward(I, self.v_ths_[i], self.tau_m, self.alpha, scratch=sc)
             traces.append(tr)
@@ -483,35 +489,28 @@ class SpikingClassifier:
             # stream given to every epoch would repeat its draws
             epoch_rng = sample_rng.spawn(epoch)
             logits, traces, currents = self.model_forward(x, self.mode, epoch_rng,
-                                                          scratch=scratch)
+                                                          scratch=scratch, membrane=True)
             l_cls = losses.cls_loss(logits, y)
-            # a membrane loss term per layer with a kappa: every MPE-PSN layer, no LIF one
-            mem_terms = [losses.mem_loss(tr.u_hat, tr.u, kappa, self.mem_cfg_, scratch=sc)
-                         for tr, kappa, sc in zip(traces, self.kappas_, scratch)]
-            sq_errors = [losses.mem_loss_sq_error(sc, tr.u.shape)
-                         for tr, sc in zip(traces, scratch)] if mem_terms else None
-            l_mem = sum(mem_terms, Var(np.asarray(0.0)))
+            # every MPE-PSN layer's node formed its membrane term; LIF has none
+            l_mem = sum((tr.mem for tr in traces if tr.mem is not None), Var(np.asarray(0.0)))
             loss = losses.total_loss(l_cls, l_mem, self.lam)
             # Checked before scoring: predict_logits would raise ValueError on
             # the same non-finite currents.
             loss_finite = bool(np.isfinite(loss.value))
             if not (loss_finite and all(_all_finite(I.value) for I in currents)):
-                layer, quantity = _first_non_finite(currents, traces, mem_terms, l_cls)
+                layer, quantity = _first_non_finite(currents, traces, l_cls)
                 raise TrainingDivergedError(epoch, self.history_, layer, quantity, loss_finite)
-            l2_norms, rates, train_acc = diagnostics(
-                [LayerValues(tr.u_hat.value, tr.u.value, tr.o.value) for tr in traces],
-                logits.value, y, sq_errors,
-            )
+            rates, train_acc = diagnostics([tr.o.value for tr in traces], logits.value, y)
             test_acc = self.score(x_test, y_test) if x_test is not None else float("nan")
             self.history_.append(EpochDiagnostics(
                 epoch=epoch, loss_cls=float(l_cls.value), loss_mem=float(l_mem.value),
                 loss_total=float(loss.value), train_acc=train_acc, test_acc=test_acc,
-                l2_norms=l2_norms, spike_rates=rates))
+                l2_norms=[tr.l2 for tr in traces], spike_rates=rates))
             autograd.backward(loss)
             self.registry_.sgd_step(self.lr, self.momentum)
         # the last epoch's graph and the work arrays die here, so the idle
         # buffers hold all their memory, and a fit keeps none once it returns
-        del logits, traces, currents, mem_terms, sq_errors, l_cls, l_mem, loss, scratch
+        del logits, traces, currents, l_cls, l_mem, loss, scratch
         numerics.release_idle()
         return self
 

@@ -146,10 +146,10 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     against.
     """
     if u_hist is None:
-        h[...] = 0.0
+        np.add(0.0, I, out=h)  # +0.0 + I: a zero history, so -0.0 gives +0.0
     else:
         np.multiply(u_hist, params.tau_m, out=h)
-    np.add(h, I, out=h)
+        np.add(h, I, out=h)
     np.greater_equal(h, params.v_th, out=o)
     if u is not None:
         np.logical_not(o, out=u)  # 1 - o

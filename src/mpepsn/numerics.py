@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 import weakref
@@ -215,14 +216,6 @@ class Scratch:
             a = self._arrays[name] = empty(shape, dtype)
         return a
 
-    def written(self, name: str, shape: tuple) -> Array:
-        """The array an earlier call requested as ``name`` with ``shape``;
-        KeyError when there is none, so a reader never gets a fresh one."""
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape:
-            raise KeyError(f"no scratch array {name!r} of shape {shape}")
-        return a
-
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -262,9 +255,11 @@ class Rng:
     CHUNK = 1 << 14
 
     def __init__(self, seed: int, stream: int = 0):
+        if not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        self.seed = seed
+        self.seed = int(seed)
         self.stream = stream & 0xFFFFFFFFFFFFFFFF
         self._calls = 0
 
@@ -386,6 +381,8 @@ def matmul(a, b) -> Array:
     (and was measured identical across BLAS thread counts).  Against
     :func:`matmul_fixed_order` it agrees elementwise within
     ``K * eps * (|a| @ |b|)``, checked by ``verify.check_matmul_vs_fixed_order``.
+    The result is fresh memory, or recycled from a dead array (:func:`empty`);
+    the blocks write every row, so recycled memory gives the same bits.
     """
     a = _as_tensor(a)
     b = _as_tensor(b)
@@ -397,7 +394,7 @@ def matmul(a, b) -> Array:
             f"matmul: inner extents {a.shape} x {b.shape} do not agree"
         )
     rows = a.reshape(-1, k)
-    out = np.empty((rows.shape[0], b.shape[1]))
+    out = empty((rows.shape[0], b.shape[1]))
     block = max(MATMUL_BLOCK_WORK // max(k * b.shape[1], 1), MATMUL_MIN_BLOCK_ROWS)
     for lo in range(0, rows.shape[0], block):
         hi = lo + block

@@ -120,13 +120,14 @@ LAYER_KINDS = ("sampled", "expectation", "lif")
 GRADIENT_ALPHA = 1e-6
 
 
-def _layer(kind: str, I: Var, v_th: Var, alpha: float, rng: Rng):
+def _layer(kind: str, I: Var, v_th: Var, alpha: float, rng: Rng, kappa=None, cfg=None):
     """The ``network.TapeTrace`` of one fused spiking layer of ``kind`` over
-    the current ``I``."""
+    the current ``I``; a parallel layer given ``kappa`` forms its membrane
+    term."""
     tau_m = neuron.NeuronParams().tau_m
     if kind == "lif":
         return network.lif_tape_forward(I, v_th, tau_m, alpha)
-    return network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng)
+    return network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng, kappa, cfg)
 
 
 def _random_chain(r: Rng, trial: int):
@@ -134,8 +135,8 @@ def _random_chain(r: Rng, trial: int):
 
     One or two (``network.synapse_forward``, fused layer) pairs, then the
     readout synapse and ``losses.cls_loss``, blended by
-    ``losses.total_loss`` with one term per layer: its ``losses.mem_loss``
-    for MPE-PSN, as ``fit`` does, and for LIF, which has no membrane loss,
+    ``losses.total_loss`` with one term per layer: for MPE-PSN the membrane
+    term its node forms, as in ``fit``, and for LIF, which has no membrane loss,
     a fixed random weighting of u, so that the gradient through the
     membrane history (backprop through time), which at this alpha passes
     no spike, is differentiated.  The layer kind, the synaptic delay, the depth and the
@@ -172,12 +173,10 @@ def _random_chain(r: Rng, trial: int):
     def fn() -> Var:
         o, mem_terms = Var(x), []
         for i, (W, v_th) in enumerate(zip(weights, v_ths)):
-            u_hat, u, o = _layer(kind, network.synapse_forward(o, W, delay), v_th,
-                                 GRADIENT_ALPHA, r.spawn(40 + i))
-            if kind == "lif":
-                mem_terms.append(autograd.vsum(u * u_weights[i]))
-            else:
-                mem_terms.append(losses.mem_loss(u_hat, u, kappas[i], cfg))
+            tr = _layer(kind, network.synapse_forward(o, W, delay), v_th, GRADIENT_ALPHA,
+                        r.spawn(40 + i), kappas[i], cfg)
+            o = tr.o
+            mem_terms.append(autograd.vsum(tr.u * u_weights[i]) if kind == "lif" else tr.mem)
         l_cls = losses.cls_loss(network.synapse_forward(o, w_out), labels)
         return losses.total_loss(l_cls, sum(mem_terms, Var(np.asarray(0.0))), cfg.lam)
 
@@ -211,7 +210,7 @@ def surrogate_chain_grad(kind: str) -> float:
     surrogate at 1.2 times x, 0.8."""
     w = autograd.parameter(np.full((1, 1), 1.2), "w")
     I = network.synapse_forward(np.ones((1, 1, 1)), w)
-    _, _, o = _layer(kind, I, Var(np.asarray(1.0)), 1.0, Rng(0))
+    o = _layer(kind, I, Var(np.asarray(1.0)), 1.0, Rng(0)).o
     autograd.backward(autograd.vsum(o))
     return float(w.grad[0, 0])
 

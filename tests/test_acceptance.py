@@ -145,13 +145,10 @@ def test_criterion_8_degenerate_lambda_identities():
 
 def test_criterion_9_spike_rate_reporting(reference_runs):
     from mpepsn.network import diagnostics
-    from mpepsn.neuron import ParallelTrace
 
     o = np.zeros((4, 2, 5))
     o[0, 0, :] = 1.0  # 5 of 40 positions fired -> 12.5%
-    z = np.zeros_like(o)
-    trace = ParallelTrace(I=z, b=z, u_hat=z, h=z, u=z, o=o)
-    _, rates, _ = diagnostics([trace], np.zeros((4, 2, 2)), np.zeros(2, dtype=int))
+    rates, _ = diagnostics([o], np.zeros((4, 2, 2)), np.zeros(2, dtype=int))
     exact = rates[0] == 100.0 * o.mean() == 12.5
     trained = reference_runs["mem_on"].history_[-1].spike_rates
     bounded = all(0.0 <= r <= 100.0 for r in trained)

@@ -5,8 +5,8 @@ import pytest
 
 from mpepsn import autograd
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter
-from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, mem_loss_sq_error, total_loss
-from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
+from mpepsn.losses import MemLossConfig, cls_loss, mem_loss, mem_term, total_loss
+from mpepsn.numerics import Rng, Scratch, ShapeMismatchError, l2_norm
 
 from elementwise_ops import vmean
 
@@ -25,6 +25,12 @@ class TestConfig:
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             MemLossConfig(kappa_axis="batch")
+
+    @pytest.mark.parametrize("kappa_init", [-1.0, np.nan, np.inf])
+    def test_kappa_init_finite_and_non_negative(self, kappa_init):
+        with pytest.raises(ValueError, match=r"^kappa_init must be finite and >= 0"):
+            MemLossConfig(kappa_init=kappa_init)
+        assert MemLossConfig(kappa_init=0.0).kappa_init == 0.0
 
     def test_kappa_length(self):
         assert MemLossConfig(kappa_axis="time").kappa_length(8, 16) == 8
@@ -101,18 +107,15 @@ class TestMemLoss:
         for fused, tape in zip(run(mem_loss), run(self.elementwise_mem_loss)):
             assert np.asarray(fused).tobytes() == np.asarray(tape).tobytes()
 
-    def test_sq_error_reads_back_the_loss_square(self):
+    def test_norm_is_formed_from_the_loss_square(self):
+        """``mem_term``'s norm is ``l2_norm(u_hat - u)`` to the bit: the
+        square root of the sum of the squares the loss is formed from."""
         cfg = MemLossConfig()
         r = Rng(33)
         u_hat, u = (r.spawn(k).uniform_tensor((3, 2, 4), -1, 1) for k in range(2))
-        scratch = Scratch()
-        with pytest.raises(KeyError):
-            mem_loss_sq_error(scratch, u.shape)
-        mem_loss(u_hat, u, cfg.init_kappa(3, 4), cfg, scratch=scratch)
-        sq = mem_loss_sq_error(scratch, u.shape)
-        assert sq.tobytes() == ((u_hat - u) * (u_hat - u)).tobytes()
-        with pytest.raises(KeyError):
-            mem_loss_sq_error(scratch, (3, 2, 5))
+        _, l2, _ = mem_term(u_hat, u, cfg.init_kappa(3, 4), cfg, Scratch())
+        assert np.float64(l2).tobytes() == np.float64(l2_norm(u_hat - u)).tobytes()
+        assert l2 > 0.0
 
     @pytest.mark.parametrize("axis", ["time", "neuron"])
     def test_fused_node_matches_finite_differences(self, axis):

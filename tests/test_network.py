@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mpepsn import autograd, datagen, network, neuron, numerics
+from mpepsn import autograd, datagen, losses, network, neuron, numerics
 from mpepsn.autograd import Var, backward, finite_diff_check, parameter, vsum
 from mpepsn.network import (
     EpochDiagnostics,
@@ -18,6 +18,7 @@ from mpepsn.network import (
     mpe_psn_tape_forward,
     synapse_forward,
 )
+from mpepsn.losses import MemLossConfig
 from mpepsn.numerics import Rng, Scratch, ShapeMismatchError
 
 from elementwise_ops import expectation_estimate, spike
@@ -78,8 +79,10 @@ class TestTapeForward:
         lif = lif_tape_forward(I, v_th, 0.25, 1.0)
         mpe = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, "expectation", None)
         assert type(lif) is type(mpe) is network.TapeTrace
-        assert network.TapeTrace._fields == ("u_hat", "u", "o")
+        assert network.TapeTrace._fields == ("u_hat", "u", "o", "mem", "l2")
         assert lif.u_hat is lif.u  # a LIF layer's u_hat is its u
+        assert lif.mem is None and lif.l2 == 0.0  # and it has no membrane term
+        assert mpe.mem is None and mpe.l2 is None  # none formed without a kappa
 
     def test_spikes_are_bool(self):
         # every consumer reads them as 0/1; predict's bit-identity with the
@@ -93,15 +96,15 @@ class TestTapeForward:
 
     def test_lif_matches_oracle(self):
         I = Rng(2).uniform_tensor((8, 2, 8), -2, 2)
-        _, u, o = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0)
+        tr = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0)
+        u, o = tr.u, tr.o
         u_ref, o_ref = neuron.lif_sequential(I, neuron.NeuronParams())
         np.testing.assert_array_equal(u.value, u_ref)
         np.testing.assert_array_equal(o.value, o_ref)
 
     def test_lif_gradient_reaches_input(self):
         I = parameter(Rng(3).uniform_tensor((4, 1, 3), -1, 1))
-        _, u, o = lif_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0)
-        backward(vsum(u))
+        backward(vsum(lif_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0).u))
         assert I.grad is not None and np.any(I.grad != 0.0)
 
 
@@ -123,9 +126,10 @@ class TestFusedGradients:
 
         def fn():
             if kind == "lif":
-                u_hat, u, o = lif_tape_forward(I, v_th, 0.25, self.ALPHA)
+                tr = lif_tape_forward(I, v_th, 0.25, self.ALPHA)
             else:
-                u_hat, u, o = mpe_psn_tape_forward(I, v_th, 0.25, self.ALPHA, kind, Rng(3))
+                tr = mpe_psn_tape_forward(I, v_th, 0.25, self.ALPHA, kind, Rng(3))
+            u_hat, u, o = tr.u_hat, tr.u, tr.o
             return vsum(u_hat * u_hat * c_hat) + vsum(u * u * c_u) + vsum(o * c_o)
 
         return fn
@@ -209,8 +213,8 @@ class TestFusedMatchesElementwiseTape:
     @pytest.mark.parametrize("read", ["u", "o", "u o"])
     def test_lif(self, read):
         I, v_th = parameter(self.I.copy()), parameter(np.asarray(1.0))
-        _, u, o = lif_tape_forward(I, v_th, 0.25, 1.0)
-        terms = {"u": vsum(u * self.c_u), "o": vsum(o * self.c_o)}
+        tr = lif_tape_forward(I, v_th, 0.25, 1.0)
+        terms = {"u": vsum(tr.u * self.c_u), "o": vsum(tr.o * self.c_o)}
         first, *rest = read.split()
         loss = terms[first]
         for name in rest:
@@ -232,21 +236,111 @@ class TestFusedMatchesElementwiseTape:
         np.testing.assert_array_equal(v_th.grad, v_ref.grad)
 
 
+class TestNodeMembraneTerm:
+    """Given kappa, an MPE-PSN layer's node forms the layer's membrane term:
+    its value, its norm and the gradients of I, v_th and kappa equal, bit
+    for bit, those of the node without kappa followed by the separate
+    ``losses.mem_loss`` node (the oracle), for both kappa axes and both
+    modes, with and without gradients from outside into u_hat, u and o."""
+
+    T, B, N = 5, 2, 4
+
+    def grads(self, fused, mode, axis, read):
+        cfg = MemLossConfig(kappa_axis=axis)
+        r = Rng(23)
+        I = parameter(r.spawn(0).uniform_tensor((self.T, self.B, self.N), -2, 2))
+        v_th = parameter(np.asarray(1.0))
+        kappa = parameter(r.spawn(1).uniform_tensor((cfg.kappa_length(self.T, self.N),), 0, 2))
+        if fused:
+            tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, mode, Rng(9), kappa, cfg)
+            mem, l2 = tr.mem, tr.l2
+        else:
+            tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, mode, Rng(9))
+            mem = losses.mem_loss(tr.u_hat, tr.u, kappa, cfg)
+            l2 = float(numerics.l2_norm(tr.u_hat.value - tr.u.value))
+        loss = mem * 0.01
+        for k, name in enumerate(read.split()):
+            loss = loss + vsum(getattr(tr, name) * r.spawn(2 + k).uniform_tensor(I.shape, -1, 1))
+        backward(loss)
+        return [mem.value, l2, I.grad, v_th.grad, kappa.grad]
+
+    @pytest.mark.parametrize("mode", neuron.MODES)
+    @pytest.mark.parametrize("axis", losses.KAPPA_AXES)
+    @pytest.mark.parametrize("read", ["", "u_hat u o", "u"])
+    def test_matches_mem_loss(self, mode, axis, read):
+        fused, oracle = self.grads(True, mode, axis, read), self.grads(False, mode, axis, read)
+        for a, b in zip(fused, oracle):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert fused[1] > 0.0 and np.any(fused[4] != 0.0)
+
+    def test_kappa_length_checked(self):
+        cfg = MemLossConfig()
+        I = Var(np.zeros((self.T, self.B, self.N)))
+        with pytest.raises(ShapeMismatchError):
+            mpe_psn_tape_forward(I, Var(np.asarray(1.0)), 0.25, 1.0, "expectation", None,
+                                 np.ones(self.N), cfg)
+
+    def test_a_training_tape_holds_one_node_per_layer(self, monkeypatch):
+        """Each spiking layer is one multi-output node, its fourth output the
+        membrane term; no separate membrane loss node is built."""
+        nodes = []
+        multi_output = autograd.multi_output
+
+        def record(values, parents, grad_fn):
+            nodes.append(len(values))
+            return multi_output(values, parents, grad_fn)
+
+        def no_node(*args, **kwargs):
+            raise AssertionError("a separate membrane loss node was built")
+
+        monkeypatch.setattr(autograd, "multi_output", record)
+        monkeypatch.setattr(losses, "mem_loss", no_node)
+        tr, _ = small_task()
+        small_model(hidden_sizes=(8, 8), epochs=1).fit(tr.x, tr.y)
+        assert nodes == [4, 4]
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("bad", [None, -np.inf, np.nan])
     def test_lif_norm_keeps_the_bits_of_u_minus_u(self, monkeypatch, bad):
-        """A LIF layer's u_hat is its u: the norm is l2_norm(u - u) to the
-        bit, and a finite u gives it without forming the difference."""
-        u = Rng(5).uniform_tensor((3, 2, 4), -1, 1)
+        """A LIF layer's u_hat is its u: its node's norm is l2_norm(u - u)
+        to the bit, and a finite u gives it without forming the difference."""
+        I = Rng(5).uniform_tensor((3, 2, 4), -1, 1)
         if bad is not None:
-            u[1, 0, 2] = bad
+            I[1, 0, 2] = bad  # so u is not finite from there on
         with np.errstate(invalid="ignore"):
+            u, _ = neuron.lif_sequential(I, neuron.NeuronParams())
             ref = float(numerics.l2_norm(u.copy() - u))
             if bad is None:
                 monkeypatch.setattr(numerics, "l2_norm", None)
-            (norm,), _, _ = network.diagnostics([network.LayerValues(u, u, np.zeros_like(u))],
-                                                np.zeros((3, 2, 2)), np.zeros(2, dtype=int))
+            norm = lif_tape_forward(Var(I), Var(np.asarray(1.0)), 0.25, 1.0).l2
         assert struct.pack("<d", norm) == struct.pack("<d", ref)
+
+    @pytest.mark.parametrize("kind, mode, axis", [
+        ("mpe_psn", "sampled", "time"), ("mpe_psn", "sampled", "neuron"),
+        ("mpe_psn", "expectation", "time"), ("mpe_psn", "expectation", "neuron"),
+        ("lif_sequential", "sampled", "time"),
+    ])
+    def test_logged_norm_is_the_norm_of_the_epoch_trace(self, monkeypatch, kind, mode, axis):
+        """Each epoch's ``l2_norm_layer_i`` is ``l2_norm(u_hat - u)`` of that
+        epoch's trace, bit for bit, as the layer's node forms it; a LIF
+        layer's u_hat is its u, and its norm is 0.0."""
+        want = []
+        model_forward = SpikingClassifier.model_forward
+
+        def record(self, *args, **kwargs):
+            out = model_forward(self, *args, **kwargs)
+            want.append([float(numerics.l2_norm(tr.u_hat.value - tr.u.value)) for tr in out[1]])
+            return out
+
+        monkeypatch.setattr(SpikingClassifier, "model_forward", record)
+        tr, _ = small_task()
+        # threshold 0.5: at 1.0 the second layer stays all but silent
+        m = small_model(hidden_sizes=(8, 8), v_th_init=0.5, epochs=4, neuron_kind=kind,
+                        mode=mode, kappa_axis=axis).fit(tr.x, tr.y)
+        got = [d.l2_norms for d in m.history_]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert all(v > 0.0 for v in got[-1]) if kind == "mpe_psn" else got == [[0.0, 0.0]] * 4
 
     def test_accuracy_time_mean_argmax(self):
         logits = np.zeros((2, 2, 2))
@@ -455,6 +549,27 @@ class TestSpikingClassifier:
             m.fit(tr.x, tr.y)
         assert not hasattr(m, "history_")
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"lr": np.nan}, r"^lr must be finite and > 0, got nan$"),
+        ({"lr": -0.1}, r"^lr must be finite and > 0, got -0\.1$"),
+        ({"lr": np.inf}, r"^lr must be finite and > 0, got inf$"),
+        ({"momentum": 1.5}, r"^momentum must lie in \[0, 1\), got 1\.5$"),
+        ({"momentum": np.nan}, r"^momentum must lie in \[0, 1\), got nan$"),
+        ({"v_th_init": np.nan}, r"^v_th_init must be finite, got nan$"),
+        ({"v_th_init": -np.inf}, r"^v_th_init must be finite, got -inf$"),
+        ({"mode": "bogus"}, r"^mode must be one of \('sampled', 'expectation'\), got 'bogus'$"),
+        ({"mode": "bogus", "neuron_kind": "lif_sequential"}, r"^mode must be one of"),
+        ({"kappa_init": np.nan}, r"^kappa_init must be finite and >= 0, got nan$"),
+        ({"kappa_init": -1.0}, r"^kappa_init must be finite and >= 0, got -1\.0$"),
+        ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+    ])
+    def test_bad_hyperparameter_rejected_before_training(self, overrides, named):
+        tr, _ = small_task()
+        m = small_model(**overrides)
+        with pytest.raises(ValueError, match=named):
+            m.fit(tr.x, tr.y)
+        assert not hasattr(m, "history_")
+
     def test_synaptic_delay_changes_dynamics(self):
         tr, _ = small_task()
         a = small_model(epochs=1).fit(tr.x, tr.y)
@@ -545,10 +660,10 @@ class TestScratchScope:
         tr, te = small_task()
         m = small_model(epochs=2).fit(tr.x, tr.y)
         logits, traces, _ = m.model_forward(te.x, "sampled", Rng(7))
-        held = [a.value.copy() for a in (*traces[0], logits)]
+        held = [a.value.copy() for a in (*traces[0][:3], logits)]
         m.model_forward(te.x, "sampled", Rng(8))
         m.fit(te.x, te.y)
-        for before, after in zip(held, (*traces[0], logits)):
+        for before, after in zip(held, (*traces[0][:3], logits)):
             np.testing.assert_array_equal(before, after.value)
 
     def test_back_to_back_fits_repeat(self):
@@ -571,9 +686,9 @@ class TestScratchScope:
         reused = fit(small_model(hidden_sizes=(16, 16), epochs=4, **overrides))
         model_forward = SpikingClassifier.model_forward
 
-        def fresh_each_epoch(self, x, mode=None, rng=None, *, scratch=None):
+        def fresh_each_epoch(self, x, mode=None, rng=None, *, scratch=None, **kwargs):
             scratch[:] = [Scratch() for _ in scratch]
-            return model_forward(self, x, mode, rng, scratch=scratch)
+            return model_forward(self, x, mode, rng, scratch=scratch, **kwargs)
 
         monkeypatch.setattr(SpikingClassifier, "model_forward", fresh_each_epoch)
         return reused, fit(small_model(hidden_sizes=(16, 16), epochs=4, **overrides))
@@ -595,9 +710,9 @@ class TestScratchScope:
         grads = []
         for seed in (3, 4):
             I = parameter(Rng(seed).uniform_tensor((4, 2, 8), -2, 2))
-            _, u, o = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
-            backward(vsum(u) + vsum(o))
-            grads.append((u.value, o.value, I.grad))
+            tr = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=sc)
+            backward(vsum(tr.u) + vsum(tr.o))
+            grads.append((tr.u.value, tr.o.value, I.grad))
         assert [a.dtype for a in grads[0]] == [np.float64, np.bool_, np.float64]
         for first, second in zip(*grads):
             assert first.dtype == second.dtype and np.shares_memory(first, second)

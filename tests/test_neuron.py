@@ -382,15 +382,20 @@ class TestSampledBlocks:
         assert peak / I.nbytes < 3.625
 
     def test_sampled_scratch_has_no_P(self):
-        I, s = random_case(39), Scratch()
-        mpe_psn_forward(I, NeuronParams(), "sampled", Rng(39), scratch=s)
-        with pytest.raises(KeyError):
-            s.written("P", (I.size,))
-        s = Scratch()
-        mpe_psn_forward(I, NeuronParams(), "expectation", scratch=s)
-        for name in ("P", "b"):  # expectation mode draws no b, and b would be P
-            with pytest.raises(KeyError):
-                s.written(name, (I.size,))
+        """A pass asks its scratch for the arrays it writes and for no P;
+        expectation mode draws no b (which would be P there)."""
+        class Recording(Scratch):
+            def __call__(self, name, shape, dtype=np.float64):
+                self.names.add(name)
+                return super().__call__(name, shape, dtype)
+
+        I = random_case(39)
+        for mode, written in (("sampled", {"b", "u_hat", "h", "u", "o"}),
+                              ("expectation", {"u_hat", "h", "u", "o"})):
+            s = Recording()
+            s.names = set()
+            mpe_psn_forward(I, NeuronParams(), mode, Rng(39), scratch=s)
+            assert s.names == written
 
 
 class TestStrideAhead:

@@ -140,6 +140,13 @@ class TestRng:
     def test_repeatable(self):
         np.testing.assert_array_equal(Rng(1).uniforms(1000), Rng(1).uniforms(1000))
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            Rng(seed)
+        # any integral type keys the same streams as the int
+        assert np.array_equal(Rng(np.uint8(7)).uniforms(4), Rng(7).uniforms(4))
+
     def test_calls_advance(self):
         r = Rng(1)
         assert not np.array_equal(r.uniforms(10), r.uniforms(10))
@@ -436,6 +443,24 @@ class TestEmpty:
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             del tr
         assert faults[1] < 0.1 * faults[0], faults
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
+    def test_a_repeated_wide_product_takes_almost_no_page_faults(self):
+        import resource
+
+        # a 64 MiB product, fresh memory the first time (see above), and
+        # the first product's memory the second time
+        a = Rng(11).uniform_tensor((8192, 8), -2.0, 2.0)
+        b = Rng(12).uniform_tensor((8, 1024), -2.0, 2.0)
+        faults, bits = [], []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            out = numerics.matmul(a, b)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            bits.append(digest([out]))
+            del out
+        assert faults[1] < 0.1 * faults[0], faults
+        assert bits[0] == bits[1] == digest([a @ b])
 
 
 class TestWorkerPool:

@@ -55,14 +55,16 @@ def test_layer_wrappers_install_trace_and_uninstall():
     spans = {span[0] for span in tracer.spans}
     assert {
         "numerics.matmul", "numerics.rng", "neuron.mpe_psn_forward", "neuron.lif_sequential",
-        "autograd.backward", "losses.cls_loss", "losses.mem_loss", "network.model_forward",
+        "autograd.backward", "losses.cls_loss", "network.model_forward",
         "network.tape_forward.mpe_psn", "network.tape_forward.lif", "network.diagnostics",
         "network.sgd_step", "network.predict",
     } <= spans
-    # one closed-form node (plus output views) per neuron layer, and one
-    # closed-form membrane-loss node per parallel layer
-    assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [20]
+    # one closed-form node (plus output views) per neuron layer; a parallel
+    # layer's node forms its membrane term, so training builds no
+    # losses.mem_loss node, and that span stays empty
+    assert tracer.samples["autograd.tape_nodes.mpe_psn"] == [18]
     assert tracer.samples["autograd.tape_nodes.lif"] == [15]
+    assert "losses.mem_loss" not in spans
 
 
 def test_predict_runs_no_training_forward():

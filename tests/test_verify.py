@@ -62,22 +62,31 @@ class TestChecks:
 
     @pytest.mark.parametrize("name, scale", [("mem_loss", 0.5), ("cls_loss", 1.5)])
     def test_gradients_detect_a_wrong_backward(self, monkeypatch, name, scale):
-        # the same loss node, with the gradient of its first parent (u_hat,
-        # or the logits) scaled and its value left as it is
-        loss_fn = getattr(losses, name)
-
-        def faulty(*args, **kwargs):
-            node = loss_fn(*args, **kwargs)
-            backward = node._backward
-
-            def scaled(g):
+        # the gradient of a loss term's first input scaled, its value left as
+        # it is: u_hat's in the membrane term each MPE-PSN node forms
+        # (losses.mem_term), or the logits' in the classification loss node
+        def scaled(backward):
+            def wrong(g):
                 first, *rest = backward(g)
                 return (first * scale, *rest)
 
-            node._backward = scaled
+            return wrong
+
+        term, cls_loss = losses.mem_term, losses.cls_loss
+
+        def faulty_term(*args):
+            value, l2, backward = term(*args)
+            return value, l2, scaled(backward)
+
+        def faulty_cls_loss(*args):
+            node = cls_loss(*args)
+            node._backward = scaled(node._backward)
             return node
 
-        monkeypatch.setattr(losses, name, faulty)
+        if name == "mem_loss":
+            monkeypatch.setattr(losses, "mem_term", faulty_term)
+        else:
+            monkeypatch.setattr(losses, "cls_loss", faulty_cls_loss)
         res = verify.check_gradients(graphs=25)
         assert res.failures > 0
         assert res.details
