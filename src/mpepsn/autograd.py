@@ -137,8 +137,8 @@ def surrogate_grad(h, v_th: float, alpha: float, out: Array | None = None) -> Ar
     membrane h (post-reset u would zero out every fired position).  Written
     into ``out`` when given, else into a fresh array.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:  # NaN fails the test as well
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     h = np.asarray(h, dtype=np.float64)
     out = np.empty_like(h) if out is None else out
     np.subtract(h, v_th, out=out)

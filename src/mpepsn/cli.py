@@ -15,6 +15,7 @@ outputs do not depend on it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -54,28 +55,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_neuron(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-m", type=float, default=0.25)
-    p.add_argument("--v-th-init", type=float, default=1.0)
+    p.add_argument("--v-th-init", type=_finite, default=1.0)
     p.add_argument("--mode", choices=MODES, default="sampled")
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+def _checked(convert, expected: str, ok=lambda value: True):
+    """An argparse type: ``convert(text)`` if that passes ``ok``, else a usage
+    error that names the flag and says what was ``expected``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _extent(text: str) -> int:
-    """An int >= 0, for an extent of the generated input.  0 passes, so
-    the shape check rejects it with the whole shape; a negative extent is
-    rejected here, before numpy sees a negative dimension."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+_int_list = _checked(lambda text: [int(v) for v in text.split(",") if v], "comma-separated ints")
+# An extent of the generated input: 0 passes, so the shape check rejects it
+# with the whole shape; a negative one fails here, before numpy sees it.
+_extent = _checked(int, "an integer >= 0", lambda value: value >= 0)
+# A threshold: at NaN no neuron ever fires, and at an infinity none or all do.
+_finite = _checked(float, "a finite number", math.isfinite)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,15 +21,12 @@ KAPPA_AXES = ("time", "neuron")
 
 @dataclass
 class MemLossConfig:
-    """Configuration of the membrane-approximation loss."""
+    """Kappa's axis and initial value; the term's blend weight is the model's ``lam``."""
 
-    lam: float = 0.01
     kappa_axis: str = "time"
     kappa_init: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.kappa_axis not in KAPPA_AXES:
             raise ValueError(f"kappa_axis must be one of {KAPPA_AXES}")
         if not 0.0 <= self.kappa_init < np.inf:  # NaN fails the test as well

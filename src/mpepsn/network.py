@@ -359,7 +359,7 @@ class SpikingClassifier:
         momentum: float = 0.9,
         seed: int = 0,
     ):
-        self.hidden_sizes = tuple(hidden_sizes)
+        self.hidden_sizes = hidden_sizes
         self.neuron_kind = neuron_kind
         self.tau_m = tau_m
         self.v_th_init = v_th_init
@@ -392,27 +392,31 @@ class SpikingClassifier:
     def _build(self, T: int, n_in: int, n_classes: int) -> None:
         if self.neuron_kind not in NEURON_KINDS:
             raise ValueError(f"neuron_kind must be one of {NEURON_KINDS}")
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.hidden_sizes):
-            raise ValueError(
-                f"hidden_sizes must hold positive integers, got {self.hidden_sizes}")
+        hidden = tuple(self.hidden_sizes) if np.iterable(self.hidden_sizes) else None
+        if hidden is None or not all(isinstance(n, numbers.Integral) and n >= 1 for n in hidden):
+            raise ValueError(f"hidden_sizes must hold positive integers, got {self.hidden_sizes}")
+        if not isinstance(self.epochs, numbers.Integral):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.synaptic_delay not in (0, 1):
+            raise ValueError(f"synaptic_delay must be 0 or 1, got {self.synaptic_delay!r}")
         if self.mode not in neuron.MODES:  # checked for LIF too, which ignores it
             raise ValueError(f"mode must be one of {neuron.MODES}, got {self.mode!r}")
         if not 0.0 < self.lr < np.inf:  # NaN fails each of these tests as well
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not -np.inf < self.v_th_init < np.inf:
             raise ValueError(f"v_th_init must be finite, got {self.v_th_init}")
         neuron.NeuronParams(tau_m=self.tau_m, v_th=self.v_th_init, alpha=self.alpha)
-        self.mem_cfg_ = MemLossConfig(
-            lam=self.lam, kappa_axis=self.kappa_axis, kappa_init=self.kappa_init
-        )
+        self.mem_cfg_ = MemLossConfig(kappa_axis=self.kappa_axis, kappa_init=self.kappa_init)
         self.registry_ = ParamRegistry()
         self.n_classes_ = n_classes
         init_rng = Rng(self.seed).spawn(0)
-        widths = [n_in, *self.hidden_sizes]
+        widths = [n_in, *hidden]
         self.synapses_, self.v_ths_, self.kappas_ = [], [], []
         for i, (np_, n) in enumerate(zip(widths[:-1], widths[1:])):
             bound = float(np.sqrt(1.0 / np_))
@@ -467,6 +471,13 @@ class SpikingClassifier:
 
     # -- training -----------------------------------------------------------
 
+    def _losses(self, logits: Var, traces: list[TapeTrace], y) -> tuple[Var, Var, Var]:
+        """Classification and membrane loss of one forward, and the blend ``fit`` differentiates."""
+        l_cls = losses.cls_loss(logits, y)
+        # every MPE-PSN layer's node formed its membrane term; LIF has none
+        l_mem = sum((tr.mem for tr in traces if tr.mem is not None), Var(np.asarray(0.0)))
+        return l_cls, l_mem, losses.total_loss(l_cls, l_mem, self.lam)
+
     def fit(self, x, y, x_test=None, y_test=None):
         x = check_input(x, "x")
         y = losses.check_labels(y, x.shape[1], "y")
@@ -490,10 +501,7 @@ class SpikingClassifier:
             epoch_rng = sample_rng.spawn(epoch)
             logits, traces, currents = self.model_forward(x, self.mode, epoch_rng,
                                                           scratch=scratch, membrane=True)
-            l_cls = losses.cls_loss(logits, y)
-            # every MPE-PSN layer's node formed its membrane term; LIF has none
-            l_mem = sum((tr.mem for tr in traces if tr.mem is not None), Var(np.asarray(0.0)))
-            loss = losses.total_loss(l_cls, l_mem, self.lam)
+            l_cls, l_mem, loss = self._losses(logits, traces, y)
             # Checked before scoring: predict_logits would raise ValueError on
             # the same non-finite currents.
             loss_finite = bool(np.isfinite(loss.value))

@@ -59,8 +59,8 @@ class NeuronParams:
     def __post_init__(self):
         if not 0.0 < self.tau_m <= 1.0:
             raise ValueError(f"tau_m must lie in (0, 1], got {self.tau_m}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:  # NaN fails the test as well
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 class ParallelTrace(NamedTuple):

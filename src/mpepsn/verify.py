@@ -5,8 +5,8 @@ sequential recurrence, the fixed-order matmul, scipy's ``expit``, the
 binomial law, the exact law of the table draw, the training forward, or
 central finite differences) and reports failures with enough context to
 reproduce them.  The finite differences are taken of the training loss of
-small classifier-shaped chains, so the gradient checked is the one built
-from the fused layer and loss nodes that ``SpikingClassifier.fit`` runs.
+small classifiers, through ``SpikingClassifier.model_forward`` and the loss
+``fit`` builds, so the gradient checked is the one ``fit`` runs.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
     return res
 
 
-# The fused spiking layers a gradient graph runs: the parallel layer in each
-# estimator mode, and the sequential LIF layer.
-LAYER_KINDS = ("sampled", "expectation", "lif")
+# The spiking layers a gradient graph runs, by the classifier settings that
+# select them: the parallel layer in each estimator mode, and the LIF layer.
+LAYER_KINDS = {"sampled": {"mode": "sampled"}, "expectation": {"mode": "expectation"},
+               "lif": {"neuron_kind": "lif_sequential"}}
 
 # So small that no membrane value lies in the surrogate's support, which
 # makes the tape gradient the exact derivative of the loss with every spike
@@ -120,75 +121,60 @@ LAYER_KINDS = ("sampled", "expectation", "lif")
 GRADIENT_ALPHA = 1e-6
 
 
-def _layer(kind: str, I: Var, v_th: Var, alpha: float, rng: Rng, kappa=None, cfg=None):
-    """The ``network.TapeTrace`` of one fused spiking layer of ``kind`` over
-    the current ``I``; a parallel layer given ``kappa`` forms its membrane
-    term."""
-    tau_m = neuron.NeuronParams().tau_m
-    if kind == "lif":
-        return network.lif_tape_forward(I, v_th, tau_m, alpha)
-    return network.mpe_psn_tape_forward(I, v_th, tau_m, alpha, kind, rng, kappa, cfg)
-
-
 def _random_chain(r: Rng, trial: int):
-    """Training loss of a small ``SpikingClassifier``-shaped chain.
+    """Training loss of a small ``SpikingClassifier``, as ``fit`` forms it:
+    ``model_forward(x, membrane=True)``, then ``SpikingClassifier._losses``.
 
-    One or two (``network.synapse_forward``, fused layer) pairs, then the
-    readout synapse and ``losses.cls_loss``, blended by
-    ``losses.total_loss`` with one term per layer: for MPE-PSN the membrane
-    term its node forms, as in ``fit``, and for LIF, which has no membrane loss,
-    a fixed random weighting of u, so that the gradient through the
-    membrane history (backprop through time), which at this alpha passes
-    no spike, is differentiated.  The layer kind, the synaptic delay, the depth and the
-    kappa axis cycle with ``trial``, so any 24 consecutive graphs hold every
-    combination; the sizes, weights, kappas and labels are drawn from
-    ``r``.  Returns the loss closure and its parameters: the weights and
-    thresholds.
+    The model is built for the trial's sizes, with weights and kappas drawn
+    from ``r``.  LIF has no membrane term; a fixed random weighting of u is
+    added to its blend instead, so that the gradient through the membrane
+    history (backprop through time), which at this alpha passes no spike,
+    is differentiated.  The layer kind, the synaptic delay, the depth and
+    the kappa axis cycle with ``trial``, so any 24 consecutive graphs hold
+    every combination.  Returns the loss closure and its parameters: the
+    weights and thresholds.
 
     A central difference of the whole loss resolves a derivative only to
     about eps * loss / step (1e-11 here), so no term may be scaled down
     toward that floor: lambda is 0.5, not training's 0.01, and kappa is
-    held constant, since its gradient, lambda times the mean of
+    not among the parameters, since its gradient, lambda times the mean of
     (u_hat - u)^2, is quadratic in a difference that can be small
     (``test_losses`` checks it alone).
     """
-    kind = LAYER_KINDS[trial % 3]
+    kind = tuple(LAYER_KINDS)[trial % 3]
     delay = trial // 3 % 2
     depth = 1 + trial // 6 % 2
-    cfg = losses.MemLossConfig(lam=0.5, kappa_axis=losses.KAPPA_AXES[trial // 12 % 2])
     T, B, n_in, *hidden = (1 + int(d * 4) for d in r.spawn(1).uniforms(3 + depth))
     K = 2 + int(r.spawn(4).uniforms(1)[0] * 2)
+    model = network.SpikingClassifier(**LAYER_KINDS[kind], hidden_sizes=hidden,
+                                      alpha=GRADIENT_ALPHA, synaptic_delay=delay, lam=0.5,
+                                      kappa_axis=losses.KAPPA_AXES[trial // 12 % 2])
+    model._build(T, n_in, K)
     x = r.spawn(2).uniform_tensor((T, B, n_in), -2.0, 2.0)
     labels = (r.spawn(3).uniforms(B) * K).astype(np.int64)
-    widths = [n_in, *hidden]
-    weights = [autograd.parameter(r.spawn(10 + i).uniform_tensor((n, m), -1.5, 1.5), f"w_{i}")
-               for i, (n, m) in enumerate(zip(widths[:-1], widths[1:]))]
-    v_ths = [autograd.parameter(np.asarray(1.0), f"v_th_{i}") for i in range(depth)]
-    kappas = [r.spawn(20 + i).uniform_tensor((cfg.kappa_length(T, n),), 0.0, 2.0)
-              for i, n in enumerate(hidden)]
-    u_weights = [r.spawn(50 + i).uniform_tensor((T, B, n), -1.0, 1.0)
-                 for i, n in enumerate(hidden)]
-    w_out = autograd.parameter(r.spawn(30).uniform_tensor((widths[-1], K), -1.5, 1.5), "w_out")
+    for i, W in enumerate(model.synapses_):
+        W.value = r.spawn(10 + i).uniform_tensor(W.shape, -1.5, 1.5)
+    for i, kappa in enumerate(model.kappas_):
+        kappa.value = r.spawn(20 + i).uniform_tensor(kappa.shape, 0.0, 2.0)
+    model.readout_.value = r.spawn(30).uniform_tensor(model.readout_.shape, -1.5, 1.5)
+    u_weights = [r.spawn(50 + i).uniform_tensor((T, B, n), -1.0, 1.0) for i, n in enumerate(hidden)]
 
     def fn() -> Var:
-        o, mem_terms = Var(x), []
-        for i, (W, v_th) in enumerate(zip(weights, v_ths)):
-            tr = _layer(kind, network.synapse_forward(o, W, delay), v_th, GRADIENT_ALPHA,
-                        r.spawn(40 + i), kappas[i], cfg)
-            o = tr.o
-            mem_terms.append(autograd.vsum(tr.u * u_weights[i]) if kind == "lif" else tr.mem)
-        l_cls = losses.cls_loss(network.synapse_forward(o, w_out), labels)
-        return losses.total_loss(l_cls, sum(mem_terms, Var(np.asarray(0.0))), cfg.lam)
+        logits, traces, _ = model.model_forward(x, rng=r.spawn(40), membrane=True)
+        loss = model._losses(logits, traces, labels)[2]
+        if kind == "lif":
+            loss = loss + sum(autograd.vsum(tr.u * w) for tr, w in zip(traces, u_weights))
+        return loss
 
-    return fn, weights + [w_out] + v_ths
+    return fn, model.synapses_ + [model.readout_] + model.v_ths_
 
 
 def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: float = 1e-4) -> CheckResult:
     """Tape gradients of the training loss vs central finite differences.
 
-    Each graph is a :func:`_random_chain`: synapse, fused spiking layer,
-    readout, classification and membrane losses (for LIF, a weighting of
-    u), so the closed-form backwards that ``fit`` runs are the ones
+    Each graph is a :func:`_random_chain`: a small classifier's
+    ``model_forward`` and ``fit``'s loss (for LIF, plus a weighting of u),
+    so the closed-form backwards that ``fit`` runs are the ones
     differentiated.  A coordinate whose perturbation flips a spike or a
     Bernoulli draw is a failure, not a skip: the loss is not differentiable
     there, so the graph proves nothing.
@@ -205,13 +191,15 @@ def check_gradients(graphs: int = 100, seed: int = 0, step: float = 1e-5, tol: f
 
 
 def surrogate_chain_grad(kind: str) -> float:
-    """d o / d w of the one-neuron, one-step chain o = spike(w * x) through
-    the fused layer ``kind``, at x = 1, w = 1.2, v_th = 1 and alpha = 1: the
+    """d o / d w of the one-neuron, one-step classifier o = spike(w * x) with
+    spiking layer ``kind``, at x = 1, w = 1.2, v_th = 1 and alpha = 1: the
     surrogate at 1.2 times x, 0.8."""
-    w = autograd.parameter(np.full((1, 1), 1.2), "w")
-    I = network.synapse_forward(np.ones((1, 1, 1)), w)
-    o = _layer(kind, I, Var(np.asarray(1.0)), 1.0, Rng(0)).o
-    autograd.backward(autograd.vsum(o))
+    model = network.SpikingClassifier(**LAYER_KINDS[kind], hidden_sizes=(1,))
+    model._build(1, 1, 2)
+    w = model.synapses_[0]
+    w.value[...] = 1.2
+    _, traces, _ = model.model_forward(np.ones((1, 1, 1)), rng=Rng(0))
+    autograd.backward(autograd.vsum(traces[0].o))
     return float(w.grad[0, 0])
 
 

@@ -133,6 +133,11 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             surrogate_grad(np.zeros(1), 1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=rf"^alpha must be finite and > 0, got {alpha}$"):
+            surrogate_grad(np.zeros(1), 1.0, alpha)
+
 
 class TestSpike:
     def test_forward_tie_fires(self):

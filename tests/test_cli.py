@@ -272,6 +272,15 @@ class TestTrain:
         assert err == f"error: {named}\n"
         assert out == "" and not log.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, capsys, tmp_path, value):
+        # named before any epoch, not a "non-finite loss" divergence later
+        log = tmp_path / "log.csv"
+        code, out, err = run(capsys, *TRAIN_SMALL, "--alpha", value, "--out", str(log))
+        assert code == 2
+        assert err == f"error: alpha must be finite and > 0, got {value}\n"
+        assert out == "" and not log.exists()
+
     def test_lif_kind(self, capsys):
         code, out, _ = run(capsys, *TRAIN_SMALL, "--neuron-kind", "lif_sequential", "--epochs", "3")
         assert code == 0
@@ -363,6 +372,17 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected an integer >= 0, got '{value}'" in err
         assert "negative dimensions" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_usage_error_names_the_flag(self, capsys, command, value):
+        # no estimate is printed: no spike fires at a NaN or infinite threshold
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, f"--v-th-init={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument --v-th-init: expected a finite number, got '{value}'" in err
+        assert out == ""
 
     def test_bad_rank_input_usage_error(self, capsys, tmp_path):
         path = tmp_path / "in.csv"

@@ -14,13 +14,7 @@ from elementwise_ops import vmean
 class TestConfig:
     def test_defaults(self):
         cfg = MemLossConfig()
-        assert (cfg.lam, cfg.kappa_axis, cfg.kappa_init) == (0.01, "time", 1.0)
-
-    def test_lambda_bounds(self):
-        with pytest.raises(ValueError):
-            MemLossConfig(lam=-0.1)
-        with pytest.raises(ValueError):
-            MemLossConfig(lam=1.5)
+        assert (cfg.kappa_axis, cfg.kappa_init) == ("time", 1.0)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -93,7 +87,7 @@ class TestMemLoss:
     @pytest.mark.parametrize("lam", [0.01, 1.0])
     def test_fused_node_matches_elementwise_tape(self, axis, lam):
         """Value and every gradient bit for bit, behind the blend that training uses."""
-        cfg = MemLossConfig(lam=lam, kappa_axis=axis)
+        cfg = MemLossConfig(kappa_axis=axis)
         r = Rng(31)
         start = [r.spawn(k).uniform_tensor((5, 3, 4), -2, 2) for k in range(2)]
         start.append(r.spawn(2).uniform_tensor((cfg.kappa_length(5, 4),), 0, 2))

@@ -300,6 +300,87 @@ class TestNodeMembraneTerm:
         assert nodes == [4, 4]
 
 
+class Counted(np.ndarray):
+    """A work array that logs, for each numpy call reading or writing it, the
+    size of the largest ``Counted`` operand of that call."""
+
+    log: list[int] = []
+
+    @staticmethod
+    def plain(a):
+        return a.view(np.ndarray) if isinstance(a, Counted) else a
+
+    @staticmethod
+    def count(operands):
+        Counted.log.append(max(a.size for a in operands if isinstance(a, Counted)))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        self.count(inputs + (out or ()))
+        if out is not None:
+            kwargs["out"] = tuple(map(self.plain, out))
+        result = getattr(ufunc, method)(*map(self.plain, inputs), **kwargs)
+        return result if out is None else out[0] if len(out) == 1 else out
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.count(args + tuple(kwargs.values()))
+        result = func(*map(self.plain, args), **{k: self.plain(v) for k, v in kwargs.items()})
+        return result if kwargs.get("out") is None else kwargs["out"]
+
+
+class CountedScratch(Scratch):
+    def __call__(self, name, shape, dtype=np.float64):
+        return super().__call__(name, shape, dtype).view(Counted)
+
+
+class TestFullArrayPasses:
+    """Full-array passes per layer per step, pinned as the tape-node count is.
+
+    One forward and one backward of a layer's node as ``fit`` drives it:
+    gradient from outside into o alone, plus the membrane term's for a node
+    given kappa.  Every [T, B, N] array the node writes comes from its
+    scratch, here one whose arrays count the numpy calls that read or write
+    them; a call over k values counts k / (T * B * N) passes, so a time row
+    counts 1 / T.  Item assignments (a row copy, a zeroed row) and the
+    sampled draw's generator call are not counted.  Changing a count is a
+    change of the cost model: say why in CHANGES.md.
+    """
+
+    T, B, N = 4, 3, 5
+
+    def passes(self, kind, membrane=False):
+        r = Rng(7)
+        I = Var(r.spawn(0).uniform_tensor((self.T, self.B, self.N), -2, 2))
+        v_th, scratch = parameter(np.asarray(1.0)), CountedScratch()
+        g_o = r.spawn(1).uniform_tensor(I.shape, -1, 1)
+        Counted.log = []
+        if kind == "lif":
+            tr, grads = lif_tape_forward(I, v_th, 0.25, 1.0, scratch=scratch), (None, g_o)
+        else:
+            cfg = MemLossConfig()
+            kappa = parameter(cfg.init_kappa(self.T, self.N)) if membrane else None
+            tr = mpe_psn_tape_forward(I, v_th, 0.25, 1.0, kind, r.spawn(2), kappa, cfg,
+                                      scratch=scratch)
+            grads = (None, None, g_o, *([np.asarray(0.01)] if membrane else []))
+        forward, Counted.log = sum(Counted.log) / I.value.size, []
+        tr.o.parents[0]._backward(grads)  # the layer's one node
+        return forward, sum(Counted.log) / I.value.size
+
+    def test_sampled_layer_with_its_membrane_term(self):
+        # estimate 4, update 5 (4 in row 0), membrane term 4;
+        # backward: term 3, surrogate 4, reset 6, threshold 1, history (T-1)/T, input 4
+        assert self.passes("sampled", membrane=True) == (12.75, 18.75)
+
+    def test_expectation_layer(self):
+        # estimate 3, update 5 (4 in row 0); backward: surrogate 4, reset 1,
+        # threshold 1, history (T-1)/T, P 4, input 3, through P 5
+        assert self.passes("expectation") == (7.75, 18.75)
+
+    def test_lif_layer(self):
+        # recurrence 5 (4 in row 0), finiteness test 1; backward: surrogate 4,
+        # then per row 8, 2 in the last row
+        assert self.passes("lif") == (5.75, 10.5)
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("bad", [None, -np.inf, np.nan])
     def test_lif_norm_keeps_the_bits_of_u_minus_u(self, monkeypatch, bad):
@@ -541,6 +622,8 @@ class TestSpikingClassifier:
         ({"hidden_sizes": (0,)}, r"^hidden_sizes must hold positive integers, got \(0,\)$"),
         ({"hidden_sizes": (8, -2)}, r"^hidden_sizes must hold positive integers"),
         ({"hidden_sizes": (8.5,)}, r"^hidden_sizes must hold positive integers"),
+        ({"hidden_sizes": 32}, r"^hidden_sizes must hold positive integers, got 32$"),
+        ({"epochs": 2.5}, r"^epochs must be an integer, got 2\.5$"),
     ])
     def test_empty_run_or_layer_rejected_before_training(self, overrides, named):
         tr, _ = small_task()
@@ -562,6 +645,12 @@ class TestSpikingClassifier:
         ({"kappa_init": np.nan}, r"^kappa_init must be finite and >= 0, got nan$"),
         ({"kappa_init": -1.0}, r"^kappa_init must be finite and >= 0, got -1\.0$"),
         ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+        ({"alpha": np.nan}, r"^alpha must be finite and > 0, got nan$"),
+        ({"alpha": np.inf}, r"^alpha must be finite and > 0, got inf$"),
+        ({"lam": -0.1}, r"^lam must lie in \[0, 1\], got -0\.1$"),
+        ({"lam": 1.5}, r"^lam must lie in \[0, 1\], got 1\.5$"),
+        ({"lam": np.nan}, r"^lam must lie in \[0, 1\], got nan$"),
+        ({"synaptic_delay": 2}, r"^synaptic_delay must be 0 or 1, got 2$"),
     ])
     def test_bad_hyperparameter_rejected_before_training(self, overrides, named):
         tr, _ = small_task()
@@ -575,6 +664,27 @@ class TestSpikingClassifier:
         a = small_model(epochs=1).fit(tr.x, tr.y)
         b = small_model(epochs=1, synaptic_delay=1).fit(tr.x, tr.y)
         assert not np.array_equal(a.predict_logits(tr.x), b.predict_logits(tr.x))
+
+    def test_each_epoch_differentiates_the_blend_of_losses(self, monkeypatch):
+        """fit differentiates the blend ``_losses`` returns, once per epoch:
+        the loss whose gradient ``verify.check_gradients`` checks."""
+        blends, differentiated = [], []
+        model_losses, tape_backward = SpikingClassifier._losses, autograd.backward
+
+        def record(model, *args):
+            out = model_losses(model, *args)
+            blends.append(out[2])
+            return out
+
+        def record_backward(loss):
+            differentiated.append(loss)
+            tape_backward(loss)
+
+        monkeypatch.setattr(SpikingClassifier, "_losses", record)
+        monkeypatch.setattr(autograd, "backward", record_backward)
+        tr, _ = small_task()
+        small_model(epochs=3).fit(tr.x, tr.y)
+        assert len(blends) == 3 and all(a is b for a, b in zip(differentiated, blends, strict=True))
 
     def test_lam_zero_keeps_mem_loss_out_of_total(self):
         tr, _ = small_task()

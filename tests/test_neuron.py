@@ -62,6 +62,11 @@ class TestNeuronParams:
         with pytest.raises(ValueError):
             NeuronParams(alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=rf"^alpha must be finite and > 0, got {alpha}$"):
+            NeuronParams(alpha=alpha)
+
 
 class TestLifSequential:
     def test_subthreshold_hand_case(self):

@@ -92,22 +92,36 @@ class TestChecks:
         assert res.details
 
     def test_gradient_graphs_run_every_layer_kind_and_delay(self, monkeypatch):
-        kinds, delays = set(), set()
-        layer, synapse = verify._layer, verify.network.synapse_forward
-
-        def record_layer(kind, *args):
-            kinds.add(kind)
-            return layer(kind, *args)
+        """Through ``model_forward``, the graphs reach the MPE-PSN layer node
+        in both modes and the LIF node, each with synaptic delay 0 and 1,
+        and differentiate the loss of ``SpikingClassifier._losses``."""
+        reached, delays, blends = set(), [], []
+        synapse, model_losses = network.synapse_forward, network.SpikingClassifier._losses
+        mpe, lif = network.mpe_psn_tape_forward, network.lif_tape_forward
 
         def record_delay(o, W, delay=0):
-            delays.add(delay)
+            delays.append(delay)
             return synapse(o, W, delay)
 
-        monkeypatch.setattr(verify, "_layer", record_layer)
-        monkeypatch.setattr(verify.network, "synapse_forward", record_delay)
-        verify.check_gradients(graphs=6)
-        assert kinds == set(verify.LAYER_KINDS)
-        assert delays == {0, 1}
+        def record_mpe(I, v_th, tau_m, alpha, mode, *args, **kwargs):
+            reached.add((mode, delays[-1]))  # the delay of the synapse feeding it
+            return mpe(I, v_th, tau_m, alpha, mode, *args, **kwargs)
+
+        def record_lif(*args, **kwargs):
+            reached.add(("lif", delays[-1]))
+            return lif(*args, **kwargs)
+
+        def record_losses(model, *args):
+            blends.append(model_losses(model, *args))
+            return blends[-1]
+
+        monkeypatch.setattr(network, "synapse_forward", record_delay)
+        monkeypatch.setattr(network, "mpe_psn_tape_forward", record_mpe)
+        monkeypatch.setattr(network, "lif_tape_forward", record_lif)
+        monkeypatch.setattr(network.SpikingClassifier, "_losses", record_losses)
+        assert verify.check_gradients(graphs=6).passed
+        assert reached == {(kind, delay) for kind in verify.LAYER_KINDS for delay in (0, 1)}
+        assert blends
 
     def test_surrogate_chain_exact(self):
         res = verify.check_surrogate_chain()
