@@ -47,13 +47,14 @@ def mem_term(u_hat: Array, u_target: Array, kappa: Array, cfg: MemLossConfig,
     is insensitive to batch size and width; kappa then weights and sums.
     Returns the value, ``l2_norm(u_hat - u_target)`` (the square root of the
     summed squares the value is formed from) and ``backward(g)``, which gives
-    the gradients of u_hat, u_target and kappa for the value's gradient g.
-    Ops and their order are those of the elementwise tape of
+    the gradients of u_hat and kappa for the value's gradient g; u_target's
+    is the negation of u_hat's, which the caller reads as such.  Ops and
+    their order are those of the elementwise tape of
     ``sum(kappa * mean((u_hat - u_target) * (u_hat - u_target), axes))``
     (the tests keep it as the oracle), the square's gradient d*G formed once
     and added to itself as the tape's two factors were, so value and
-    gradients match it bit for bit.  The difference d, its square and the
-    two [T, B, N] gradients live in ``scratch``'s arrays.
+    gradients match it bit for bit.  The difference d, its square and u_hat's
+    [T, B, N] gradient live in ``scratch``'s arrays.
     """
     if u_hat.shape != u_target.shape:
         raise ShapeMismatchError(
@@ -77,8 +78,7 @@ def mem_term(u_hat: Array, u_target: Array, kappa: Array, cfg: MemLossConfig,
         weight = np.expand_dims(g * kappa * scale, mse_axes)
         g_u_hat = np.multiply(weight, d, out=scratch("mem.g_u_hat", shape))
         np.add(g_u_hat, g_u_hat, out=g_u_hat)
-        g_u_target = np.negative(g_u_hat, out=scratch("mem.g_u_target", shape))
-        return g_u_hat, g_u_target, g * per_index
+        return g_u_hat, g * per_index
 
     return value, float(np.sqrt(np.sum(d2))), backward
 
@@ -93,7 +93,12 @@ def mem_loss(u_hat, u_target, kappa, cfg: MemLossConfig) -> Var:
     MPE-PSN layer's node instead; the tests compare that node with this one.
     """
     u_hat, u_target, kappa = as_var(u_hat), as_var(u_target), as_var(kappa)
-    value, _, backward = mem_term(u_hat.value, u_target.value, kappa.value, cfg, Scratch())
+    value, _, term_backward = mem_term(u_hat.value, u_target.value, kappa.value, cfg, Scratch())
+
+    def backward(g):
+        g_u_hat, g_kappa = term_backward(g)
+        return g_u_hat, -g_u_hat, g_kappa
+
     return Var(value, parents=(u_hat, u_target, kappa), backward=backward)
 
 

@@ -86,7 +86,8 @@ class TapeTrace(NamedTuple):
     l2: float | None = None
 
 
-def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Array):
+def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Array,
+                    negated: bool = False):
     """Backward of o = spike(h) and u = h * (1 - o) for given output gradients.
 
     Returns the gradient of h and the surrogate-weighted spike gradient (the
@@ -95,14 +96,18 @@ def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Ar
     gradient on return, the gradient of h is written into ``g_h`` (it is
     ``sg`` itself when u has no gradient) and ``tmp`` is clobbered.  Terms
     are formed as the elementwise tape formed them, g_o + -(g_u * h) as the
-    equal g_o - g_u * h, so the bits match.
+    equal g_o - g_u * h, so the bits match.  With ``negated``, ``g_u`` holds
+    the negation of u's gradient (an MPE-PSN node's membrane term gives u
+    the negation of u_hat's), and each term is formed from it with the same
+    bits: g_o - (-g_u) * h as g_o + g_u * h, and -(g_u * (1 - o)) + weighted
+    as weighted - g_u * (1 - o).
     """
     if g_u is not None:
         g_o_total = np.multiply(g_u, h, out=tmp)
-        if g_o is None:
+        if g_o is not None:
+            (np.add if negated else np.subtract)(g_o, g_o_total, out=g_o_total)
+        elif not negated:
             np.negative(g_o_total, out=g_o_total)
-        else:
-            np.subtract(g_o, g_o_total, out=g_o_total)
         g_o = g_o_total
         np.logical_not(o, out=g_h)  # 1 - o, for the bool spikes
         np.multiply(g_u, g_h, out=g_h)
@@ -111,6 +116,8 @@ def _reset_backward(g_u, g_o, h: Array, o: Array, sg: Array, g_h: Array, tmp: Ar
     weighted = np.multiply(g_o, sg, out=sg)
     if g_u is None:
         return weighted, weighted
+    if negated:
+        return np.subtract(weighted, g_h, out=g_h), weighted
     return np.add(g_h, weighted, out=g_h), weighted
 
 
@@ -129,8 +136,9 @@ def mpe_psn_tape_forward(
     Given ``kappa`` and ``mem_cfg``, the node also forms the layer's
     membrane term (:func:`losses.mem_term`) as a fourth output, and its
     ``l2_norm(u_hat - u)``; the backward adds the term's gradients into
-    u_hat's and u's before the reset and history terms, bit for bit as a
-    separate ``losses.mem_loss`` node would.
+    u_hat's and u's (u's is the negation of u_hat's, which the reset reads
+    as such) before the reset and history terms, bit for bit as a separate
+    ``losses.mem_loss`` node would.
 
     Sampled mode treats the Bernoulli draw as a constant (straight-through:
     u_hat passes gradient (1 - b) to I); expectation mode is fully
@@ -157,15 +165,23 @@ def mpe_psn_tape_forward(
 
     def backward(g_u_hat, g_u, g_o, g_mem=None):
         shape = tr.h.shape
-        g_kappa = None
+        g_kappa = mem_u_hat = None
+        negated = False
         if g_mem is not None:
-            mem_u_hat, mem_u, g_kappa = mem_backward(g_mem)
-            g_u_hat = mem_u_hat if g_u_hat is None else np.add(g_u_hat, mem_u_hat, out=mem_u_hat)
-            g_u = mem_u if g_u is None else np.add(g_u, mem_u, out=mem_u)
+            # the term's gradient of u is the negation of its gradient of u_hat
+            mem_u_hat, g_kappa = mem_backward(g_mem)
+            if g_u is None:
+                g_u, negated = mem_u_hat, True  # the reset reads it negated
+            else:
+                # g_u + -mem_u_hat, as the equal g_u - mem_u_hat; the history
+                # gradient takes grad.hist only once the reset has read this
+                g_u = np.subtract(g_u, mem_u_hat, out=scratch("grad.hist", shape))
         sg = autograd.surrogate_grad(tr.h, params.v_th, alpha, out=scratch("grad.sg", shape))
         g_h, weighted = _reset_backward(g_u, g_o, tr.h, tr.o, sg, scratch("grad.h", shape),
-                                        scratch("grad.tmp", shape))
+                                        scratch("grad.tmp", shape), negated)
         g_v_th = _threshold_grad(weighted, v_th)
+        if mem_u_hat is not None:  # only now: the reset may read it as u's gradient
+            g_u_hat = mem_u_hat if g_u_hat is None else np.add(g_u_hat, mem_u_hat, out=mem_u_hat)
         if g_h is not None:
             g_hist = scratch("grad.hist", shape)
             np.multiply(g_h[1:], tau_m, out=g_hist[:-1])
@@ -173,20 +189,23 @@ def mpe_psn_tape_forward(
             g_u_hat = g_hist if g_u_hat is None else np.add(g_u_hat, g_hist, out=g_hist)
         g_I = g_h
         if g_u_hat is not None:
-            through_b = scratch("grad.tmp", shape)
             if mode == "sampled":
-                np.logical_not(tr.b, out=through_b)  # 1 - b, for the bool draw
+                # 1 - b, for the bool draw
+                not_b = through_b = np.logical_not(tr.b, out=scratch("grad.tmp", shape))
             else:
-                # in expectation mode b is P, which the forward does not hold
+                # in expectation mode b is P, which the forward does not hold;
+                # 1 - P is formed once and read twice, so the product takes a
+                # dead array: the surrogate's when it is g_I's first term
                 P = numerics.sigmoid(tr.I, out=scratch("grad.P", shape))
-                np.subtract(1.0, P, out=through_b)
-            np.multiply(g_u_hat, through_b, out=through_b)
+                not_b = np.subtract(1.0, P, out=scratch("grad.tmp", shape))
+                through_b = scratch("grad.sg" if g_I is None else "grad.P2", shape)
+            np.multiply(g_u_hat, not_b, out=through_b)
             g_I = through_b if g_I is None else np.add(g_I, through_b, out=g_I)
             if mode == "expectation":
                 # g_I + -(g_u_hat * I) * P * (1 - P), as the equal g_I - (...)
                 through_P = np.multiply(g_u_hat, tr.I, out=scratch("grad.P2", shape))
                 np.multiply(through_P, P, out=through_P)
-                np.multiply(through_P, np.subtract(1.0, P, out=P), out=through_P)
+                np.multiply(through_P, not_b, out=through_P)
                 np.subtract(g_I, through_P, out=g_I)
         return (g_I, g_v_th, g_kappa)[:len(parents)]
 
@@ -479,6 +498,17 @@ class SpikingClassifier:
         return l_cls, l_mem, losses.total_loss(l_cls, l_mem, self.lam)
 
     def fit(self, x, y, x_test=None, y_test=None):
+        """Train on ``x`` [T, B, N] and its labels ``y`` for ``epochs`` epochs.
+
+        Every epoch runs the training forward (with each MPE-PSN layer's
+        membrane term), logs an :class:`EpochDiagnostics` to ``history_``
+        (held-out accuracy from ``x_test``/``y_test`` when given) and takes
+        one SGD step on the blended loss.  Raises
+        :class:`TrainingDivergedError` when the loss or a current becomes
+        non-finite.  Recycled memory left idle (:func:`numerics.empty`) is
+        released as the fit starts and as it returns, so none of it stays
+        resident through the epochs or after them.
+        """
         x = check_input(x, "x")
         y = losses.check_labels(y, x.shape[1], "y")
         n_classes = max(int(y.max()) + 1, 2)
@@ -491,6 +521,10 @@ class SpikingClassifier:
         self._build(x.shape[0], x.shape[2], n_classes)
         sample_rng = Rng(self.seed).spawn(1)
         self.history_ = []
+        # Buffers that dead arrays of an earlier call left idle would stay
+        # resident through every epoch (a fit at a small shape asks for none
+        # of their sizes), so a fit starts, as it ends, with none.
+        numerics.release_idle()
         # Each epoch's tape is dead before the next forward, so one set of
         # work arrays per layer serves every epoch; it dies with this call.
         scratch = [Scratch() for _ in self.synapses_]
@@ -517,7 +551,8 @@ class SpikingClassifier:
             autograd.backward(loss)
             self.registry_.sgd_step(self.lr, self.momentum)
         # the last epoch's graph and the work arrays die here, so the idle
-        # buffers hold all their memory, and a fit keeps none once it returns
+        # buffers hold all their memory, and a fit, which started with none,
+        # keeps none once it returns
         del logits, traces, currents, l_cls, l_mem, loss, scratch
         numerics.release_idle()
         return self

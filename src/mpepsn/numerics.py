@@ -156,7 +156,10 @@ def _recycle(raw: Array) -> None:
 
 
 def release_idle() -> None:
-    """Release every idle buffer (each is freed once nothing else holds it)."""
+    """Release every idle buffer (each is freed once nothing else holds it).
+
+    ``SpikingClassifier.fit`` calls it as it starts and as it returns.
+    """
     with _idle_lock:
         _idle.clear()
 
@@ -175,7 +178,8 @@ def empty(shape: tuple, dtype=np.float64) -> Array:
     releases every idle buffer, all of other sizes, before it allocates, so
     idle memory never exceeds what was once in use at one time and a loop
     over shapes cannot pile buffers up; it stays resident until such a
-    request or :func:`release_idle`.  Smaller requests are ``np.empty``.
+    request or :func:`release_idle`, which ``SpikingClassifier.fit`` calls
+    as it starts and as it returns.  Smaller requests are ``np.empty``.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize

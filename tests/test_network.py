@@ -266,7 +266,7 @@ class TestNodeMembraneTerm:
 
     @pytest.mark.parametrize("mode", neuron.MODES)
     @pytest.mark.parametrize("axis", losses.KAPPA_AXES)
-    @pytest.mark.parametrize("read", ["", "u_hat u o", "u"])
+    @pytest.mark.parametrize("read", ["", "u_hat u o", "u", "o", "u_hat o"])
     def test_matches_mem_loss(self, mode, axis, read):
         fused, oracle = self.grads(True, mode, axis, read), self.grads(False, mode, axis, read)
         for a, b in zip(fused, oracle):
@@ -367,13 +367,13 @@ class TestFullArrayPasses:
 
     def test_sampled_layer_with_its_membrane_term(self):
         # estimate 4, update 5 (4 in row 0), membrane term 4;
-        # backward: term 3, surrogate 4, reset 6, threshold 1, history (T-1)/T, input 4
-        assert self.passes("sampled", membrane=True) == (12.75, 18.75)
+        # backward: term 2, surrogate 4, reset 6, threshold 1, history (T-1)/T, input 4
+        assert self.passes("sampled", membrane=True) == (12.75, 17.75)
 
     def test_expectation_layer(self):
         # estimate 3, update 5 (4 in row 0); backward: surrogate 4, reset 1,
-        # threshold 1, history (T-1)/T, P 4, input 3, through P 5
-        assert self.passes("expectation") == (7.75, 18.75)
+        # threshold 1, history (T-1)/T, P 4, input 3, through P 4
+        assert self.passes("expectation") == (7.75, 17.75)
 
     def test_lif_layer(self):
         # recurrence 5 (4 in row 0), finiteness test 1; backward: surrogate 4,
@@ -834,6 +834,23 @@ class TestScratchScope:
         SpikingClassifier(hidden_sizes=(128,), epochs=2, neuron_kind=kind).fit(
             x, np.arange(128) % 2)
         assert not any(numerics._idle.values())
+
+    def test_a_fit_starts_with_no_idle_buffers(self, monkeypatch):
+        """A small fit asks for no buffer of an earlier forward's sizes, which
+        would stay resident through all its epochs unless it released them."""
+        numerics.empty((1 << 17,))  # 1 MiB, idle once the statement ends
+        assert any(numerics._idle.values())
+        idle_at_forward = []
+        model_forward = SpikingClassifier.model_forward
+
+        def record(self, *args, **kwargs):
+            idle_at_forward.append(sum(map(len, numerics._idle.values())))
+            return model_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpikingClassifier, "model_forward", record)
+        tr, _ = small_task()
+        small_model(epochs=2).fit(tr.x, tr.y)
+        assert idle_at_forward == [0, 0]
 
     def test_lif_trace_outside_fit_is_never_overwritten(self):
         tr, te = small_task()
