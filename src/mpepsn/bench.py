@@ -9,18 +9,27 @@ pass), so the ratio times neither training nor inference.  Both arms
 allocate their outputs alike, through ``numerics.empty``: each timed rep
 writes into the memory of the previous rep's dead arrays, and the
 discarded warm-up rep pays the kernel's first-touch page faults, so the
-ratio compares compute with compute.  Multi-core CPU threading stands in for
-GPU parallelism, so only the growth trend of the seq/par ratio is
-meaningful, never absolute magnitudes.
+ratio compares compute with compute.  At wide shapes both arms are bound by
+the bytes they write to memory: per value of [T, B, N], the sequential arm
+writes 9 bytes (u float64, o bool) and the parallel arm 10 (h float64, b and
+o bool); an expectation-mode pass, which no arm times, writes 9 (h, o).
+Multi-core CPU threading stands in for GPU parallelism, so only the growth
+trend of the seq/par ratio is meaningful, never absolute magnitudes.
+:func:`json_text` writes a grid's records with the machine and build they
+were measured on.
 """
 
 from __future__ import annotations
 
+import json
+import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from . import neuron
+import numpy as np
+
+from . import neuron, numerics
 from .numerics import Rng, WorkerPool
 
 KINDS = ("sequential", "parallel")
@@ -129,6 +138,29 @@ def sweep(
 def csv_text(records) -> str:
     rows = [BenchRecord.CSV_HEADER] + [r.csv_row() for r in records]
     return "\n".join(rows) + "\n"
+
+
+def environment(workers: int) -> dict:
+    """What a grid's timings depend on beyond the grid: the usable cores
+    (``nproc``), the worker count, Python and numpy versions, and the name,
+    version and build configuration of the BLAS numpy was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "nproc": numerics._usable_cores(),
+        "workers": workers,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_config": blas.get("openblas configuration"),
+    }
+
+
+def json_text(records, workers: int) -> str:
+    """A grid's records, each with its ratio, and the :func:`environment`
+    of a sweep over ``workers`` workers, as indented JSON."""
+    rows = [{**asdict(r), "ratio": r.ratio} for r in records]
+    return json.dumps({"environment": environment(workers), "records": rows}, indent=2) + "\n"
 
 
 def ratio_matrix(records, T_grid, N_grid) -> str:

@@ -125,6 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--matrix-out", type=str, default=None,
                    help="write a gnuplot-compatible ratio matrix here")
+    p.add_argument("--json", type=str, default=None,
+                   help="write the records as JSON here, with nproc, the worker count, "
+                        "the numpy version and the BLAS name and configuration")
     p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("estimate", help="inspect the membrane-potential estimator")
@@ -228,6 +231,8 @@ def cmd_bench(args) -> int:
         if args.matrix_out:
             text = bench.ratio_matrix(records, args.time_steps, args.neurons)
             _atomic_write(_suffixed(args.matrix_out, suffix), text)
+        if args.json:
+            _atomic_write(_suffixed(args.json, suffix), bench.json_text(records, workers))
     return 0
 
 

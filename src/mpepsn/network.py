@@ -146,10 +146,13 @@ def mpe_psn_tape_forward(
     backward forms, since the forward holds no P.  Gradient terms are added
     in the order of the elementwise tape they replace (sigmoid, (1 - b) * I,
     shift, spike, reset), so the gradients match it bit for bit whenever
-    each output has at most one consumer outside the layer.  The forward's
-    arrays and the backward's work arrays (which it returns as gradients)
-    come from ``scratch`` when given, else they are fresh, or recycled from
-    a dead pass (:func:`numerics.empty`).
+    each output has at most one consumer outside the layer.  The pass
+    writes b, h and o, and the node re-forms its outputs u_hat and u from
+    them once (:class:`neuron.ParallelTrace`), bit for bit as the pass
+    formed them.  The forward's arrays, these two among them, and the
+    backward's work arrays (which it returns as gradients) come from
+    ``scratch`` when given, else they are fresh, or recycled from a dead
+    pass (:func:`numerics.empty`).
     """
     scratch = Scratch() if scratch is None else scratch
     params = neuron.NeuronParams(tau_m=tau_m, v_th=float(v_th.value), alpha=alpha)
@@ -157,10 +160,13 @@ def mpe_psn_tape_forward(
     autograd.log_spikes(tr.o)
     if mode == "sampled":
         autograd.log_spikes(tr.b)  # a flipped draw is a discontinuity as well
-    values, parents, l2 = (tr.u_hat, tr.u, tr.o), (I, v_th), None
+    # the pass holds neither u_hat nor u: they are re-formed once, as outputs
+    u_hat = tr.u_hat_into(scratch("u_hat", tr.h.shape))
+    u = tr.u_into(scratch("u", tr.h.shape))
+    values, parents, l2 = (u_hat, u, tr.o), (I, v_th), None
     if kappa is not None:
         kappa = autograd.as_var(kappa)
-        mem, l2, mem_backward = losses.mem_term(tr.u_hat, tr.u, kappa.value, mem_cfg, scratch)
+        mem, l2, mem_backward = losses.mem_term(u_hat, u, kappa.value, mem_cfg, scratch)
         values, parents = (*values, mem), (*parents, kappa)
 
     def backward(g_u_hat, g_u, g_o, g_mem=None):

@@ -13,6 +13,7 @@ needs no history and is always exact.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,11 +27,11 @@ MODES = ("sampled", "expectation")
 LIF_TILE_COLUMNS = 1 << 16
 # RNG chunks in one block of the MPE-PSN pass: 2^16 values, a 512 KB float64
 # block, so a block's u_hat stays in L2 from its estimate to the update that
-# reads it.  Passes at (32, 1, 2^18) on 2 workers of a 2-vCPU VM, medians of
-# three rounds of ten: blocks of 1, 2, 4, 8 and 16 chunks took 97, 78, 75, 80
-# and 85 ms sampled, and 81, 66, 62, 64 and 66 ms in expectation mode with
-# the three-pass estimate I / (1 + exp(I)).  One chunk is too short a call:
-# the GIL changes hands around each op.
+# reads it.  Passes that write b, h and o at (32, 1, 2^18) on 2 workers of a
+# 2-vCPU VM, medians of ten in three rounds: blocks of 1, 2, 4 and 8 chunks
+# took 62-75, 45-49, 39-42 and 38-40 ms sampled, and 39-40, 29-31, 26-27 and
+# 26 ms in expectation mode.  One chunk is too short a call: the GIL changes
+# hands around each op.
 MPE_BLOCK_CHUNKS = 4
 
 # LOGIT_TABLE[k] = logit((k + 1/2) / 2^16) for the 2^16 values of a 16-bit
@@ -63,34 +64,71 @@ class NeuronParams:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
-class ParallelTrace(NamedTuple):
-    """I and the five arrays a sampled parallel forward pass writes, [T, B, N]
-    each.
+def _not_times(s: Array, x: Array, out: Array) -> Array:
+    """Write (1 - s) * x for the bool ``s`` into ``out``, in this op order:
+    ``logical_not`` into ``out`` (1 - s, without subtract's cast of a
+    bool), then ``multiply`` by x.  The estimate u_hat = (1 - b) * I and
+    the reset u = (1 - o) * h are both this product, so a trace that holds
+    b, I, o and h re-forms them with the pass's bits."""
+    np.logical_not(s, out=out)
+    np.multiply(out, x, out=out)
+    return out
 
-    I (the input current), u_hat (the estimated history), h (the pre-reset
-    potential) and u (the post-reset potential) are float64; the estimated
-    spike b (the Bernoulli draw) and the spikes o are bool.  No pass holds
-    the spike probability P = sigmoid(I).
+
+class ParallelTrace(NamedTuple):
+    """I and the three arrays a sampled parallel forward pass writes, [T, B, N]
+    each: the estimated spike b (the Bernoulli draw) and the spikes o, bool,
+    and the pre-reset potential h, float64; 10 bytes a value.
+
+    The estimated history u_hat = (1 - b) * I and the post-reset potential
+    u = (1 - o) * h are not held, since they re-form from these with the
+    bits the pass formed (:func:`_not_times`): each reading of the
+    properties :attr:`u_hat` and :attr:`u` re-forms one into a new array,
+    and :meth:`u_hat_into` and :meth:`u_into` into a given one.  No pass
+    holds the spike probability P = sigmoid(I).
     """
 
     I: Array
     b: Array
-    u_hat: Array
     h: Array
-    u: Array
     o: Array
+
+    def u_hat_into(self, out: Array) -> Array:
+        """Re-form the estimated history u_hat into the float64 ``out``."""
+        return _not_times(self.b, self.I, out)
+
+    def u_into(self, out: Array) -> Array:
+        """Re-form the post-reset potential u = (1 - o) * h into the float64 ``out``."""
+        return _not_times(self.o, self.h, out)
+
+    @property
+    def u_hat(self) -> Array:
+        return self.u_hat_into(empty(self.I.shape))
+
+    @property
+    def u(self) -> Array:
+        return self.u_into(empty(self.I.shape))
 
 
 class ExpectationTrace(NamedTuple):
-    """I and the four arrays an expectation-mode parallel forward pass
-    writes: those of :class:`ParallelTrace` less b, since this pass draws no
-    spike and forms u_hat from I alone."""
+    """I and the two arrays an expectation-mode parallel forward pass writes,
+    h and o: those of :class:`ParallelTrace` less b, since this pass draws
+    no spike; 9 bytes a value.  Its u_hat = I / (1 + exp(I)) is re-formed
+    from I alone (:func:`_estimate`), its u as a sampled trace's is."""
 
     I: Array
-    u_hat: Array
     h: Array
-    u: Array
     o: Array
+
+    def u_hat_into(self, out: Array) -> Array:
+        """Re-form the estimated history u_hat into the float64 ``out``."""
+        _estimate(self.I, out)
+        return out
+
+    # u and the properties read as a sampled trace's do
+    u_into = ParallelTrace.u_into
+    u_hat = ParallelTrace.u_hat
+    u = ParallelTrace.u
 
 
 def _check_3d(I: Array) -> Array:
@@ -127,8 +165,7 @@ def _estimate(I: Array, u_hat: Array, k: Array | None = None, b: Array | None = 
         # "clip" cannot clip a 16-bit k; the default "raise" buffers out=
         np.take(LOGIT_TABLE, k, out=u_hat, mode="clip")
         np.less(u_hat, I, out=b)
-        np.logical_not(b, out=u_hat)  # 1 - b, without subtract's cast of a bool
-        np.multiply(u_hat, I, out=u_hat)
+        _not_times(b, I, u_hat)
 
 
 def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: Array,
@@ -137,8 +174,9 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
     this op order.
 
     ``u_hist`` None is the zero history of step 0; ``u`` None skips the
-    reset, for a pass that keeps only spikes.  ``o`` is bool, or float64
-    0/1 in such a pass, where ``u_hist``, ``h`` and ``o`` may be one array,
+    reset, which the parallel passes do: nothing in them reads u, and a
+    trace re-forms it from h and o.  ``o`` is bool, or float64 0/1 in the
+    spikes-only pass, where ``u_hist``, ``h`` and ``o`` may be one array,
     since each op reads only what the previous one wrote, elementwise.  The
     MPE-PSN passes and :func:`teacher_forced_forward` call this one
     function, so they fire on the same bits of h; :func:`lif_sequential`
@@ -152,8 +190,7 @@ def _update(u_hist: Array | None, I: Array, params: NeuronParams, h: Array, o: A
         np.add(h, I, out=h)
     np.greater_equal(h, params.v_th, out=o)
     if u is not None:
-        np.logical_not(o, out=u)  # 1 - o
-        np.multiply(u, h, out=u)
+        _not_times(o, h, u)
 
 
 def lif_sequential(I, params: NeuronParams) -> tuple[Array, Array]:
@@ -235,19 +272,23 @@ def mpe_psn_forward(
     consumes no history (zero), so its output coincides with the sequential
     oracle exactly.
 
-    A sampled pass writes five arrays, b, u_hat, h, u and o, and returns a
-    :class:`ParallelTrace`: 3.25 float64 arrays' worth, since b and o are
-    bool.  An expectation pass writes four, u_hat, h, u and o, and returns
-    an :class:`ExpectationTrace`: 3.125 arrays' worth.  They come from
-    ``scratch`` when given (training reuses them from one epoch to the
-    next), else they are fresh, or recycled from a dead pass: each array of
-    at least 1 MiB reuses the memory of a dead one of its byte size, if
-    any (:func:`numerics.empty`, which also bounds the idle memory).  The
-    pass writes every position, so recycled memory gives the same bits.
+    A sampled pass writes three arrays, b, h and o, and returns a
+    :class:`ParallelTrace`: 10 bytes a value, since b and o are bool.  An
+    expectation pass writes two, h and o, and returns an
+    :class:`ExpectationTrace`: 9 bytes a value.  u_hat and the post-reset
+    potential u = (1 - o) * h are never written to a whole array; the
+    trace re-forms them, with the same bits, when they are read.  The
+    written arrays come from ``scratch`` when given (training reuses them
+    from one epoch to the next), else they are fresh, or recycled from a
+    dead pass: each array of at least 1 MiB reuses the memory of a dead
+    one of its byte size, if any (:func:`numerics.empty`, which also
+    bounds the idle memory).  The pass writes every position, so recycled
+    memory gives the same bits.
 
     One kernel walks the flat [T*B*N] values in blocks of
     ``MPE_BLOCK_CHUNKS`` RNG chunks.  A block forms u_hat (and, sampled, b)
-    at its positions [lo, hi) (:func:`_estimate`), then, while that u_hat
+    at its positions [lo, hi) (:func:`_estimate`) in its thread's buffer
+    of at most one block, which dies with the pass, then, while that u_hat
     is still in cache, runs :func:`_update` at the positions one stride
     (B*N) ahead, [lo + stride, hi + stride), whose history it is; its
     positions in row 0 are updated with the zero history.  So each
@@ -266,33 +307,36 @@ def mpe_psn_forward(
         raise ValueError("sampled mode requires an Rng")
     n = I.size
     stride = I.shape[1] * I.shape[2]
+    size = MPE_BLOCK_CHUNKS * Rng.CHUNK
     flat_I = I.reshape(-1)
     scratch = Scratch() if scratch is None else scratch
     b = scratch("b", (n,), bool) if mode == "sampled" else None
-    u_hat, h, u = (scratch(name, (n,)) for name in ("u_hat", "h", "u"))
-    o = scratch("o", (n,), bool)
+    h, o = scratch("h", (n,)), scratch("o", (n,), bool)
+    buffers = threading.local()
 
     def block(lo: int, hi: int, k: Array | None = None) -> None:
-        _estimate(flat_I[lo:hi], u_hat[lo:hi], k, None if k is None else b[lo:hi])
+        u_hat = getattr(buffers, "u_hat", None)
+        if u_hat is None:
+            u_hat = buffers.u_hat = np.empty(min(size, n))
+        u_hat = u_hat[:hi - lo]
+        _estimate(flat_I[lo:hi], u_hat, k, None if k is None else b[lo:hi])
         if lo < stride:
             row0 = slice(lo, min(hi, stride))
-            _update(None, flat_I[row0], params, h[row0], o[row0], u[row0])
+            _update(None, flat_I[row0], params, h[row0], o[row0])
         if lo + stride < n:
             ahead = slice(lo + stride, min(hi + stride, n))
-            _update(u_hat[lo:ahead.stop - stride], flat_I[ahead], params,
-                    h[ahead], o[ahead], u[ahead])
+            _update(u_hat[:ahead.stop - ahead.start], flat_I[ahead], params,
+                    h[ahead], o[ahead])
 
     if mode == "sampled":
         rng.draw_blocks(n, MPE_BLOCK_CHUNKS, block, pool)
     else:
-        size = MPE_BLOCK_CHUNKS * Rng.CHUNK
-
         def blocks(lo: int, hi: int) -> None:
             for start in range(lo * size, min(hi * size, n), size):
                 block(start, min(start + size, n))
 
         map_ranges(pool, -(-n // size), blocks)
-    written = (a.reshape(I.shape) for a in (u_hat, h, u, o))
+    written = (a.reshape(I.shape) for a in (h, o))
     if mode == "sampled":
         return ParallelTrace(I, b.reshape(I.shape), *written)
     return ExpectationTrace(I, *written)
@@ -303,12 +347,12 @@ def mpe_psn_spikes(I, params: NeuronParams) -> Array:
 
     The inference pass: it runs the same estimate and update helpers as
     :func:`mpe_psn_forward`, so o equals that pass's in value (as float64
-    0/1, not bool), but it writes one float64 [T, B, N] array instead of
-    four arrays.  Row t of that array takes the estimate u_hat = I / (1 +
-    exp(I)) of row t - 1 (the last row's estimate, which nothing reads, is
-    never formed), then the pre-reset potential h formed from it in place,
-    then the spikes.  Predict calls it on one cache-sized block of samples
-    at a time.
+    0/1, not bool), but it writes one float64 [T, B, N] array, 8 bytes a
+    value, where that pass writes h and o, 9.  Row t of that array takes
+    the estimate u_hat = I / (1 + exp(I)) of row t - 1 (the last row's
+    estimate, which nothing reads, is never formed), then the pre-reset
+    potential h formed from it in place, then the spikes.  Predict calls it
+    on one cache-sized block of samples at a time.
     """
     I = _check_3d(I)
     o = empty(I.shape)

@@ -91,19 +91,22 @@ def check_teacher_forced(trials: int = 1000, seed: int = 0) -> CheckResult:
 
 
 def check_reset_law(trials: int = 200, seed: int = 0) -> CheckResult:
-    """Fired positions reset to 0, silent ones keep h; spikes are binary:
-    the spikes of the sampled parallel pass and of the oracle, and the
-    sampled draws, are stored as bool."""
+    """The sampled parallel pass fires where its pre-reset potential reaches
+    the threshold, o == (h >= v_th) bit for bit, and spikes are binary: o,
+    the sampled draws b and the oracle's spikes are stored as bool.
+
+    The reset itself, u = (1 - o) * h, is not checked: a trace holds no u
+    and re-forms it from h and o, so it would hold by construction.  What
+    the pass can still get wrong is which positions fire, and the dtypes."""
     rng = Rng(seed, stream=103)
     res = CheckResult("reset_law_and_binary_spikes", trials, 0)
     for trial in range(trials):
         I, params = _random_case(rng, trial)
         tr = neuron.mpe_psn_forward(I, params, "sampled", rng.spawn(20_000 + trial))
-        u_seq, o_seq = neuron.lif_sequential(I, params)
+        _, o_seq = neuron.lif_sequential(I, params)
         ok = (
             tr.o.dtype == tr.b.dtype == o_seq.dtype == np.bool_
-            and np.all(tr.u[tr.o] == 0.0)
-            and np.array_equal(tr.u[~tr.o], tr.h[~tr.o])
+            and np.array_equal(tr.o, tr.h >= params.v_th)
         )
         if not ok:
             res.fail(f"trial {trial}: shape {I.shape}, seed {seed}")
@@ -311,9 +314,9 @@ def check_expectation_estimate(trials: int = 1000, seed: int = 0) -> CheckResult
     NaN where the reference is NaN, nowhere else.  Each trial draws 1024
     inputs uniform on [-750, 750], where exp(I) overflows above about
     709.78 and both forms give 0, and 1024 on [-40, 40], and appends
-    :data:`ESTIMATE_EDGE_INPUTS`, as one [1, 1, n] current: the pass forms
-    the estimate of every value, and its trace holds it.  ``max_err`` is
-    the worst gap in ulp.
+    :data:`ESTIMATE_EDGE_INPUTS`, as one [1, 1, n] current, whose trace
+    re-forms the estimate of every value with the helper the pass runs on
+    each block (``neuron._estimate``).  ``max_err`` is the worst gap in ulp.
     """
     from scipy.special import expit  # here, so that no other subcommand loads scipy
     rng = Rng(seed, stream=110)

@@ -13,12 +13,14 @@ def no_idle_buffers():
 @pytest.fixture
 def t0_fault(monkeypatch):
     """A parallel forward whose row 0 reads its own estimate as history
-    instead of the zero history; every later row is left as computed."""
+    instead of the zero history; every later row is left as computed.  The
+    fault is written into the trace's h[0] and o[0], so the u a check
+    re-forms from them carries it too."""
     forward = neuron.mpe_psn_forward
 
     def faulty(I, params, *args, **kwargs):
         tr = forward(I, params, *args, **kwargs)
-        neuron._update(tr.u_hat[0], tr.I[0], params, tr.h[0], tr.o[0], tr.u[0])
+        neuron._update(tr.u_hat[0], tr.I[0], params, tr.h[0], tr.o[0])
         return tr
 
     monkeypatch.setattr(neuron, "mpe_psn_forward", faulty)

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import stat
 import subprocess
@@ -37,6 +38,7 @@ KEPT = {
     "bench": {
         "--seed": "1", "--out": "o.csv", "--workers": "1,2", "--time-steps": "2,4",
         "--neurons": "16", "--batch": "2", "--reps": "5", "--matrix-out": "m.dat",
+        "--json": "b.json",
     },
     "estimate": {
         "--seed": "1", "--out": "o.csv", "--tau-m": "0.5", "--v-th-init": "0.9",
@@ -77,7 +79,7 @@ def test_flag_table_covers_every_option():
     for command, p in sub.choices.items():
         flags = {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
         assert flags == set(KEPT[command])
-    assert sum(map(len, KEPT.values())) == 39
+    assert sum(map(len, KEPT.values())) == 40
 
 
 class TestVerify:
@@ -305,15 +307,33 @@ class TestBench:
         assert "trend" in out
 
     def test_workers_list_suffixes_files(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.csv"
+        out_path, json_path = tmp_path / "bench.csv", tmp_path / "bench.json"
         code, _, _ = run(
             capsys, "bench", "--time-steps", "2", "--neurons", "16",
-            "--workers", "1,2", "--out", str(out_path),
+            "--workers", "1,2", "--out", str(out_path), "--json", str(json_path),
         )
         assert code == 0
-        assert (tmp_path / "bench_w1.csv").exists()
-        assert (tmp_path / "bench_w2.csv").exists()
-        assert not out_path.exists()
+        for suffix in ("_w1", "_w2"):
+            assert (tmp_path / f"bench{suffix}.csv").exists()
+            assert (tmp_path / f"bench{suffix}.json").exists()
+        assert not out_path.exists() and not json_path.exists()
+
+    def test_json_holds_the_records_and_the_environment(self, capsys, tmp_path):
+        json_path, csv_path = tmp_path / "bench.json", tmp_path / "bench.csv"
+        code, _, _ = run(
+            capsys, "bench", "--time-steps", "2,3", "--neurons", "16", "--workers", "2",
+            "--json", str(json_path), "--out", str(csv_path),
+        )
+        assert code == 0
+        doc = json.loads(json_path.read_text())
+        env = doc["environment"]
+        assert env["workers"] == 2 and env["nproc"] == numerics._usable_cores()
+        assert env["numpy"] == np.__version__
+        assert {"python", "blas", "blas_version", "blas_config"} <= set(env)
+        # the CSV's records, field for field, with each ratio
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert [[str(r[k]) if k != "ratio" else format(r[k], ".17g") for k in rows[0]]
+                for r in doc["records"]] == rows[1:]
 
 
 @pytest.fixture

@@ -366,14 +366,24 @@ class TestFullArrayPasses:
         return forward, sum(Counted.log) / I.value.size
 
     def test_sampled_layer_with_its_membrane_term(self):
-        # estimate 4, update 5 (4 in row 0), membrane term 4;
+        # pass 4.75 (below), u_hat and u re-formed 2 + 2, membrane term 4;
         # backward: term 2, surrogate 4, reset 6, threshold 1, history (T-1)/T, input 4
         assert self.passes("sampled", membrane=True) == (12.75, 17.75)
 
     def test_expectation_layer(self):
-        # estimate 3, update 5 (4 in row 0); backward: surrogate 4, reset 1,
-        # threshold 1, history (T-1)/T, P 4, input 3, through P 4
+        # pass 2.75 (below), u_hat re-formed 3 and u 2; backward: surrogate 4,
+        # reset 1, threshold 1, history (T-1)/T, P 4, input 3, through P 4
         assert self.passes("expectation") == (7.75, 17.75)
+
+    @pytest.mark.parametrize("mode, want", [("sampled", 4.75), ("expectation", 2.75)])
+    def test_the_pass_alone(self, mode, want):
+        # update 3 (2 in row 0: no history), and no reset; sampled, the draw
+        # into b 1 and 1 - b from it 1.  The rest of the estimate stays in
+        # the block's buffer, and neither u_hat nor u is written
+        I = Rng(7).uniform_tensor((self.T, self.B, self.N), -2, 2)
+        Counted.log = []
+        neuron.mpe_psn_forward(I, neuron.NeuronParams(), mode, Rng(8), scratch=CountedScratch())
+        assert sum(Counted.log) / I.size == want
 
     def test_lif_layer(self):
         # recurrence 5 (4 in row 0), finiteness test 1; backward: surrogate 4,

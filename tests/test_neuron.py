@@ -290,9 +290,11 @@ def whole_draw(rng, n):
 
 
 def reference_pass(I, params, mode, rng=None):
-    """The trace formed the whole-array way, in two phases: the estimate of
-    every value (from one whole-array draw in sampled mode, which alone
-    has b), then the update of every row, row 0 with the zero history."""
+    """Every array of a pass, formed the whole-array way, in two phases: the
+    estimate of every value (from one whole-array draw in sampled mode,
+    which alone has b), then the update of every row with its reset, row 0
+    with the zero history.  By name, in the order of the lean trace's
+    fields, then u_hat and u, which a lean trace re-forms."""
     o = np.empty(I.shape, bool)
     u_hat, h, u = (np.empty_like(I) for _ in range(3))
     if mode == "sampled":
@@ -302,12 +304,17 @@ def reference_pass(I, params, mode, rng=None):
         neuron._estimate(I, u_hat)
     neuron._update(None, I[0], params, h[0], o[0], u[0])
     neuron._update(u_hat[:-1], I[1:], params, h[1:], o[1:], u[1:])
-    return (I, b, u_hat, h, u, o) if mode == "sampled" else (I, u_hat, h, u, o)
+    lean = {"I": I, "b": b, "h": h, "o": o} if mode == "sampled" else {"I": I, "h": h, "o": o}
+    return {**lean, "u_hat": u_hat, "u": u}
 
 
 def assert_same_trace(tr, ref):
-    assert [a.dtype for a in tr] == [a.dtype for a in ref]
-    assert [a.tobytes() for a in tr] == [a.tobytes() for a in ref]
+    """``tr`` holds the lean fields of ``ref`` and re-forms its u_hat and u,
+    each with ``ref``'s dtype and bits."""
+    assert tr._fields == tuple(ref)[:-2]
+    got = {name: getattr(tr, name) for name in ref}
+    assert [a.dtype for a in got.values()] == [a.dtype for a in ref.values()]
+    assert [a.tobytes() for a in got.values()] == [a.tobytes() for a in ref.values()]
 
 
 class TestSampledBlocks:
@@ -354,7 +361,8 @@ class TestSampledBlocks:
     def traced_pass(mode, written):
         """I, the trace of one pass, and the memory the pass holds and
         peaks at; iterating the trace yields I and the ``written`` arrays
-        and allocates nothing."""
+        and allocates nothing.  The pass's block buffer, 1/16 of I's size
+        here, counts in the peak and dies with the pass."""
         I = Rng(38).uniform_tensor((16, 2, 1 << 15), -2.0, 2.0)
         tracemalloc.start()
         try:
@@ -371,20 +379,20 @@ class TestSampledBlocks:
         return I, tr, held, peak
 
     @pytest.mark.usefixtures("no_idle_buffers")
-    def test_holds_five_arrays_and_iterating_allocates_nothing(self):
-        # u_hat, h and u float64, b and o bool: 3 + 2/8 arrays of I's size
-        I, tr, held, peak = self.traced_pass("sampled", ("b", "u_hat", "h", "u", "o"))
+    def test_holds_three_arrays_and_iterating_allocates_nothing(self):
+        # h float64, b and o bool: 1 + 2/8 arrays of I's size, no u_hat or u
+        I, tr, held, peak = self.traced_pass("sampled", ("b", "h", "o"))
         assert (tr.b.dtype, tr.o.dtype) == (np.bool_, np.bool_)
-        assert 3.25 <= held / I.nbytes < 3.35
-        assert peak / I.nbytes < 3.75
+        assert 1.25 <= held / I.nbytes < 1.35
+        assert peak / I.nbytes < 1.4
 
     @pytest.mark.usefixtures("no_idle_buffers")
-    def test_expectation_pass_holds_four_arrays_and_iterating_allocates_nothing(self):
-        # u_hat, h and u float64, o bool: 3 + 1/8 arrays of I's size, and no P
-        I, tr, held, peak = self.traced_pass("expectation", ("u_hat", "h", "u", "o"))
+    def test_expectation_pass_holds_two_arrays_and_iterating_allocates_nothing(self):
+        # h float64, o bool: 1 + 1/8 arrays of I's size, and no u_hat, u or P
+        I, tr, held, peak = self.traced_pass("expectation", ("h", "o"))
         assert tr.o.dtype == np.bool_
-        assert 3.125 <= held / I.nbytes < 3.225
-        assert peak / I.nbytes < 3.625
+        assert 1.125 <= held / I.nbytes < 1.225
+        assert peak / I.nbytes < 1.275
 
     def test_sampled_scratch_has_no_P(self):
         """A pass asks its scratch for the arrays it writes and for no P;
@@ -395,12 +403,38 @@ class TestSampledBlocks:
                 return super().__call__(name, shape, dtype)
 
         I = random_case(39)
-        for mode, written in (("sampled", {"b", "u_hat", "h", "u", "o"}),
-                              ("expectation", {"u_hat", "h", "u", "o"})):
+        for mode, written in (("sampled", {"b", "h", "o"}), ("expectation", {"h", "o"})):
             s = Recording()
             s.names = set()
             mpe_psn_forward(I, NeuronParams(), mode, Rng(39), scratch=s)
             assert s.names == written
+
+
+class TestLeanTrace:
+    """A pass holds I and what cannot be re-formed from it, b, h and o (h and
+    o in expectation mode); each reading of ``u`` and ``u_hat`` re-forms
+    (1 - o) * h and (1 - b) * I (I / (1 + exp(I))) into a new array, with
+    the bits of those whole-array expressions."""
+
+    BLOCK = neuron.MPE_BLOCK_CHUNKS * Rng.CHUNK
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [
+        (4, 3, 7000),             # stride < block, n not a multiple of the block
+        (3, 1, BLOCK + 9),        # stride > block
+        (1, 2, BLOCK // 2 + 3),   # T = 1
+    ])
+    def test_holds_what_cannot_be_re_formed(self, shape, mode, workers):
+        I = Rng(50).uniform_tensor(shape, -2.0, 2.0)
+        with WorkerPool(workers or 1) as pool:
+            tr = mpe_psn_forward(I, NeuronParams(), mode, Rng(51), pool if workers else None)
+        assert tr._fields == (("I", "b", "h", "o") if mode == "sampled" else ("I", "h", "o"))
+        assert tr.I is I and all(a.shape == I.shape for a in tr)
+        u_hat = (1.0 - tr.b) * I if mode == "sampled" else I / (1.0 + np.exp(I))
+        for got, want in ((tr.u, (1.0 - tr.o) * tr.h), (tr.u_hat, u_hat)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert tr.u is not tr.u and not np.shares_memory(tr.u, tr.h)
 
 
 class TestStrideAhead:
@@ -431,8 +465,8 @@ class TestStrideAhead:
         assert_same_trace(tr, reference_pass(I, p, mode, Rng(47)))
 
     def test_every_position_is_updated_once(self, monkeypatch):
-        # h, u and o come from one _update call per position, row 0 from
-        # the zero history and every later row from the block one stride back
+        # h and o come from one _update call per position, row 0 from the
+        # zero history and every later row from the block one stride back
         calls = []
         update = neuron._update
 
@@ -450,19 +484,20 @@ class TestStrideAhead:
         assert sum(size for zero, size in calls if not zero) == 2 * stride
 
 
-# SHA-256 of the expectation pass's four arrays (u_hat, h, u, o) and of
-# mpe_psn_spikes at golden_input(), recorded once the input's uniforms came
-# from the draw's PCG64DXSM stream, with the estimate I / (1 + exp(I)),
-# whose contract ``verify.check_expectation_estimate`` checks (numpy 2.4.6,
-# x86-64).  The estimate goes through numpy's exp, whose last bits may
-# differ on another CPU or numpy build.
+# SHA-256 of the expectation pass's four arrays (u_hat, h, u, o; the trace
+# re-forms u_hat and u) and of mpe_psn_spikes at golden_input(), recorded
+# once the input's uniforms came from the draw's PCG64DXSM stream, with the
+# estimate I / (1 + exp(I)), whose contract
+# ``verify.check_expectation_estimate`` checks (numpy 2.4.6, x86-64).  The
+# estimate goes through numpy's exp, whose last bits may differ on another
+# CPU or numpy build.
 EXPECTATION_TRACE_SHA256 = "9652cc3adb75650d82c1b43d13c4d9a1a62e782f36235bd72cbb8ee83373a44b"
 SPIKES_SHA256 = "cc1192c14ddfda179eb16484e0731a090fdafcaef57b0c3123f104d591b6228b"
-# SHA-256 of a sampled pass's five arrays (b, u_hat, h, u, o) at
-# golden_input() with Rng(43, stream=2), recorded at the same change, so
-# that a change to the draw's bits is deliberate.  The draw compares with
-# LOGIT_TABLE, formed by numpy's log, whose last bits may differ on another
-# CPU or numpy build.
+# SHA-256 of a sampled pass's five arrays (b, u_hat, h, u, o; the trace
+# re-forms u_hat and u) at golden_input() with Rng(43, stream=2), recorded
+# at the same change, so that a change to the draw's bits is deliberate.
+# The draw compares with LOGIT_TABLE, formed by numpy's log, whose last bits
+# may differ on another CPU or numpy build.
 SAMPLED_TRACE_SHA256 = "b62639bb5e829f03291c9b199cb41d5d8e6899b9f29ba445f6179e5933c1bcfa"
 
 
@@ -486,7 +521,7 @@ def test_expectation_bits_equal_the_recorded_ones(workers):
     with np.errstate(invalid="ignore"), WorkerPool(workers or 1) as pool:
         tr = mpe_psn_forward(I, p, "expectation", None, pool if workers else None)
         spikes = neuron.mpe_psn_spikes(I, p)
-    assert sha256(tr[1:]) == EXPECTATION_TRACE_SHA256
+        assert sha256([tr.u_hat, tr.h, tr.u, tr.o]) == EXPECTATION_TRACE_SHA256
     assert sha256([spikes]) == SPIKES_SHA256
 
 
@@ -495,14 +530,15 @@ def test_sampled_bits_equal_the_recorded_ones(workers):
     with np.errstate(invalid="ignore"), WorkerPool(workers or 1) as pool:
         tr = mpe_psn_forward(golden_input(), NeuronParams(), "sampled", Rng(43, stream=2),
                              pool if workers else None)
-    assert sha256(tr[1:]) == SAMPLED_TRACE_SHA256
+        assert sha256([tr.b, tr.u_hat, tr.h, tr.u, tr.o]) == SAMPLED_TRACE_SHA256
 
 
 class TestExpectationEdges:
     """exp(I) overflows above about 709.78.  The expectation estimate is
     then 0 without an overflow warning on any thread, pool threads (which
-    do not inherit the caller's ``np.errstate``) included, and saturated and
-    infinite currents give the values (1 - sigmoid(I)) * I gave."""
+    do not inherit the caller's ``np.errstate``) included, as the pass
+    forms it and as its trace re-forms it, and saturated and infinite
+    currents give the values (1 - sigmoid(I)) * I gave."""
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_saturated_currents_give_the_old_values(self, workers):
@@ -514,12 +550,13 @@ class TestExpectationEdges:
             warnings.simplefilter("always")
             tr = mpe_psn_forward(I, p, "expectation", None, pool if workers else None)
             spikes = neuron.mpe_psn_spikes(I, p)
+            got_u_hat = tr.u_hat
         # inf / inf, and the update's inf - inf and 0 * inf, warn as before
         assert not [w for w in caught if "overflow" in str(w.message)]
         with np.errstate(over="ignore", invalid="ignore"):
             u_hat = (1.0 - sigmoid(I)) * I
             _, o = teacher_forced_forward(I, u_hat, p)  # the update on that history
-        np.testing.assert_array_equal(tr.u_hat, u_hat)
+        np.testing.assert_array_equal(got_u_hat, u_hat)
         np.testing.assert_array_equal(tr.o, o)
         np.testing.assert_array_equal(spikes, o)
         assert o.any() and not o.all()

@@ -86,10 +86,11 @@ def test_predict_runs_no_training_forward():
 
 
 def test_bytes_out_counts_I_and_the_arrays_each_pass_writes():
-    """A traced pass counts I and the arrays it writes: five in sampled
-    mode, four in expectation mode, which holds no b, and neither holds P.
-    A sampled pass's b and o are bool, one byte a value, so it counts 4.25
-    float64 arrays' worth with I; an expectation pass's o is bool, 4.125."""
+    """A traced pass counts I and the arrays it writes: b, h and o in
+    sampled mode, h and o in expectation mode, which draws no b; neither
+    holds u_hat, u or P.  A sampled pass's b and o are bool, one byte a
+    value, so it counts 2.25 float64 arrays' worth with I; an expectation
+    pass's o is bool, 2.125."""
     I = numerics.Rng(3).uniform_tensor((4, 2, 8), -2.0, 2.0)
     tracer = layer_tracer()
     counted = []
@@ -100,4 +101,4 @@ def test_bytes_out_counts_I_and_the_arrays_each_pass_writes():
             counted.append(tracer.counts[("test", "neuron.mpe_psn_forward.bytes_out")])
     finally:
         tracer.uninstall()
-    assert counted == [4.25 * I.nbytes, (4.25 + 4.125) * I.nbytes]
+    assert counted == [2.25 * I.nbytes, (2.25 + 2.125) * I.nbytes]

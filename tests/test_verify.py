@@ -55,6 +55,19 @@ class TestChecks:
         res = verify.check_reset_law(trials=20)
         assert res.failures == 20 and res.details
 
+    def test_reset_law_detects_spikes_that_h_does_not_give(self, monkeypatch):
+        # bool spikes, flipped at one position: o no longer equals h >= v_th
+        orig = neuron.mpe_psn_forward
+
+        def flipped(*args, **kwargs):
+            tr = orig(*args, **kwargs)
+            tr.o.flat[-1] = ~tr.o.flat[-1]
+            return tr
+
+        monkeypatch.setattr(neuron, "mpe_psn_forward", flipped)
+        res = verify.check_reset_law(trials=20)
+        assert res.failures == 20 and res.details
+
     def test_gradients(self):
         res = verify.check_gradients(graphs=25)
         assert res.passed
